@@ -32,6 +32,7 @@ from .policy import (
     Rollout,
     Vocab,
     load_checkpoint,
+    sample_groups,
     sample_response,
     save_checkpoint,
     token_logprob,

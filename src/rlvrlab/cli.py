@@ -174,7 +174,6 @@ def _cmd_train(args, parser) -> int:
                 metrics_sink=lambda rec: fh.write(
                     json.dumps(rec.to_dict(), sort_keys=True) + "\n"
                 ),
-                jobs=args.jobs,
             )
     except trainer.CollectAbort as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
@@ -306,13 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="rollout worker threads; >1 keeps results identical but "
-        "may interleave logging",
-    )
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", help="avg@k of a checkpoint on the task")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -177,15 +178,40 @@ def token_logprob_grad(
     return b, grad
 
 
-def sample_response(
+def window_buckets(windows: np.ndarray, buckets: int) -> np.ndarray:
+    """``bucket_of`` of every row of an ``(n, order)`` array of windows.
+
+    The same polynomial hash, expanded into a dot product with the powers
+    of the multiplier; uint64 arithmetic wraps like the 64-bit mask.
+    """
+    windows = np.asarray(windows, dtype=np.uint64)
+    order = windows.shape[1]
+    powers = np.array(
+        [pow(_HASH_MULT, order - 1 - j, 1 << 64) for j in range(order)],
+        dtype=np.uint64,
+    )
+    h = ((windows + np.uint64(1)) * powers).sum(axis=1, dtype=np.uint64)
+    return (h % np.uint64(buckets)).astype(np.int64)
+
+
+def sample_groups(
     params: PolicyParams,
-    query: tuple[int, ...],
+    queries: Sequence[tuple[int, ...]],
+    group_size: int,
     max_len: int,
     temperature: float,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     greedy: bool = False,
-) -> Rollout:
-    """Sample autoregressively until eos or ``max_len`` tokens.
+) -> list[tuple[Rollout, ...]]:
+    """Sample ``group_size`` rollouts of every query, all in lockstep.
+
+    Each iteration advances every live rollout by one token position.  At
+    each position where some rollout of query ``g`` is still live,
+    ``rngs[g]`` draws one ``(group_size, vocab)`` block of uniforms, and
+    rollout ``i`` takes row ``i`` of it as Gumbel noise.  A group's
+    rollouts thus depend only on its query and its generator, never on
+    which other queries share the call, and one query with one rollout
+    draws exactly the stream of a token-at-a-time sampler.
 
     Temperature scales the sampling distribution only; the recorded
     log-probs are always those of the unscaled policy, which is what the
@@ -195,34 +221,81 @@ def sample_response(
         raise ValueError("max_len must be >= 1")
     if temperature <= 0:
         raise ValueError("temperature must be positive (use greedy=True for argmax)")
-    if not np.isfinite(params.logits).all():
-        raise ValueError("logits table contains non-finite entries")
+    if group_size < 1:
+        raise ValueError("group_size must be >= 1")
+    if len(rngs) != len(queries):
+        raise ValueError(f"{len(queries)} queries but {len(rngs)} generators")
 
-    vocab = params.vocab
-    window = ((vocab.begin_marker,) * params.k + tuple(query))[-params.k :]
-    response: list[int] = []
-    logprobs: list[float] = []
-    truncated = True
-    for _ in range(max_len):
-        row = params.logits[bucket_of(window, params.buckets)]
+    vocab, k = params.vocab, params.k
+    n = len(queries) * group_size
+    # Row r holds rollout r's context history: the padded query tail, then
+    # its response; the window before position t is columns t..t+k-1.
+    history = np.empty((n, k + max_len), dtype=np.int64)
+    for g, query in enumerate(queries):
+        block = slice(g * group_size, (g + 1) * group_size)
+        history[block, :k] = ((vocab.begin_marker,) * k + tuple(query))[-k:]
+    logprobs = np.zeros((n, max_len))
+    lengths = np.full(n, max_len)
+    noise = np.empty((len(queries), group_size, vocab.size))
+    live = np.arange(n)
+    for t in range(max_len):
+        rows = params.logits[window_buckets(history[live, t : t + k], params.buckets)]
+        if not np.isfinite(rows).all():
+            raise ValueError("logits table contains non-finite entries")
         if greedy:
-            tok = int(np.argmax(row))
+            toks = rows.argmax(axis=1)
         else:
             # Gumbel-max draw from softmax(row / temperature).
-            gumbel = -np.log(-np.log(rng.random(vocab.size)))
-            tok = int(np.argmax(row / temperature + gumbel))
-        response.append(tok)
-        logprobs.append(_log_softmax_at(row, tok))
-        if tok == vocab.eos:
-            truncated = False
+            live_groups = np.bincount(live // group_size, minlength=len(queries))
+            for g in np.flatnonzero(live_groups):
+                rngs[g].random(out=noise[g])
+            gumbel = -np.log(-np.log(noise.reshape(n, vocab.size)[live]))
+            toks = np.argmax(rows / temperature + gumbel, axis=1)
+        m = rows.max(axis=1)
+        logprobs[live, t] = (
+            rows[np.arange(len(live)), toks]
+            - m
+            - np.log(np.exp(rows - m[:, None]).sum(axis=1))
+        )
+        history[live, k + t] = toks
+        stopped = toks == vocab.eos
+        lengths[live[stopped]] = t + 1
+        live = live[~stopped]
+        if not live.size:
             break
-        window = window[1:] + (tok,)
-    return Rollout(
-        query=tuple(query),
-        response=tuple(response),
-        old_logprobs=np.array(logprobs, dtype=np.float64),
-        truncated=truncated,
-    )
+
+    responses = history[:, k:].tolist()
+    out = []
+    for g, query in enumerate(queries):
+        query = tuple(query)
+        group = []
+        for r in range(g * group_size, (g + 1) * group_size):
+            length = int(lengths[r])
+            response = tuple(responses[r][:length])
+            group.append(
+                Rollout(
+                    query=query,
+                    response=response,
+                    old_logprobs=logprobs[r, :length].copy(),
+                    # Sampling stops at eos, so only a truncated one lacks it.
+                    truncated=response[-1] != vocab.eos,
+                )
+            )
+        out.append(tuple(group))
+    return out
+
+
+def sample_response(
+    params: PolicyParams,
+    query: tuple[int, ...],
+    max_len: int,
+    temperature: float,
+    rng: np.random.Generator,
+    greedy: bool = False,
+) -> Rollout:
+    """Sample one rollout until eos or ``max_len`` tokens: the
+    one-query, one-rollout case of ``sample_groups``."""
+    return sample_groups(params, [query], 1, max_len, temperature, [rng], greedy)[0][0]
 
 
 def response_buckets(

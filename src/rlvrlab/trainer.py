@@ -10,7 +10,6 @@ mean response length saturates, and the cap then grows.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -25,7 +24,8 @@ from .objectives import (
     sample_clip_ratios,
     token_mean_objective,
 )
-from .policy import PolicyParams, bucket_of, sample_response
+from .policy import PolicyParams, Rollout, bucket_of, sample_groups
+from .policy import sample_response  # noqa: F401  perfbench's tracer looks it up here
 from .tasks import TaskSpec
 
 DIGITS = tuple(range(10))
@@ -251,18 +251,11 @@ def init_policy(config: TrainConfig) -> PolicyParams:
     return params
 
 
-def _roll_group(
-    old_params: PolicyParams,
-    query: tuple[int, ...],
-    gold: str,
-    query_id: int,
-    max_len: int,
-    config: TrainConfig,
+def _score_group(
+    query_id: int, rollouts: tuple[Rollout, ...], gold: str, config: TrainConfig
 ) -> Group:
-    rng = np.random.default_rng([config.seed, 1, query_id])
-    rollouts, rewards, penalties = [], [], []
-    for _ in range(config.group_size):
-        ro = sample_response(old_params, query, max_len, config.temperature, rng)
+    rewards, penalties = [], []
+    for ro in rollouts:
         answer = tasks.decode_tokens(ro.response)
         rewards.append(verifier.reward(answer, gold, ro.truncated))
         content = ro.content(tasks.EOS)
@@ -274,10 +267,9 @@ def _roll_group(
             )
         else:
             penalties.append(0.0)
-        rollouts.append(ro)
     return Group(
         query_id=query_id,
-        rollouts=tuple(rollouts),
+        rollouts=rollouts,
         rewards=np.array(rewards),
         penalties=np.array(penalties),
     )
@@ -315,14 +307,15 @@ def collect_batch(
     config: TrainConfig,
     task_rng: np.random.Generator,
     query_counter: int,
-    jobs: int = 1,
 ) -> tuple[list[Group], BatchStats, int]:
     """Accumulate exactly ``batch_groups`` mixed-correctness groups.
 
-    Queries are consumed in chunks with per-query derived seeds, so the
-    result is identical whether rollouts run sequentially or on a thread
-    pool.  Aborts when 100 * batch_groups consecutive queries yield no
-    valid group, which signals a collapsed policy or a degenerate task.
+    Queries are consumed in chunks of ``batch_groups``, and each chunk is
+    sampled in one lockstep call.  Every group draws its noise from its own
+    ``[seed, 1, query index]`` generator, so a group's rollouts do not
+    depend on the chunk it lands in.  Aborts when 100 * batch_groups
+    consecutive queries yield no valid group, which signals a collapsed
+    policy or a degenerate task.
     """
     n = config.batch_groups
     abort_after = 100 * n
@@ -330,24 +323,19 @@ def collect_batch(
     stats = BatchStats()
     consecutive_invalid = 0
     while len(valid) < n:
-        chunk = []
-        for _ in range(n):
-            query, gold = tasks.generate_task(config.task, task_rng)
-            chunk.append((query, gold, query_counter))
-            query_counter += 1
-
-        def roll(item):
-            query, gold, qid = item
-            return _roll_group(
-                old_params, query, gold, qid, stage.max_response_len, config
-            )
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                groups = list(pool.map(roll, chunk))
-        else:
-            groups = [roll(item) for item in chunk]
-        for group in groups:
+        chunk = [tasks.generate_task(config.task, task_rng) for _ in range(n)]
+        qids = range(query_counter, query_counter + n)
+        query_counter += n
+        sampled = sample_groups(
+            old_params,
+            [query for query, _ in chunk],
+            config.group_size,
+            stage.max_response_len,
+            config.temperature,
+            [np.random.default_rng([config.seed, 1, qid]) for qid in qids],
+        )
+        for qid, (_, gold), rollouts in zip(qids, chunk, sampled):
+            group = _score_group(qid, rollouts, gold, config)
             stats.absorb(group, config.repetition_penalty, config)
             if filter_mixed_groups([group]):
                 valid.append(group)
@@ -379,6 +367,11 @@ def stage_saturated(lengths: Sequence[float], threshold: float = 0.01) -> bool:
     return abs(last - first) < threshold * max(abs(first), 1e-12)
 
 
+# Tasks per lockstep call in ``evaluate``: bounds its arrays at
+# EVAL_CHUNK * k rollouts instead of all n_tasks * k.
+EVAL_CHUNK = 16
+
+
 def evaluate(
     params: PolicyParams,
     spec: TaskSpec,
@@ -389,27 +382,40 @@ def evaluate(
     n_tasks: int = 200,
 ) -> float:
     """avg@k: mean reward over k sampled attempts per task, over a fixed
-    seed-derived evaluation set."""
+    seed-derived evaluation set.
+
+    The tasks come from their own ``[seed, 2]`` generator and the attempts
+    at task ``i`` from a ``[seed, 4, i]`` generator, so the task set does
+    not depend on the policy, on k or on the sampling.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = np.random.default_rng([seed, 2])
+    task_rng = np.random.default_rng([seed, 2])
+    eval_set = [tasks.generate_task(spec, task_rng) for _ in range(n_tasks)]
     total = 0.0
-    for _ in range(n_tasks):
-        query, gold = tasks.generate_task(spec, rng)
-        hits = 0.0
-        for _ in range(k):
-            ro = sample_response(params, query, max_len, temperature, rng)
-            hits += verifier.reward(
-                tasks.decode_tokens(ro.response), gold, ro.truncated
+    for start in range(0, n_tasks, EVAL_CHUNK):
+        chunk = eval_set[start : start + EVAL_CHUNK]
+        ids = range(start, start + len(chunk))
+        sampled = sample_groups(
+            params,
+            [query for query, _ in chunk],
+            k,
+            max_len,
+            temperature,
+            [np.random.default_rng([seed, 4, i]) for i in ids],
+        )
+        for (_, gold), rollouts in zip(chunk, sampled):
+            hits = sum(
+                verifier.reward(tasks.decode_tokens(ro.response), gold, ro.truncated)
+                for ro in rollouts
             )
-        total += hits / k
+            total += hits / k
     return total / n_tasks
 
 
 def train(
     config: TrainConfig,
     metrics_sink: Optional[Callable[[MetricsRecord], None]] = None,
-    jobs: int = 1,
 ) -> TrainResult:
     """Run every stage and return the trained policy with its metrics log."""
     policy = init_policy(config)
@@ -429,7 +435,7 @@ def train(
         for _ in range(stage.max_steps):
             old = policy.copy()
             groups, stats, query_counter = collect_batch(
-                old, stage, config, task_rng, query_counter, jobs=jobs
+                old, stage, config, task_rng, query_counter
             )
             for group in groups:
                 assert 0 < int((group.rewards > 0.5).sum()) < group.size

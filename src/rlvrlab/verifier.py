@@ -74,6 +74,35 @@ class ParsedAnswer:
         return self.kind in ("tuple", "set")
 
 
+# A comma between a digit and a 3-digit group that ends the run.
+_THOUSANDS_RE = re.compile(r"(?<=\d),(?=\d{3}(?!\d))")
+
+
+def _drop_thousands_separators(s: str) -> str:
+    """Drop thousands separators outside brackets ("1,000" -> "1000").
+
+    Inside a bracket every comma separates elements, so "{468,289,122}"
+    keeps its three elements and "(1,2)" its two.
+    """
+    if "," not in s:
+        return s
+    parts, start, depth = [], 0, 0
+    for i, ch in enumerate(s):
+        if ch in "([{":
+            if depth == 0:
+                parts.append(_THOUSANDS_RE.sub("", s[start:i]))
+                start = i
+            depth += 1
+        elif ch in ")]}" and depth > 0:
+            depth -= 1
+            if depth == 0:
+                parts.append(s[start : i + 1])
+                start = i + 1
+    tail = s[start:]
+    parts.append(tail if depth else _THOUSANDS_RE.sub("", tail))
+    return "".join(parts)
+
+
 def normalize(raw: str) -> str:
     """Canonical form used for string comparison and as parser input."""
     s = raw.strip()
@@ -98,9 +127,7 @@ def normalize(raw: str) -> str:
             break
         s = new
     s = re.sub(r"\s+", "", s)
-    # Thousands separators: a comma between a digit and a 3-digit group that
-    # ends the run ("1,000" yes, "(1,2)" no).
-    s = re.sub(r"(?<=\d),(?=\d{3}(?!\d))", "", s)
+    s = _drop_thousands_separators(s)
     s = s.rstrip(".")
     # Case-fold a trailing unit-like word so "5 M" and "5m" agree.
     m = re.search(r"([a-zA-Z]+)$", s)

@@ -191,13 +191,3 @@ class TestTrainEvalReport:
         )
         assert code == 1
         assert "aborted" in capsys.readouterr().err
-
-    def test_jobs_flag_reproduces_sequential_metrics(self, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        write_config(cfg_path, micro_train_config())
-        d1, d2 = tmp_path / "seq", tmp_path / "par"
-        dispatch(["train", "--config", str(cfg_path), "--out-dir", str(d1)])
-        dispatch(
-            ["train", "--config", str(cfg_path), "--out-dir", str(d2), "--jobs", "4"]
-        )
-        assert (d1 / "metrics.jsonl").read_bytes() == (d2 / "metrics.jsonl").read_bytes()

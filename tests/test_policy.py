@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlvrlab.policy import (
     Context,
@@ -10,11 +12,13 @@ from rlvrlab.policy import (
     Vocab,
     bucket_of,
     load_checkpoint,
+    sample_groups,
     sample_response,
     save_checkpoint,
     sequence_logprobs,
     token_logprob,
     token_logprob_grad,
+    window_buckets,
 )
 
 
@@ -22,6 +26,28 @@ def random_params(rng, vocab_size=8, k=3, buckets=32, scale=1.0):
     vocab = Vocab(vocab_size, vocab_size - 1)
     logits = rng.normal(0, scale, size=(buckets, vocab_size))
     return PolicyParams(vocab, k, logits)
+
+
+def reference_sample(params, query, max_len, temperature, rng, greedy=False):
+    """Token-at-a-time sampler: the oracle for the lockstep one."""
+    vocab = params.vocab
+    window = ((vocab.begin_marker,) * params.k + tuple(query))[-params.k :]
+    response, logprobs, truncated = [], [], True
+    for _ in range(max_len):
+        row = params.logits[bucket_of(window, params.buckets)]
+        if greedy:
+            tok = int(np.argmax(row))
+        else:
+            gumbel = -np.log(-np.log(rng.random(vocab.size)))
+            tok = int(np.argmax(row / temperature + gumbel))
+        m = row.max()
+        response.append(tok)
+        logprobs.append(float(row[tok] - m - np.log(np.exp(row - m).sum())))
+        if tok == vocab.eos:
+            truncated = False
+            break
+        window = window[1:] + (tok,)
+    return Rollout(tuple(query), tuple(response), np.array(logprobs), truncated)
 
 
 def fd_row_gradient(params, ctx, tok, step=1e-5):
@@ -55,6 +81,35 @@ class TestVocabAndContext:
             b = bucket_of((1, 2, 3), buckets)
             assert 0 <= b < buckets
             assert b == bucket_of((1, 2, 3), buckets)
+
+
+class TestWindowBuckets:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.integers(1, 6),
+        vocab_size=st.integers(2, 40),
+        buckets=st.sampled_from([1, 7, 64, 1000, 4096, 16383, 16384]),
+        data=st.data(),
+    )
+    def test_matches_bucket_of(self, order, vocab_size, buckets, data):
+        # Token ids up to vocab_size: the begin marker is included.
+        windows = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(0, vocab_size), min_size=order, max_size=order
+                ),
+                min_size=1,
+                max_size=20,
+            )
+        )
+        got = window_buckets(np.array(windows), buckets)
+        assert got.tolist() == [bucket_of(tuple(w), buckets) for w in windows]
+
+    def test_all_begin_markers(self):
+        marker = Vocab(14, 13).begin_marker
+        for buckets in (5, 4096, 16384):
+            got = window_buckets(np.full((1, 4), marker), buckets)
+            assert got.tolist() == [bucket_of((marker,) * 4, buckets)]
 
 
 class TestTokenLogprob:
@@ -182,6 +237,67 @@ class TestSampleResponse:
             sample_response(params, (0,), 5, 0.0, rng)
         with pytest.raises(ValueError):
             sample_response(params, (0,), 5, -1.0, rng)
+
+    def test_nonfinite_row_rejected(self):
+        params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
+        params.logits[params.bucket((4, 0)), 2] = -np.inf
+        with pytest.raises(ValueError):
+            sample_response(params, (0,), 5, 1.0, np.random.default_rng(0))
+
+    def test_matches_token_at_a_time_oracle(self):
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            vocab_size = int(rng.integers(2, 12))
+            params = PolicyParams(
+                Vocab(vocab_size, int(rng.integers(0, vocab_size))),
+                int(rng.integers(1, 5)),
+                rng.normal(
+                    0, rng.uniform(0.1, 4.0), (int(rng.integers(1, 40)), vocab_size)
+                ),
+            )
+            query = tuple(rng.integers(0, vocab_size, int(rng.integers(0, 6))).tolist())
+            max_len = int(rng.integers(1, 30))
+            temperature = float(rng.uniform(0.2, 3.0))
+            seed = int(rng.integers(1 << 31))
+            greedy = trial % 10 == 0
+            want = reference_sample(
+                params, query, max_len, temperature, np.random.default_rng(seed), greedy
+            )
+            ((got,),) = sample_groups(
+                params,
+                [query],
+                1,
+                max_len,
+                temperature,
+                [np.random.default_rng(seed)],
+                greedy,
+            )
+            assert got.query == want.query
+            assert got.response == want.response
+            assert got.truncated == want.truncated
+            np.testing.assert_allclose(
+                got.old_logprobs, want.old_logprobs, rtol=0, atol=1e-12
+            )
+
+
+class TestSampleGroups:
+    def test_shapes_and_logprobs(self):
+        rng = np.random.default_rng(8)
+        params = random_params(rng, vocab_size=5, scale=1.0)
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        groups = sample_groups(params, [(0, 1), (2,)], 3, 7, 0.7, rngs)
+        assert [len(g) for g in groups] == [3, 3]
+        for query, group in zip([(0, 1), (2,)], groups):
+            for ro in group:
+                assert ro.query == query and 1 <= len(ro.response) <= 7
+                assert ro.truncated == (4 not in ro.response)
+                _, lps, _ = sequence_logprobs(params, ro.query, ro.response)
+                np.testing.assert_allclose(ro.old_logprobs, lps, atol=1e-12)
+
+    def test_generator_count_must_match(self):
+        params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
+        with pytest.raises(ValueError):
+            sample_groups(params, [(0,), (1,)], 2, 5, 1.0, [np.random.default_rng(0)])
 
 
 class TestRollout:

@@ -3,7 +3,7 @@ import pytest
 
 from rlvrlab import tasks
 from rlvrlab.policy import PolicyParams, bucket_of
-from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec
+from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_task
 from rlvrlab.trainer import (
     CollectAbort,
     StagePlan,
@@ -170,26 +170,30 @@ class TestCollectBatch:
         with pytest.raises(CollectAbort):
             collect_batch(params, cfg.stages[0], cfg, rng, 0)
 
-    def test_parallel_jobs_give_identical_batches(self):
-        cfg = tiny_config()
-        params = init_policy(cfg)
-        seq_groups, _, seq_counter = collect_batch(
-            params, cfg.stages[0], cfg, np.random.default_rng([cfg.seed, 0]), 0
+    def test_group_does_not_depend_on_its_chunk(self):
+        # One 16-query chunk against the same queries consumed one at a time.
+        chunked = tiny_config(batch_groups=16)
+        params = init_policy(chunked)
+        groups, _, counter = collect_batch(
+            params, chunked.stages[0], chunked, np.random.default_rng([7, 0]), 0
         )
-        par_groups, _, par_counter = collect_batch(
-            params,
-            cfg.stages[0],
-            cfg,
-            np.random.default_rng([cfg.seed, 0]),
-            0,
-            jobs=4,
-        )
-        assert seq_counter == par_counter
-        assert len(seq_groups) == len(par_groups)
-        for a, b in zip(seq_groups, par_groups):
-            assert a.query_id == b.query_id
+        alone = tiny_config(batch_groups=1)
+        task_rng = np.random.default_rng([7, 0])
+        singles, qid = {}, 0
+        while qid < counter:
+            (group,), _, qid = collect_batch(
+                params, alone.stages[0], alone, task_rng, qid
+            )
+            singles[group.query_id] = group
+        assert len(groups) == 16
+        for a in groups:
+            b = singles[a.query_id]
+            assert [r.query for r in a.rollouts] == [r.query for r in b.rollouts]
             assert [r.response for r in a.rollouts] == [r.response for r in b.rollouts]
+            for ra, rb in zip(a.rollouts, b.rollouts):
+                np.testing.assert_array_equal(ra.old_logprobs, rb.old_logprobs)
             np.testing.assert_array_equal(a.rewards, b.rewards)
+            np.testing.assert_array_equal(a.penalties, b.penalties)
 
 
 class TestTrain:
@@ -267,6 +271,28 @@ class TestEvaluate:
         a = evaluate(params, cfg.task, 8, 1.0, 12, seed=3, n_tasks=40)
         b = evaluate(params, cfg.task, 8, 1.0, 12, seed=3, n_tasks=40)
         assert a == b
+
+    def test_task_set_is_fixed(self, monkeypatch):
+        drawn = []
+
+        def recording(spec, rng):
+            task = generate_task(spec, rng)
+            drawn.append(task)
+            return task
+
+        monkeypatch.setattr(tasks, "generate_task", recording)
+        cfg = tiny_config()
+        sets = []
+        for params, k in (
+            (init_policy(cfg), 32),
+            (init_policy(cfg), 16),
+            (init_policy(tiny_config(init="uniform")), 32),
+        ):
+            drawn.clear()
+            evaluate(params, cfg.task, k, 1.0, 12, seed=1, n_tasks=60)
+            sets.append(list(drawn))
+        assert len(sets[0]) == 60
+        assert sets[0] == sets[1] == sets[2]
 
     def test_k_must_be_positive(self):
         cfg = tiny_config()

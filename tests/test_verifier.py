@@ -36,6 +36,8 @@ class TestNormalize:
             ("3.5.", "3.5"),
             ("1,234,567", "1234567"),
             ("(1,2)", "(1,2)"),  # tuple commas survive
+            ("{468,289,122}", "{468,289,122}"),  # so do set commas
+            ("(1,000,2)", "(1,000,2)"),
             ("5 M", "5m"),
             ("90 Degrees", "90degrees"),
         ],
@@ -131,6 +133,12 @@ class TestVerifyExamples:
 
     def test_distinct_integers(self):
         assert verify("3", "4") == Verdict(NOT_EQUIVALENT, 3)
+
+    def test_set_of_three_digit_elements(self):
+        # Commas inside a set separate elements, not thousands.
+        assert verify("{468,289,122}", "{122,468,289}") == Verdict(EQUIVALENT, 2)
+        assert verify("{468,289,122}", "{468289122}").outcome == NOT_EQUIVALENT
+        assert verify("1,000", "1000") == Verdict(EQUIVALENT, 1)
 
     def test_verdict_stage_consistency_enforced(self):
         with pytest.raises(ValueError):
