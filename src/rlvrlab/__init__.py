@@ -17,9 +17,7 @@ from .objectives import (
     ClipSchedule,
     Group,
     RefModel,
-    clipped_term,
     filter_mixed_groups,
-    k3_divergence,
     reward_advantages,
     sample_clip_ratios,
     sequence_mean_objective,
@@ -27,7 +25,6 @@ from .objectives import (
     token_mean_objective,
 )
 from .policy import (
-    Context,
     PolicyParams,
     Rollout,
     Vocab,
@@ -35,8 +32,6 @@ from .policy import (
     sample_groups,
     sample_response,
     save_checkpoint,
-    token_logprob,
-    token_logprob_grad,
 )
 from .repetition import LoopSpan, detect_loop, repetition_score
 from .tasks import TaskSpec, generate_task

@@ -2,14 +2,17 @@
 evaluation and reporting into reproducible runs.
 
 Exit codes: 0 success, 1 domain failure (a non-equivalent single-pair
-verification, a collapsed training run), 2 usage errors and missing files.
-All randomness flows from the run's single --seed.
+verification, a collapsed training run), 2 usage errors, missing files and
+malformed input (a bad config or pairs file), with a one-line message.
+Training and evaluation draw all their randomness from the run's single
+--seed; the other commands use none.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -73,12 +76,22 @@ def _cmd_verify(args, parser) -> int:
     if args.pairs:
         _require_file(args.pairs, parser)
         out_lines = []
-        with open(args.pairs, "r", encoding="utf-8") as fh:
-            for line in fh:
+        # Read bytes, so that json.loads reports bad UTF-8 as a ValueError.
+        with open(args.pairs, "rb") as fh:
+            for n, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                row = json.loads(line)
+                try:
+                    row = json.loads(line)
+                except ValueError as exc:
+                    parser.exit(2, f"error: {args.pairs} line {n}: invalid JSON: {exc}\n")
+                if not (isinstance(row, dict) and "pred" in row and "gold" in row):
+                    parser.exit(
+                        2,
+                        f"error: {args.pairs} line {n}: "
+                        'expected an object with "pred" and "gold"\n',
+                    )
                 verdict = verifier.verify(str(row["pred"]), str(row["gold"]))
                 row["outcome"] = verdict.outcome
                 row["stage"] = verdict.stage
@@ -91,7 +104,7 @@ def _cmd_verify(args, parser) -> int:
                 args.out + ".manifest.json",
                 "verify",
                 {"pairs": args.pairs},
-                args.seed,
+                None,
                 started,
                 [args.out],
             )
@@ -107,7 +120,7 @@ def _cmd_verify(args, parser) -> int:
             args.manifest,
             "verify",
             {"gold": args.gold, "pred": args.pred},
-            args.seed,
+            None,
             started,
             [],
         )
@@ -148,21 +161,27 @@ def _cmd_curate(args, parser) -> int:
             "max_answer_chars": args.max_answer_chars,
             "eval_sets": list(args.eval_set),
         },
-        args.seed,
+        None,
         started,
         artifacts,
     )
     return 0
 
 
+def _load_config(path: str, parser: argparse.ArgumentParser) -> trainer.TrainConfig:
+    _require_file(path, parser)
+    try:
+        return trainer.load_config(path)
+    except (ValueError, TypeError) as exc:
+        # Invalid JSON, an unknown key, a wrong type or a failed check.
+        parser.exit(2, f"error: {path}: {exc}\n")
+
+
 def _cmd_train(args, parser) -> int:
     started = _utc_now()
-    _require_file(args.config, parser)
-    config = trainer.load_config(args.config)
+    config = _load_config(args.config, parser)
     if args.seed is not None:
-        config = trainer.TrainConfig.from_dict(
-            {**config.to_dict(), "seed": args.seed}
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     metrics_path = os.path.join(args.out_dir, "metrics.jsonl")
     artifacts = [metrics_path]
@@ -206,8 +225,7 @@ def _cmd_eval(args, parser) -> int:
     _require_file(args.ckpt, parser)
     params = load_checkpoint(args.ckpt)
     if args.config:
-        _require_file(args.config, parser)
-        spec = trainer.load_config(args.config).task
+        spec = _load_config(args.config, parser).task
     else:
         spec = trainer.TaskSpec()
     score = trainer.evaluate(
@@ -216,7 +234,7 @@ def _cmd_eval(args, parser) -> int:
         k=args.k,
         temperature=args.temperature,
         max_len=args.max_len,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         n_tasks=args.n_tasks,
     )
     print(json.dumps({"avg_at_k": score, "k": args.k, "n_tasks": args.n_tasks}))
@@ -257,7 +275,7 @@ def _cmd_report(args, parser) -> int:
         args.out + ".manifest.json",
         "report",
         {"metrics": args.metrics},
-        args.seed,
+        None,
         started,
         [args.out],
     )
@@ -287,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", help="JSONL of {gold, pred} rows for batch mode")
     p.add_argument("--out", help="output JSONL for batch mode (default stdout)")
     p.add_argument("--manifest", help="optional manifest path for single-pair mode")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("curate", help="run the data-curation funnel")
@@ -298,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ngram", type=int, default=10)
     p.add_argument("--jaccard", type=float, default=0.5)
     p.add_argument("--max-answer-chars", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_curate)
 
     p = sub.add_parser("train", help="run multi-stage policy optimization")
@@ -321,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="metrics JSONL to CSV curves")
     p.add_argument("--metrics", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_report)
     return parser
 

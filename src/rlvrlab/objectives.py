@@ -1,22 +1,22 @@
 """Group-normalized advantages and clipped policy-gradient surrogates.
 
-Two objective flavors are provided: a token-mean form that normalizes by
-the total token count of the batch (so long rollouts are not down-weighted)
-with decoupled clip bounds, and a sequence-mean form that averages per
-rollout and per group and adds a K3 KL penalty against a frozen reference.
-Both return the objective value together with its analytic gradient over
-the policy logits table, checked elsewhere against finite differences.
+One clipped surrogate, evaluated over every token of a batch at once, with
+two weightings: a token-mean form that normalizes by the total token count
+of the batch (so long rollouts are not down-weighted) with decoupled clip
+bounds, and a sequence-mean form that averages per rollout and per group
+and adds a K3 KL penalty against a frozen reference.  Both return the
+objective value together with its analytic gradient over the policy logits
+table, checked elsewhere against finite differences.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .policy import PolicyParams, Rollout, sequence_logprobs
+from .policy import PolicyParams, Rollout, context_buckets, log_softmax_at
 
 STD_FLOOR = 1e-6
 
@@ -107,22 +107,6 @@ def reward_advantages(rewards: Sequence[float]) -> AdvantageSet:
     return shaped_advantages(r, np.zeros_like(r))
 
 
-def k3_divergence(ratio_ref_over_theta: float) -> float:
-    """Non-negative KL estimator rho - ln(rho) - 1, rho = pi_ref / pi_theta."""
-    if ratio_ref_over_theta <= 0:
-        raise ValueError("ratio must be positive")
-    rho = ratio_ref_over_theta
-    return rho - math.log(rho) - 1.0
-
-
-def clipped_term(
-    ratio: float, advantage: float, eps_low: float, eps_high: float
-) -> float:
-    """min(ratio * adv, clip(ratio, 1 - eps_low, 1 + eps_high) * adv)."""
-    clipped = min(max(ratio, 1.0 - eps_low), 1.0 + eps_high)
-    return min(ratio * advantage, clipped * advantage)
-
-
 def filter_mixed_groups(groups: Sequence[Group]) -> list[Group]:
     """Keep only groups whose rollouts are neither all correct nor all wrong."""
     kept = []
@@ -149,37 +133,67 @@ def sample_clip_ratios(
     return out[0], out[1]
 
 
-def _accumulate_clipped(
-    grad: np.ndarray,
+def _clipped_surrogate(
+    batch: Sequence[tuple[Rollout, float, float]],
     params: PolicyParams,
     old_params: PolicyParams,
-    rollout: Rollout,
-    advantage: float,
     eps_low: float,
     eps_high: float,
-    weight: float,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Add one rollout's clipped-surrogate gradient; returns the summed term
-    value plus (buckets, new logprobs, softmax rows) for reuse."""
-    buckets, lp_new, probs = sequence_logprobs(
-        params, rollout.query, rollout.response, with_probs=True
-    )
-    _, lp_old, _ = sequence_logprobs(
-        old_params, rollout.query, rollout.response, buckets=buckets
-    )
+    ref: RefModel | None = None,
+    beta: float = 0.0,
+) -> tuple[float, np.ndarray]:
+    """J = sum_i w_i sum_t [min(r A_i, clip(r) A_i) - beta * K3] and dJ/dlogits
+    over a batch of (rollout i, advantage A_i, weight w_i).
+
+    K3 is rho - ln rho - 1 with rho = pi_ref / pi_theta, and is left out
+    when ``ref`` is None.  The gradient treats old log-probs as constants.
+    """
+    rollouts = [ro for ro, _, _ in batch]
+    lengths = np.array([len(ro.response) for ro in rollouts], dtype=np.int64)
+    adv = np.repeat([a for _, a, _ in batch], lengths)
+    w = np.repeat([wt for _, _, wt in batch], lengths)
+    buckets, toks = context_buckets(params, rollouts)
+    lp_new, probs = log_softmax_at(params.logits[buckets], toks)
+    lp_old, _ = log_softmax_at(old_params.logits[buckets], toks)
     ratio = np.exp(lp_new - lp_old)
-    clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high)
-    unclipped_val = ratio * advantage
-    clipped_val = clipped * advantage
-    term_sum = float(np.minimum(unclipped_val, clipped_val).sum())
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high) * adv
+    terms = np.minimum(unclipped, clipped)
     # Gradient flows only where the unclipped branch attains the min; at a
     # tie the branches coincide so the choice is immaterial.
-    coef = np.where(unclipped_val <= clipped_val, advantage * ratio, 0.0) * weight
-    toks = np.fromiter(rollout.response, dtype=np.int64, count=len(rollout.response))
-    contrib = -probs * coef[:, None]
-    contrib[np.arange(len(toks)), toks] += coef
-    np.add.at(grad, buckets, contrib)
-    return term_sum, buckets, lp_new, probs
+    coefs = [np.where(unclipped <= clipped, adv * ratio, 0.0) * w]
+    if ref is not None:
+        ref_buckets, _ = context_buckets(ref.params, rollouts)
+        lp_ref, _ = log_softmax_at(ref.params.logits[ref_buckets], toks)
+        rho = np.exp(lp_ref - lp_new)
+        terms = terms - beta * (rho - (lp_ref - lp_new) - 1.0)
+        # d/dtheta of -beta*K3 contributes beta*(rho - 1) per token.
+        coefs.append(beta * (rho - 1.0) * w)
+    # Scatter rollout by rollout, each one's clipped rows before its K3
+    # rows: the order a per-rollout loop adds them in, so the sums do not
+    # depend on how the batch is packed.
+    rollout_of = np.repeat(np.arange(len(rollouts)), lengths)
+    order = np.argsort(np.tile(rollout_of, len(coefs)), kind="stable")
+    pos = np.tile(np.arange(len(toks)), len(coefs))[order]
+    coef = np.concatenate(coefs)[order]
+    contrib = -probs[pos] * coef[:, None]
+    contrib[np.arange(len(pos)), toks[pos]] += coef
+    grad = np.zeros_like(params.logits)
+    np.add.at(grad, buckets[pos], contrib)
+    return float((w * terms).sum()), grad
+
+
+def _scored_rollouts(
+    groups: Sequence[Group], advantages_of: Callable[[Group], AdvantageSet]
+) -> list[tuple[Group, Rollout, float]]:
+    """(group, rollout, advantage) of every rollout with a non-empty
+    response; an empty one has no tokens and adds nothing."""
+    return [
+        (g, ro, float(a))
+        for g in groups
+        for a, ro in zip(advantages_of(g).values, g.rollouts)
+        if ro.response
+    ]
 
 
 def token_mean_objective(
@@ -198,22 +212,12 @@ def token_mean_objective(
     """
     if not groups:
         raise ValueError("empty batch")
-    total_tokens = sum(len(r.response) for g in groups for r in g.rollouts)
+    scored = _scored_rollouts(groups, lambda g: shaped_advantages(g.rewards, g.penalties))
+    total_tokens = sum(len(ro.response) for _, ro, _ in scored)
     if total_tokens == 0:
         raise ValueError("batch contains no tokens")
-    grad = np.zeros_like(params.logits)
-    j_sum = 0.0
-    for g in groups:
-        adv = shaped_advantages(g.rewards, g.penalties)
-        for a, rollout in zip(adv.values, g.rollouts):
-            if not rollout.response:
-                continue
-            term_sum, _, _, _ = _accumulate_clipped(
-                grad, params, old_params, rollout, float(a),
-                eps_low, eps_high, 1.0 / total_tokens,
-            )
-            j_sum += term_sum
-    return j_sum / total_tokens, grad
+    batch = [(ro, a, 1.0 / total_tokens) for _, ro, a in scored]
+    return _clipped_surrogate(batch, params, old_params, eps_low, eps_high)
 
 
 def sequence_mean_objective(
@@ -233,31 +237,8 @@ def sequence_mean_objective(
     """
     if not groups:
         raise ValueError("empty batch")
-    grad = np.zeros_like(params.logits)
-    n_groups = len(groups)
-    j = 0.0
-    for g in groups:
-        adv = reward_advantages(g.rewards)
-        for a, rollout in zip(adv.values, g.rollouts):
-            t_len = len(rollout.response)
-            if t_len == 0:
-                continue
-            w = 1.0 / (n_groups * g.size * t_len)
-            term_sum, buckets, lp_new, probs = _accumulate_clipped(
-                grad, params, old_params, rollout, float(a), eps, eps, w
-            )
-            _, lp_ref, _ = sequence_logprobs(
-                ref.params, rollout.query, rollout.response, buckets=None
-            )
-            rho = np.exp(lp_ref - lp_new)
-            k3 = rho - (lp_ref - lp_new) - 1.0
-            j += w * (term_sum - beta * k3.sum())
-            # d/dtheta of -beta*k3 contributes beta*(rho - 1) per token.
-            coef = beta * (rho - 1.0) * w
-            toks = np.fromiter(
-                rollout.response, dtype=np.int64, count=len(rollout.response)
-            )
-            contrib = -probs * coef[:, None]
-            contrib[np.arange(len(toks)), toks] += coef
-            np.add.at(grad, buckets, contrib)
-    return j, grad
+    scored = _scored_rollouts(groups, lambda g: reward_advantages(g.rewards))
+    batch = [
+        (ro, a, 1.0 / (len(groups) * g.size * len(ro.response))) for g, ro, a in scored
+    ]
+    return _clipped_surrogate(batch, params, old_params, eps, eps, ref, beta)

@@ -1,14 +1,16 @@
-"""Tabular autoregressive categorical policy with analytic gradients.
+"""Tabular autoregressive categorical policy.
 
 The policy conditions on the last ``k`` token ids (query included, short
 prefixes padded with a reserved begin marker), hashes that window into a
-fixed number of buckets, and keeps one logit row per bucket.  Sampling,
-log-probabilities and their gradients are all explicit, so every objective
-built on top can be checked against finite differences.
+fixed number of buckets, and keeps one logit row per bucket.  Sampling and
+log-probabilities are explicit, and the softmax rows that come with the
+log-probabilities give every objective built on top an analytic gradient
+that can be checked against finite differences.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,41 +48,12 @@ class Vocab:
         return self.size
 
 
-@dataclass(frozen=True)
-class Context:
-    """A fixed-width conditioning window: the last ``order`` token ids."""
-
-    order: int
-    window: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("context order must be positive")
-        if len(self.window) != self.order:
-            raise ValueError(
-                f"window length {len(self.window)} != order {self.order}"
-            )
-
-
-def bucket_of(window: tuple[int, ...] | Context, buckets: int) -> int:
+def bucket_of(window: tuple[int, ...], buckets: int) -> int:
     """Hash a context window into a logits-table row index."""
-    if isinstance(window, Context):
-        window = window.window
     h = 0
     for tok in window:
         h = (h * _HASH_MULT + int(tok) + 1) & _HASH_MASK
     return h % buckets
-
-
-def context_for(
-    query: tuple[int, ...],
-    response_prefix: tuple[int, ...],
-    order: int,
-    begin_marker: int,
-) -> Context:
-    """Window seen by the policy just before emitting the next response token."""
-    history = (begin_marker,) * order + tuple(query) + tuple(response_prefix)
-    return Context(order, history[-order:])
 
 
 @dataclass
@@ -116,9 +89,6 @@ class PolicyParams:
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.vocab, self.k, self.logits.copy())
 
-    def bucket(self, window: tuple[int, ...] | Context) -> int:
-        return bucket_of(window, self.buckets)
-
 
 @dataclass(frozen=True)
 class Rollout:
@@ -140,42 +110,16 @@ class Rollout:
         return self.response
 
 
-def _log_softmax_at(row: np.ndarray, tok: int) -> float:
-    m = row.max()
-    return float(row[tok] - m - np.log(np.exp(row - m).sum()))
-
-
-def token_logprob(params: PolicyParams, ctx: Context, tok: int) -> float:
-    """log pi(tok | ctx); exp of this sums to 1 over the vocab per context."""
-    if not 0 <= tok < params.vocab.size:
-        raise ValueError(f"token id {tok} outside vocab of size {params.vocab.size}")
-    row = params.logits[params.bucket(ctx)]
-    if not np.isfinite(row).all():
-        raise ValueError("non-finite logits in context row")
-    return _log_softmax_at(row, tok)
-
-
-def token_logprob_grad(
-    params: PolicyParams, ctx: Context, tok: int
-) -> tuple[int, np.ndarray]:
-    """Gradient of token_logprob w.r.t. the logits table.
-
-    Only the row for ``bucket(ctx)`` is nonzero; the entry for token ``w``
-    is ``1{w == tok} - softmax_w``, so each row gradient sums to zero.
-    Returned as ``(bucket_index, row_gradient)``.
-    """
-    if not 0 <= tok < params.vocab.size:
-        raise ValueError(f"token id {tok} outside vocab of size {params.vocab.size}")
-    b = params.bucket(ctx)
-    row = params.logits[b]
-    if not np.isfinite(row).all():
-        raise ValueError("non-finite logits in context row")
-    shifted = row - row.max()
-    probs = np.exp(shifted)
-    probs /= probs.sum()
-    grad = -probs
-    grad[tok] += 1.0
-    return b, grad
+def log_softmax_at(
+    rows: np.ndarray, toks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax of each row of an ``(n, vocab)`` array at its token in
+    ``toks``, and the softmax rows themselves."""
+    m = rows.max(axis=1)
+    expd = np.exp(rows - m[:, None])
+    denom = expd.sum(axis=1)
+    logprobs = rows[np.arange(len(toks)), toks] - m - np.log(denom)
+    return logprobs, expd / denom[:, None]
 
 
 def window_buckets(windows: np.ndarray, buckets: int) -> np.ndarray:
@@ -251,12 +195,7 @@ def sample_groups(
                 rngs[g].random(out=noise[g])
             gumbel = -np.log(-np.log(noise.reshape(n, vocab.size)[live]))
             toks = np.argmax(rows / temperature + gumbel, axis=1)
-        m = rows.max(axis=1)
-        logprobs[live, t] = (
-            rows[np.arange(len(live)), toks]
-            - m
-            - np.log(np.exp(rows - m[:, None]).sum(axis=1))
-        )
+        logprobs[live, t], _ = log_softmax_at(rows, toks)
         history[live, k + t] = toks
         stopped = toks == vocab.eos
         lengths[live[stopped]] = t + 1
@@ -298,40 +237,33 @@ def sample_response(
     return sample_groups(params, [query], 1, max_len, temperature, [rng], greedy)[0][0]
 
 
-def response_buckets(
-    params: PolicyParams, query: tuple[int, ...], response: tuple[int, ...]
-) -> np.ndarray:
-    """Bucket index of the context before each response position."""
-    window = ((params.vocab.begin_marker,) * params.k + tuple(query))[-params.k :]
-    out = np.empty(len(response), dtype=np.int64)
-    for t, tok in enumerate(response):
-        out[t] = bucket_of(window, params.buckets)
-        window = window[1:] + (tok,)
-    return out
+def context_buckets(
+    params: PolicyParams, rollouts: Sequence[Rollout]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket of the context before every response token of ``rollouts``,
+    and that token, both flattened in rollout order.
 
-
-def sequence_logprobs(
-    params: PolicyParams,
-    query: tuple[int, ...],
-    response: tuple[int, ...],
-    buckets: np.ndarray | None = None,
-    with_probs: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Per-token log-probs of ``response`` given ``query``, vectorized.
-
-    Returns ``(buckets, logprobs, probs)``; ``probs`` is the per-position
-    softmax row matrix when ``with_probs`` is set, else None.
+    Row ``r`` of the history holds rollout ``r``'s padded query tail, then
+    its response, as in ``sample_groups``; the window before response
+    position ``t`` is columns ``t .. t + k - 1``.
     """
-    if buckets is None:
-        buckets = response_buckets(params, query, response)
-    rows = params.logits[buckets]  # (T, V)
-    m = rows.max(axis=1, keepdims=True)
-    expd = np.exp(rows - m)
-    denom = expd.sum(axis=1)
-    toks = np.fromiter(response, dtype=np.int64, count=len(response))
-    logprobs = rows[np.arange(len(response)), toks] - m[:, 0] - np.log(denom)
-    probs = expd / denom[:, None] if with_probs else None
-    return buckets, logprobs, probs
+    k = params.k
+    lengths = np.array([len(ro.response) for ro in rollouts], dtype=np.int64)
+    width = int(lengths.max(initial=0))
+    filled = np.arange(width) < lengths[:, None]
+    toks = np.fromiter(
+        itertools.chain.from_iterable(ro.response for ro in rollouts),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    history = np.zeros((len(rollouts), k + width), dtype=np.int64)
+    begin = (params.vocab.begin_marker,) * k
+    history[:, :k] = np.array(
+        [(begin + tuple(ro.query))[-k:] for ro in rollouts], dtype=np.int64
+    ).reshape(-1, k)
+    history[:, k:][filled] = toks
+    windows = np.lib.stride_tricks.sliding_window_view(history, k, axis=1)
+    return window_buckets(windows[:, :width][filled], params.buckets), toks
 
 
 def save_checkpoint(params: PolicyParams, path: str) -> None:

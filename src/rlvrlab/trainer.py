@@ -10,7 +10,7 @@ mean response length saturates, and the cap then grows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,32 @@ class CollectAbort(RuntimeError):
     """Raised when batch collection cannot find mixed-correctness groups."""
 
 
+def _clip_spec(v) -> ClipSpec:
+    if isinstance(v, (list, tuple)):
+        lo, hi = v
+        return float(lo), float(hi)
+    return float(v)
+
+
+def _coercions(cls) -> dict[str, Callable]:
+    """Converters to the declared type of each field of ``cls`` declared as
+    int, float or a clip spec (JSON writes 1.0 as 1, and a list for a
+    tuple)."""
+    by_type = {"int": int, "float": float, "ClipSpec": _clip_spec}
+    return {f.name: by_type[f.type] for f in fields(cls) if f.type in by_type}
+
+
+def _from_dict(cls, d, convert: dict[str, Callable]):
+    """``cls`` from a dict of its fields, converting the values ``convert``
+    names; a key that names no field is a ``ValueError``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} must be an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    return cls(**{k: convert[k](v) if k in convert else v for k, v in d.items()})
+
+
 @dataclass(frozen=True)
 class StagePlan:
     """Length cap, clip specs and stopping rules for one curriculum stage."""
@@ -47,31 +73,11 @@ class StagePlan:
     saturation_threshold: float = 0.01
 
     def to_dict(self) -> dict:
-        def spec(s: ClipSpec):
-            return list(s) if isinstance(s, tuple) else s
-
-        return {
-            "max_response_len": self.max_response_len,
-            "clip_low": spec(self.clip_low),
-            "clip_high": spec(self.clip_high),
-            "max_steps": self.max_steps,
-            "saturation_window": self.saturation_window,
-            "saturation_threshold": self.saturation_threshold,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "StagePlan":
-        def spec(v) -> ClipSpec:
-            return (float(v[0]), float(v[1])) if isinstance(v, (list, tuple)) else float(v)
-
-        return cls(
-            max_response_len=int(d["max_response_len"]),
-            clip_low=spec(d.get("clip_low", 0.2)),
-            clip_high=spec(d.get("clip_high", 0.2)),
-            max_steps=int(d.get("max_steps", 400)),
-            saturation_window=int(d.get("saturation_window", 0)),
-            saturation_threshold=float(d.get("saturation_threshold", 0.01)),
-        )
+        return _from_dict(cls, d, _coercions(cls))
 
 
 @dataclass(frozen=True)
@@ -116,45 +122,19 @@ class TrainConfig:
             raise ValueError("stage max_response_len must strictly increase")
 
     def to_dict(self) -> dict:
-        return {
-            "stages": [s.to_dict() for s in self.stages],
-            "task": {
-                "family": self.task.family,
-                "modulus": self.task.modulus,
-                "num_digits": self.task.num_digits,
-            },
-            "group_size": self.group_size,
-            "batch_groups": self.batch_groups,
-            "learning_rate": self.learning_rate,
-            "inner_iterations": self.inner_iterations,
-            "temperature": self.temperature,
-            "seed": self.seed,
-            "context_order": self.context_order,
-            "buckets": self.buckets,
-            "repetition_penalty": self.repetition_penalty,
-            "min_period": self.min_period,
-            "min_repeats": self.min_repeats,
-            "init": self.init,
-            "format_bias": self.format_bias,
-            "eos_floor": self.eos_floor,
-            "loop_boost": self.loop_boost,
-            "eval_every": self.eval_every,
-            "eval_k": self.eval_k,
-            "eval_tasks": self.eval_tasks,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        task_d = d.get("task", {})
-        kwargs = {k: v for k, v in d.items() if k not in ("stages", "task")}
-        return cls(
-            stages=tuple(StagePlan.from_dict(s) for s in d.get("stages", [])),
-            task=TaskSpec(
-                family=task_d.get("family", "modular-add"),
-                modulus=int(task_d.get("modulus", 10)),
-                num_digits=int(task_d.get("num_digits", 3)),
-            ),
-            **kwargs,
+        # Top-level values stay as written: the manifest's config hash is
+        # taken over them.
+        return _from_dict(
+            cls,
+            d,
+            {
+                "stages": lambda v: tuple(StagePlan.from_dict(s) for s in v),
+                "task": lambda v: _from_dict(TaskSpec, v, _coercions(TaskSpec)),
+            },
         )
 
 
@@ -179,18 +159,9 @@ class MetricsRecord:
     avg_at_k: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "step": self.step,
-            "stage": self.stage,
-            "mean_response_len": self.mean_response_len,
-            "mean_reward": self.mean_reward,
-            "dropped_group_fraction": self.dropped_group_fraction,
-            "mean_repetition": self.mean_repetition,
-            "objective": self.objective,
-            "grad_norm": self.grad_norm,
-        }
-        if self.avg_at_k is not None:
-            out["avg_at_k"] = self.avg_at_k
+        out = asdict(self)
+        if self.avg_at_k is None:
+            del out["avg_at_k"]
         return out
 
 

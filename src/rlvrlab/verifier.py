@@ -29,6 +29,14 @@ REL_TOL = 1e-4
 ABS_TOL = 1e-9
 OPAQUE_MAX_LEN = 20
 
+# Parser caps.  Past any of them an answer degrades to opaque, which keeps
+# every call fast and inside the interpreter's recursion limit.
+MAX_NESTING = 64  # brackets, roots, fractions, exponents and unary signs
+MAX_LITERAL_LEN = 1000  # characters in one number literal
+MAX_EXPONENT = 1000  # |exponent| of a number literal such as 1e-5
+MAX_EXACT_POWER = 4096  # largest exact integer power or root index
+MAX_EXACT_BITS = 1 << 16  # bits of an exact power's numerator or denominator
+
 # Recognized trailing unit words, longest first so "min" beats "m".
 _UNITS = ("min", "cm", "mm", "km", "kg", "m", "g", "s", "h")
 _UNIT_RE = re.compile(r"(?<![a-zA-Z])(%s)$" % "|".join(_UNITS), re.IGNORECASE)
@@ -191,7 +199,10 @@ def _num_pow(base: _Num, exp: _Num) -> _Num:
         base.is_exact
         and exp.is_exact
         and exp.exact.denominator == 1
-        and abs(exp.exact.numerator) <= 4096
+        and abs(exp.exact.numerator) <= MAX_EXACT_POWER
+        and abs(exp.exact.numerator)
+        * max(base.exact.numerator.bit_length(), base.exact.denominator.bit_length())
+        <= MAX_EXACT_BITS
     ):
         n = exp.exact.numerator
         if base.exact == 0 and n < 0:
@@ -224,7 +235,7 @@ def _exact_root(f: Fraction, n: int) -> Optional[Fraction]:
 def _num_root(x: _Num, n: int) -> _Num:
     if x.approx < 0:
         raise _ParseError("root of a negative value")
-    if x.is_exact:
+    if x.is_exact and n <= MAX_EXACT_POWER:
         r = _exact_root(x.exact, n)
         if r is not None:
             return _Num.from_fraction(r)
@@ -257,7 +268,7 @@ def _tokenize(s: str) -> list[str]:
     return tokens
 
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE]([+-]?\d+))?$")
 
 
 class _Parser:
@@ -270,6 +281,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -319,7 +331,11 @@ class _Parser:
                 return value, shape
 
     def parse_power(self) -> tuple[_Num, str]:
-        base, shape = self.parse_atom()
+        # Every level of nesting passes through here.
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _ParseError("nesting too deep")
+        value, shape = self.parse_atom()
         if self.peek() == "^":
             self.next()
             if self.peek() == "{":
@@ -328,8 +344,9 @@ class _Parser:
                 self.expect("}")
             else:
                 exp, _ = self.parse_power()  # right-associative
-            return _num_pow(base, exp), "expr"
-        return base, shape
+            value, shape = _num_pow(value, exp), "expr"
+        self.depth -= 1
+        return value, shape
 
     def parse_braced(self) -> _Num:
         self.expect("{")
@@ -344,7 +361,12 @@ class _Parser:
             return _num_op(_Num.from_fraction(Fraction(0)), value, "-"), shape
         if tok == "+":
             return self.parse_power()
-        if _NUMBER_RE.match(tok):
+        number = _NUMBER_RE.match(tok)
+        if number:
+            if len(tok) > MAX_LITERAL_LEN:
+                raise _ParseError("number literal too long")
+            if number[1] and abs(int(number[1])) > MAX_EXPONENT:
+                raise _ParseError("exponent too large")
             frac = Fraction(tok.replace("E", "e"))
             shape = "int" if re.fullmatch(r"\d+", tok) else "decimal"
             return _Num.from_fraction(frac), shape

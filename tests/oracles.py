@@ -1,0 +1,251 @@
+"""Reference implementations the tests check the library against.
+
+Each one computes what a library function computes, one token or one
+rollout at a time and without the library's packing, so that a test can
+require equal results.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from rlvrlab.objectives import RefModel, reward_advantages, shaped_advantages
+from rlvrlab.policy import PolicyParams, Rollout, bucket_of
+
+
+@dataclass(frozen=True)
+class Context:
+    """A fixed-width conditioning window: the last ``order`` token ids."""
+
+    order: int
+    window: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.order < 1:
+            raise ValueError("context order must be positive")
+        if len(self.window) != self.order:
+            raise ValueError(
+                f"window length {len(self.window)} != order {self.order}"
+            )
+
+
+def context_for(
+    query: tuple[int, ...],
+    response_prefix: tuple[int, ...],
+    order: int,
+    begin_marker: int,
+) -> Context:
+    """Window seen by the policy just before emitting the next response token."""
+    history = (begin_marker,) * order + tuple(query) + tuple(response_prefix)
+    return Context(order, history[-order:])
+
+
+def bucket(params: PolicyParams, window: tuple[int, ...] | Context) -> int:
+    """Logits-table row of a window or context."""
+    if isinstance(window, Context):
+        window = window.window
+    return bucket_of(window, params.buckets)
+
+
+def _log_softmax_at(row: np.ndarray, tok: int) -> float:
+    m = row.max()
+    return float(row[tok] - m - np.log(np.exp(row - m).sum()))
+
+
+def token_logprob(params: PolicyParams, ctx: Context, tok: int) -> float:
+    """log pi(tok | ctx); exp of this sums to 1 over the vocab per context."""
+    if not 0 <= tok < params.vocab.size:
+        raise ValueError(f"token id {tok} outside vocab of size {params.vocab.size}")
+    row = params.logits[bucket(params, ctx)]
+    if not np.isfinite(row).all():
+        raise ValueError("non-finite logits in context row")
+    return _log_softmax_at(row, tok)
+
+
+def token_logprob_grad(
+    params: PolicyParams, ctx: Context, tok: int
+) -> tuple[int, np.ndarray]:
+    """Gradient of token_logprob w.r.t. the logits table.
+
+    Only the row for ``bucket(ctx)`` is nonzero; the entry for token ``w``
+    is ``1{w == tok} - softmax_w``, so each row gradient sums to zero.
+    Returned as ``(bucket_index, row_gradient)``.
+    """
+    if not 0 <= tok < params.vocab.size:
+        raise ValueError(f"token id {tok} outside vocab of size {params.vocab.size}")
+    b = bucket(params, ctx)
+    row = params.logits[b]
+    if not np.isfinite(row).all():
+        raise ValueError("non-finite logits in context row")
+    shifted = row - row.max()
+    probs = np.exp(shifted)
+    probs /= probs.sum()
+    grad = -probs
+    grad[tok] += 1.0
+    return b, grad
+
+
+def response_buckets(
+    params: PolicyParams, query: tuple[int, ...], response: tuple[int, ...]
+) -> np.ndarray:
+    """Bucket index of the context before each response position."""
+    window = ((params.vocab.begin_marker,) * params.k + tuple(query))[-params.k :]
+    out = np.empty(len(response), dtype=np.int64)
+    for t, tok in enumerate(response):
+        out[t] = bucket_of(window, params.buckets)
+        window = window[1:] + (tok,)
+    return out
+
+
+def sequence_logprobs(
+    params: PolicyParams,
+    query: tuple[int, ...],
+    response: tuple[int, ...],
+    buckets: np.ndarray | None = None,
+    with_probs: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-token log-probs of ``response`` given ``query``.
+
+    Returns ``(buckets, logprobs, probs)``; ``probs`` is the per-position
+    softmax row matrix when ``with_probs`` is set, else None.
+    """
+    if buckets is None:
+        buckets = response_buckets(params, query, response)
+    rows = params.logits[buckets]  # (T, V)
+    m = rows.max(axis=1, keepdims=True)
+    expd = np.exp(rows - m)
+    denom = expd.sum(axis=1)
+    toks = np.fromiter(response, dtype=np.int64, count=len(response))
+    logprobs = rows[np.arange(len(response)), toks] - m[:, 0] - np.log(denom)
+    probs = expd / denom[:, None] if with_probs else None
+    return buckets, logprobs, probs
+
+
+def k3_divergence(ratio_ref_over_theta: float) -> float:
+    """Non-negative KL estimator rho - ln(rho) - 1, rho = pi_ref / pi_theta."""
+    if ratio_ref_over_theta <= 0:
+        raise ValueError("ratio must be positive")
+    rho = ratio_ref_over_theta
+    return rho - math.log(rho) - 1.0
+
+
+def clipped_term(
+    ratio: float, advantage: float, eps_low: float, eps_high: float
+) -> float:
+    """min(ratio * adv, clip(ratio, 1 - eps_low, 1 + eps_high) * adv)."""
+    clipped = min(max(ratio, 1.0 - eps_low), 1.0 + eps_high)
+    return min(ratio * advantage, clipped * advantage)
+
+
+def reference_sample(params, query, max_len, temperature, rng, greedy=False):
+    """Token-at-a-time sampler: the oracle for the lockstep one."""
+    vocab = params.vocab
+    window = ((vocab.begin_marker,) * params.k + tuple(query))[-params.k :]
+    response, logprobs, truncated = [], [], True
+    for _ in range(max_len):
+        row = params.logits[bucket_of(window, params.buckets)]
+        if greedy:
+            tok = int(np.argmax(row))
+        else:
+            gumbel = -np.log(-np.log(rng.random(vocab.size)))
+            tok = int(np.argmax(row / temperature + gumbel))
+        m = row.max()
+        response.append(tok)
+        logprobs.append(float(row[tok] - m - np.log(np.exp(row - m).sum())))
+        if tok == vocab.eos:
+            truncated = False
+            break
+        window = window[1:] + (tok,)
+    return Rollout(tuple(query), tuple(response), np.array(logprobs), truncated)
+
+
+def _accumulate_clipped(
+    grad: np.ndarray,
+    params: PolicyParams,
+    old_params: PolicyParams,
+    rollout: Rollout,
+    advantage: float,
+    eps_low: float,
+    eps_high: float,
+    weight: float,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Add one rollout's clipped-surrogate gradient; returns the summed term
+    value plus (buckets, new logprobs, softmax rows) for reuse."""
+    buckets, lp_new, probs = sequence_logprobs(
+        params, rollout.query, rollout.response, with_probs=True
+    )
+    _, lp_old, _ = sequence_logprobs(
+        old_params, rollout.query, rollout.response, buckets=buckets
+    )
+    ratio = np.exp(lp_new - lp_old)
+    clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high)
+    unclipped_val = ratio * advantage
+    clipped_val = clipped * advantage
+    term_sum = float(np.minimum(unclipped_val, clipped_val).sum())
+    coef = np.where(unclipped_val <= clipped_val, advantage * ratio, 0.0) * weight
+    toks = np.fromiter(rollout.response, dtype=np.int64, count=len(rollout.response))
+    contrib = -probs * coef[:, None]
+    contrib[np.arange(len(toks)), toks] += coef
+    np.add.at(grad, buckets, contrib)
+    return term_sum, buckets, lp_new, probs
+
+
+def token_mean_objective(groups, params, old_params, eps_low, eps_high):
+    """Per-rollout loop form of ``rlvrlab.objectives.token_mean_objective``."""
+    if not groups:
+        raise ValueError("empty batch")
+    total_tokens = sum(len(r.response) for g in groups for r in g.rollouts)
+    if total_tokens == 0:
+        raise ValueError("batch contains no tokens")
+    grad = np.zeros_like(params.logits)
+    j_sum = 0.0
+    for g in groups:
+        adv = shaped_advantages(g.rewards, g.penalties)
+        for a, rollout in zip(adv.values, g.rollouts):
+            if not rollout.response:
+                continue
+            term_sum, _, _, _ = _accumulate_clipped(
+                grad, params, old_params, rollout, float(a),
+                eps_low, eps_high, 1.0 / total_tokens,
+            )
+            j_sum += term_sum
+    return j_sum / total_tokens, grad
+
+
+def sequence_mean_objective(
+    groups, params, old_params, ref: RefModel, beta: float, eps: float
+):
+    """Per-rollout loop form of ``rlvrlab.objectives.sequence_mean_objective``."""
+    if not groups:
+        raise ValueError("empty batch")
+    grad = np.zeros_like(params.logits)
+    n_groups = len(groups)
+    j = 0.0
+    for g in groups:
+        adv = reward_advantages(g.rewards)
+        for a, rollout in zip(adv.values, g.rollouts):
+            t_len = len(rollout.response)
+            if t_len == 0:
+                continue
+            w = 1.0 / (n_groups * g.size * t_len)
+            term_sum, buckets, lp_new, probs = _accumulate_clipped(
+                grad, params, old_params, rollout, float(a), eps, eps, w
+            )
+            _, lp_ref, _ = sequence_logprobs(
+                ref.params, rollout.query, rollout.response, buckets=None
+            )
+            rho = np.exp(lp_ref - lp_new)
+            k3 = rho - (lp_ref - lp_new) - 1.0
+            j += w * (term_sum - beta * k3.sum())
+            # d/dtheta of -beta*k3 contributes beta*(rho - 1) per token.
+            coef = beta * (rho - 1.0) * w
+            toks = np.fromiter(
+                rollout.response, dtype=np.int64, count=len(rollout.response)
+            )
+            contrib = -probs * coef[:, None]
+            contrib[np.arange(len(toks)), toks] += coef
+            np.add.at(grad, buckets, contrib)
+    return j, grad

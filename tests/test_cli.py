@@ -1,10 +1,11 @@
 import json
 
+import pytest
 
 from rlvrlab.cli import dispatch
 from rlvrlab.curation import ProblemRecord, write_records
-from rlvrlab.policy import load_checkpoint
-from rlvrlab.trainer import StagePlan, TaskSpec, TrainConfig
+from rlvrlab.policy import load_checkpoint, save_checkpoint
+from rlvrlab.trainer import StagePlan, TaskSpec, TrainConfig, init_policy
 
 
 def micro_train_config(seed=5):
@@ -48,6 +49,29 @@ class TestVerifyCommand:
 
     def test_missing_pairs_file_exits_two(self):
         assert dispatch(["verify", "--pairs", "/nonexistent/p.jsonl"]) == 2
+
+    @pytest.mark.parametrize(
+        "bad_line,reason",
+        [
+            (json.dumps({"gold": "1"}), 'expected an object with "pred" and "gold"'),
+            ("not json", "invalid JSON"),
+            ("[1, 2]", 'expected an object with "pred" and "gold"'),
+        ],
+        ids=["missing_pred", "not_json", "not_object"],
+    )
+    def test_bad_pairs_row_exits_two(self, tmp_path, capsys, bad_line, reason):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"gold": "1", "pred": "1"}) + "\n" + bad_line + "\n")
+        assert dispatch(["verify", "--pairs", str(pairs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pairs} line 2: {reason}")
+        assert err.count("\n") == 1
+
+    def test_manifest_records_no_seed(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        assert dispatch(["verify", "--gold", "1", "--pred", "1", "--manifest", str(manifest)]) == 0
+        assert json.loads(manifest.read_text())["seed"] is None
+        assert dispatch(["verify", "--gold", "1", "--pred", "1", "--seed", "3"]) == 2
 
 
 class TestUsageErrors:
@@ -97,6 +121,7 @@ class TestCurateCommand:
         assert by_name["exact_dedup"] == 1
         manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
         assert manifest["command"] == "curate"
+        assert manifest["seed"] is None
         assert str(out) in manifest["artifacts"]
         assert "style" in capsys.readouterr().out
 
@@ -121,7 +146,11 @@ class TestTrainEvalReport:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["seed"] == 5
-        assert len(manifest["config_hash"]) == 64
+        # Pinned: a change to how configs serialize would change the
+        # config_hash of every existing run.
+        assert manifest["config_hash"] == (
+            "a8ceb612425e3c10a3b90f4d49e21ac1ba0dbfc8bf86c7854345a1865bbfe173"
+        )
 
         final = out_dir / "final.ckpt"
         assert final.exists() and (out_dir / "stage1.ckpt").exists()
@@ -172,6 +201,40 @@ class TestTrainEvalReport:
             dispatch(["train", "--config", "/nope.json", "--out-dir", str(tmp_path)])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"learning_rat": 0.1}', "unknown TrainConfig key(s): learning_rat"),
+            ('{"stages": [{"max_response_len": 4, "max_step": 2}]}',
+             "unknown StagePlan key(s): max_step"),
+            ('{"task": {"modulus": 7, "digits": 2}}', "unknown TaskSpec key(s): digits"),
+            ('{"group_size": 4,', "Expecting property name"),
+            ('{"group_size": 1}', "group_size must be >= 2"),
+            ("[]", "TrainConfig must be an object"),
+        ],
+        ids=[
+            "unknown_key",
+            "unknown_stage_key",
+            "unknown_task_key",
+            "invalid_json",
+            "failed_check",
+            "not_object",
+        ],
+    )
+    def test_bad_config_exits_two(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        out_dir = tmp_path / "run"
+        assert dispatch(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: {message}")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+        ckpt = tmp_path / "p.ckpt"
+        save_checkpoint(init_policy(micro_train_config()), str(ckpt))
+        assert dispatch(["eval", "--ckpt", str(ckpt), "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {message}")
 
     def test_collapsed_run_exits_one(self, tmp_path, capsys):
         # A 1-token cap truncates everything, so every group is all-incorrect

@@ -9,22 +9,23 @@ from rlvrlab.objectives import (
     ClipSchedule,
     Group,
     RefModel,
-    clipped_term,
     filter_mixed_groups,
-    k3_divergence,
     reward_advantages,
     sample_clip_ratios,
     sequence_mean_objective,
     shaped_advantages,
     token_mean_objective,
 )
-from rlvrlab.policy import (
-    PolicyParams,
-    Rollout,
-    Vocab,
+from rlvrlab.policy import PolicyParams, Rollout, Vocab
+
+import oracles
+from oracles import (
+    Context,
+    clipped_term,
+    k3_divergence,
+    response_buckets,
     sequence_logprobs,
     token_logprob_grad,
-    response_buckets,
 )
 
 
@@ -270,8 +271,6 @@ class TestTokenMeanObjective:
         total = sum(len(r.response) for g in groups for r in g.rollouts)
         expect_j = 0.0
         expect_grad = np.zeros_like(params.logits)
-        from rlvrlab.policy import Context
-
         for g in groups:
             adv = shaped_advantages(g.rewards, g.penalties)
             for a, ro in zip(adv.values, g.rollouts):
@@ -391,3 +390,86 @@ class TestRefModel:
         assert ref.params.logits[0, 0] != params.logits[0, 0]
         with pytest.raises(ValueError):
             ref.params.logits[0, 0] = 5.0
+
+
+def oracle_batch(rng, old):
+    """Groups of random size and response length (empty responses
+    included), a quarter of them degenerate: every advantage zero."""
+    groups = []
+    for i in range(int(rng.integers(1, 6))):
+        size = int(rng.integers(2, 6))
+        rollouts = tuple(
+            make_rollout(rng, old, int(rng.integers(0, 13))) for _ in range(size)
+        )
+        if rng.random() < 0.25:
+            rewards, penalties = np.ones(size), np.full(size, 0.5)
+        else:
+            rewards = rng.integers(0, 2, size).astype(float)
+            penalties = rng.uniform(0, 1, size)
+        groups.append(Group(i, rollouts, rewards, penalties))
+    return groups
+
+
+def current_params(rng, old, regime):
+    """The policy being optimized: equal to ``old`` (every ratio 1), near it
+    (ratios on both sides of the clip bounds), or unrelated to it."""
+    if regime == 0:
+        return old
+    if regime == 1:
+        return PolicyParams(old.vocab, old.k, old.logits + rng.normal(0, 0.2, old.logits.shape))
+    return make_params(rng)
+
+
+class TestPackedObjectiveMatchesOracle:
+    """Both objectives against the per-rollout loop in ``oracles``: the
+    same gradient bit for bit, the same value up to summation order."""
+
+    def test_token_mean(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            old = make_params(rng)
+            params = current_params(rng, old, seed % 3)
+            groups = oracle_batch(rng, old)
+            eps_low, eps_high = (float(e) for e in rng.uniform(0.05, 0.5, 2))
+            if not any(ro.response for g in groups for ro in g.rollouts):
+                with pytest.raises(ValueError):
+                    token_mean_objective(groups, params, old, eps_low, eps_high)
+                continue
+            j, grad = token_mean_objective(groups, params, old, eps_low, eps_high)
+            want_j, want_grad = oracles.token_mean_objective(
+                groups, params, old, eps_low, eps_high
+            )
+            assert np.array_equal(grad, want_grad), f"seed {seed}"
+            assert abs(j - want_j) <= 1e-12, f"seed {seed}"
+
+    def test_sequence_mean_with_k3(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            old = make_params(rng)
+            params = current_params(rng, old, seed % 3)
+            groups = oracle_batch(rng, old)
+            # A distinct reference, with its own context order and table
+            # size in every fourth batch.
+            if seed % 4 == 0:
+                ref = RefModel.capture(make_params(rng, k=3, buckets=23))
+            else:
+                ref = RefModel.capture(make_params(rng))
+            beta, eps = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.05, 0.5))
+            j, grad = sequence_mean_objective(groups, params, old, ref, beta, eps)
+            want_j, want_grad = oracles.sequence_mean_objective(
+                groups, params, old, ref, beta, eps
+            )
+            assert np.array_equal(grad, want_grad), f"seed {seed}"
+            assert abs(j - want_j) <= 1e-12, f"seed {seed}"
+
+    def test_all_empty_responses(self):
+        rng = np.random.default_rng(0)
+        params = make_params(rng)
+        rollouts = tuple(make_rollout(rng, params, 0) for _ in range(3))
+        groups = [Group(0, rollouts, np.array([1.0, 0.0, 0.0]), np.zeros(3))]
+        ref = RefModel.capture(make_params(rng))
+        j, grad = sequence_mean_objective(groups, params, params, ref, 0.5, 0.2)
+        assert j == 0.0
+        assert not grad.any()
+        with pytest.raises(ValueError):
+            token_mean_objective(groups, params, params, 0.2, 0.2)

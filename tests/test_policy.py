@@ -6,19 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlvrlab.policy import (
-    Context,
     PolicyParams,
     Rollout,
     Vocab,
     bucket_of,
+    context_buckets,
     load_checkpoint,
     sample_groups,
     sample_response,
     save_checkpoint,
+    window_buckets,
+)
+
+from oracles import (
+    Context,
+    bucket,
+    reference_sample,
+    response_buckets,
     sequence_logprobs,
     token_logprob,
     token_logprob_grad,
-    window_buckets,
 )
 
 
@@ -28,31 +35,9 @@ def random_params(rng, vocab_size=8, k=3, buckets=32, scale=1.0):
     return PolicyParams(vocab, k, logits)
 
 
-def reference_sample(params, query, max_len, temperature, rng, greedy=False):
-    """Token-at-a-time sampler: the oracle for the lockstep one."""
-    vocab = params.vocab
-    window = ((vocab.begin_marker,) * params.k + tuple(query))[-params.k :]
-    response, logprobs, truncated = [], [], True
-    for _ in range(max_len):
-        row = params.logits[bucket_of(window, params.buckets)]
-        if greedy:
-            tok = int(np.argmax(row))
-        else:
-            gumbel = -np.log(-np.log(rng.random(vocab.size)))
-            tok = int(np.argmax(row / temperature + gumbel))
-        m = row.max()
-        response.append(tok)
-        logprobs.append(float(row[tok] - m - np.log(np.exp(row - m).sum())))
-        if tok == vocab.eos:
-            truncated = False
-            break
-        window = window[1:] + (tok,)
-    return Rollout(tuple(query), tuple(response), np.array(logprobs), truncated)
-
-
 def fd_row_gradient(params, ctx, tok, step=1e-5):
     """Central finite differences of token_logprob over the context's row."""
-    b = params.bucket(ctx)
+    b = bucket(params, ctx)
     grad = np.zeros(params.vocab.size)
     for w in range(params.vocab.size):
         params.logits[b, w] += step
@@ -112,6 +97,30 @@ class TestWindowBuckets:
             assert got.tolist() == [bucket_of((marker,) * 4, buckets)]
 
 
+class TestContextBuckets:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.integers(1, 5),
+        vocab_size=st.integers(2, 12),
+        buckets=st.sampled_from([1, 7, 64, 16384]),
+        data=st.data(),
+    )
+    def test_matches_per_rollout_oracle(self, order, vocab_size, buckets, data):
+        params = PolicyParams.uniform(Vocab(vocab_size, vocab_size - 1), order, buckets)
+        tokens = st.integers(0, vocab_size - 1)
+        shapes = st.tuples(
+            st.lists(tokens, max_size=6), st.lists(tokens, max_size=10)
+        )
+        rollouts = [
+            Rollout(tuple(q), tuple(r), np.zeros(len(r)), False)
+            for q, r in data.draw(st.lists(shapes, max_size=6))
+        ]
+        got_buckets, got_toks = context_buckets(params, rollouts)
+        want = [response_buckets(params, ro.query, ro.response) for ro in rollouts]
+        assert got_buckets.tolist() == [b for w in want for b in w.tolist()]
+        assert got_toks.tolist() == [t for ro in rollouts for t in ro.response]
+
+
 class TestTokenLogprob:
     def test_uniform_logits_give_log_inverse_vocab(self):
         params = PolicyParams.uniform(Vocab(8, 7), 3, 64)
@@ -122,7 +131,7 @@ class TestTokenLogprob:
     def test_dominant_logit_beats_the_rest(self):
         params = PolicyParams.uniform(Vocab(8, 7), 3, 16)
         ctx = Context(3, (0, 1, 2))
-        params.logits[params.bucket(ctx), 0] = 5.0
+        params.logits[bucket(params, ctx), 0] = 5.0
         top = token_logprob(params, ctx, 0)
         assert all(token_logprob(params, ctx, t) < top for t in range(1, 8))
 
@@ -145,7 +154,7 @@ class TestTokenLogprob:
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
         with pytest.raises(ValueError):
             token_logprob(params, Context(2, (0, 0)), 4)
-        params.logits[params.bucket((0, 0)), 1] = np.nan
+        params.logits[bucket(params, (0, 0)), 1] = np.nan
         with pytest.raises(ValueError):
             token_logprob(params, Context(2, (0, 0)), 0)
 
@@ -178,7 +187,7 @@ class TestTokenLogprobGrad:
             ctx = Context(3, tuple(rng.integers(0, 9, size=3)))
             tok = int(rng.integers(0, 8))
             b, grad = token_logprob_grad(params, ctx, tok)
-            assert b == params.bucket(ctx)
+            assert b == bucket(params, ctx)
             fd = fd_row_gradient(params, ctx, tok)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-6
@@ -240,7 +249,7 @@ class TestSampleResponse:
 
     def test_nonfinite_row_rejected(self):
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
-        params.logits[params.bucket((4, 0)), 2] = -np.inf
+        params.logits[bucket(params, (4, 0)), 2] = -np.inf
         with pytest.raises(ValueError):
             sample_response(params, (0,), 5, 1.0, np.random.default_rng(0))
 

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from rlvrlab.policy import PolicyParams, bucket_of
 from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_task
 from rlvrlab.trainer import (
     CollectAbort,
+    MetricsRecord,
     StagePlan,
     TrainConfig,
     collect_batch,
@@ -74,6 +78,27 @@ class TestConfig:
         )
         back = TrainConfig.from_dict(cfg.to_dict())
         assert back == cfg
+        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_metrics_record_omits_missing_avg_at_k(self):
+        record = MetricsRecord(1, 0, 2.0, 0.5, 0.25, 0.0, 0.1, 1.5)
+        assert list(record.to_dict()) == [
+            "step",
+            "stage",
+            "mean_response_len",
+            "mean_reward",
+            "dropped_group_fraction",
+            "mean_repetition",
+            "objective",
+            "grad_norm",
+        ]
+        assert replace(record, avg_at_k=0.75).to_dict()["avg_at_k"] == 0.75
+
+    def test_unknown_keys_are_named(self):
+        with pytest.raises(ValueError, match="unknown TrainConfig key.*learning_rat"):
+            TrainConfig.from_dict({"learning_rat": 0.1})
+        with pytest.raises(ValueError, match="unknown StagePlan key.*clip_hi"):
+            StagePlan.from_dict({"max_response_len": 8, "clip_hi": 0.3})
 
     def test_caps_must_strictly_increase(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlvrlab.verifier import (
     EQUIVALENT,
@@ -119,6 +122,34 @@ class TestParseMath:
     def test_negated_root_and_nested_parens(self):
         assert verify("-\\sqrt{4}", "-2").outcome == EQUIVALENT
         assert verify("((1))", "1").outcome == EQUIVALENT
+        assert verify("(" * 50 + "1" + ")" * 50, "1").outcome == EQUIVALENT
+        assert verify("-" * 50 + "1", "1").outcome == EQUIVALENT
+
+    @pytest.mark.parametrize(
+        "pred,gold",
+        [
+            ("\\sqrt{" * 200 + "2" + "}" * 200, "2"),
+            ("(" * 3000 + "1" + ")" * 3000, "1"),
+            ("-" * 3000 + "1", "1"),
+            ("1" + "0" * 4999, "1"),
+            ("1e10000000", "1"),
+        ],
+        ids=["sqrt_200", "parens_3000", "minus_3000", "digits_5000", "exponent_1e7"],
+    )
+    def test_oversized_inputs_degrade_to_opaque(self, pred, gold):
+        t0 = time.perf_counter()
+        assert parse_math(normalize(pred)).kind == "opaque"
+        assert verify(pred, gold).outcome == UNVERIFIABLE
+        assert verify(gold, pred).outcome == UNVERIFIABLE
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_huge_powers_and_roots_are_approximate(self):
+        t0 = time.perf_counter()
+        assert verify("\\sqrt[10^9]{4}", "1") == Verdict(EQUIVALENT, 3)
+        assert verify("(.9^4096)^4096", "0") == Verdict(EQUIVALENT, 3)
+        assert verify("(1+10^-300)^4096", "1") == Verdict(EQUIVALENT, 3)
+        assert parse_math("(.9)^4096").exact == Fraction(9, 10) ** 4096
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestVerifyExamples:
@@ -183,6 +214,22 @@ class TestCorpus:
         later = verify(cand, gold, start_stage=verdict.stage)
         assert later.outcome == EQUIVALENT
         assert later.stage == verdict.stage
+
+
+# Every token the answer parser knows, plus unit and modifier suffixes.
+_ANSWER_PIECES = (
+    list("0123456789.eE+-*/^,()[]{}% ")
+    + ["\\frac", "\\sqrt", "\\pi", "\\cdot", "\\times", "π", "·", "pi", "x", "m", "°"]
+)
+_ANSWERS = st.lists(st.sampled_from(_ANSWER_PIECES), max_size=40).map("".join)
+
+
+class TestTotality:
+    @given(_ANSWERS, _ANSWERS)
+    @settings(max_examples=500, deadline=None)
+    def test_never_raises_and_is_symmetric(self, a, b):
+        assert verify(a, b).outcome == verify(b, a).outcome
+        assert verify(a, a).outcome == EQUIVALENT
 
 
 class TestReward:
