@@ -3,7 +3,8 @@ evaluation and reporting into reproducible runs.
 
 Exit codes: 0 success, 1 domain failure (a non-equivalent single-pair
 verification, a collapsed training run), 2 usage errors, missing files and
-malformed input (a bad config or pairs file), with a one-line message.
+malformed input (a bad config, pairs, records, metrics or checkpoint
+file), with a one-line message.
 Training and evaluation draw all their randomness from the run's single
 --seed; the other commands use none.
 """
@@ -67,35 +68,43 @@ def write_manifest(
 
 
 def _require_file(path: str, parser: argparse.ArgumentParser) -> None:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         parser.exit(2, f"error: file not found: {path}\n")
+
+
+def _read_jsonl(path: str, parser: argparse.ArgumentParser) -> list[tuple[int, object]]:
+    """Each nonblank line of a JSONL file as (line number, JSON value); a
+    missing file or a line that is not JSON exits 2."""
+    _require_file(path, parser)
+    rows = []
+    # Read bytes, so that json.loads reports bad UTF-8 as a ValueError.
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rows.append((n, json.loads(line)))
+            except ValueError as exc:
+                parser.exit(2, f"error: {path} line {n}: invalid JSON: {exc}\n")
+    return rows
 
 
 def _cmd_verify(args, parser) -> int:
     started = _utc_now()
     if args.pairs:
-        _require_file(args.pairs, parser)
         out_lines = []
-        # Read bytes, so that json.loads reports bad UTF-8 as a ValueError.
-        with open(args.pairs, "rb") as fh:
-            for n, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except ValueError as exc:
-                    parser.exit(2, f"error: {args.pairs} line {n}: invalid JSON: {exc}\n")
-                if not (isinstance(row, dict) and "pred" in row and "gold" in row):
-                    parser.exit(
-                        2,
-                        f"error: {args.pairs} line {n}: "
-                        'expected an object with "pred" and "gold"\n',
-                    )
-                verdict = verifier.verify(str(row["pred"]), str(row["gold"]))
-                row["outcome"] = verdict.outcome
-                row["stage"] = verdict.stage
-                out_lines.append(json.dumps(row, ensure_ascii=False))
+        for n, row in _read_jsonl(args.pairs, parser):
+            if not (isinstance(row, dict) and "pred" in row and "gold" in row):
+                parser.exit(
+                    2,
+                    f"error: {args.pairs} line {n}: "
+                    'expected an object with "pred" and "gold"\n',
+                )
+            verdict = verifier.verify(str(row["pred"]), str(row["gold"]))
+            row["outcome"] = verdict.outcome
+            row["stage"] = verdict.stage
+            out_lines.append(json.dumps(row, ensure_ascii=False))
         text = "\n".join(out_lines) + ("\n" if out_lines else "")
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -127,15 +136,24 @@ def _cmd_verify(args, parser) -> int:
     return 0 if verdict.outcome == verifier.EQUIVALENT else 1
 
 
+def _read_records(
+    path: str, parser: argparse.ArgumentParser
+) -> list[curation.ProblemRecord]:
+    try:
+        return curation.read_records(path)
+    except ValueError as exc:
+        parser.exit(2, f"error: {path} {exc}\n")
+
+
 def _cmd_curate(args, parser) -> int:
     started = _utc_now()
     _require_file(args.infile, parser)
     for path in args.eval_set:
         _require_file(path, parser)
-    records = curation.read_records(args.infile)
+    records = _read_records(args.infile, parser)
     eval_questions: list[str] = []
     for path in args.eval_set:
-        eval_questions.extend(r.question for r in curation.read_records(path))
+        eval_questions.extend(r.question for r in _read_records(path, parser))
     config = curation.CurationConfig(
         ngram_n=args.ngram,
         jaccard_threshold=args.jaccard,
@@ -223,7 +241,10 @@ def _cmd_train(args, parser) -> int:
 def _cmd_eval(args, parser) -> int:
     started = _utc_now()
     _require_file(args.ckpt, parser)
-    params = load_checkpoint(args.ckpt)
+    try:
+        params = load_checkpoint(args.ckpt)
+    except ValueError as exc:
+        parser.exit(2, f"error: {args.ckpt}: {exc}\n")
     if args.config:
         spec = _load_config(args.config, parser).task
     else:
@@ -252,7 +273,11 @@ def _cmd_eval(args, parser) -> int:
 
 def _cmd_report(args, parser) -> int:
     started = _utc_now()
-    _require_file(args.metrics, parser)
+    rows = []
+    for n, row in _read_jsonl(args.metrics, parser):
+        if not isinstance(row, dict):
+            parser.exit(2, f"error: {args.metrics} line {n}: expected an object\n")
+        rows.append(row)
     fields = [
         "step",
         "stage",
@@ -264,8 +289,6 @@ def _cmd_report(args, parser) -> int:
         "grad_norm",
         "avg_at_k",
     ]
-    with open(args.metrics, "r", encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()

@@ -314,12 +314,27 @@ def run_pipeline(
 
 
 def read_records(path: str) -> list[ProblemRecord]:
+    """The records of a JSONL file, one per nonblank line; a line that is
+    not a valid record is a ``ValueError`` that names it."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # Read bytes, so that json.loads reports bad UTF-8 as a ValueError.
+    with open(path, "rb") as fh:
         for i, line in enumerate(fh):
             line = line.strip()
-            if line:
-                records.append(ProblemRecord.from_dict(json.loads(line), f"r{i}"))
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"line {i + 1}: invalid JSON: {exc}") from None
+            if not (isinstance(d, dict) and isinstance(d.get("question"), str)):
+                raise ValueError(
+                    f'line {i + 1}: expected an object with a string "question"'
+                )
+            try:
+                records.append(ProblemRecord.from_dict(d, f"r{i}"))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"line {i + 1}: {exc}") from None
     return records
 
 

@@ -285,7 +285,7 @@ def load_checkpoint(path: str) -> PolicyParams:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 20:
-        raise ValueError(f"checkpoint too short: {path}")
+        raise ValueError(f"checkpoint too short: {len(raw)} bytes")
     version, k, buckets, vocab_size, eos = struct.unpack("<5I", raw[:20])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")

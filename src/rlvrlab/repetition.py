@@ -22,36 +22,6 @@ class LoopSpan:
     repeats: int
 
 
-def _border_table(seq: Sequence[int]) -> list[int]:
-    """KMP failure function: border[i] = length of the longest proper border
-    of seq[:i+1]."""
-    border = [0] * len(seq)
-    j = 0
-    for i in range(1, len(seq)):
-        while j > 0 and seq[i] != seq[j]:
-            j = border[j - 1]
-        if seq[i] == seq[j]:
-            j += 1
-        border[i] = j
-    return border
-
-
-def _periods(seq: Sequence[int]):
-    """All periods of seq in increasing order (partial final block allowed).
-
-    p is a period iff seq[i] == seq[i+p] for every valid i, which holds iff
-    seq has a border of length len(seq) - p; walking the border chain from
-    the longest border enumerates the periods smallest first.
-    """
-    n = len(seq)
-    border = _border_table(seq)
-    b = border[-1]
-    while b > 0:
-        yield n - b
-        b = border[b - 1]
-    yield n
-
-
 def detect_loop(
     tokens: Sequence[int], min_period: int = 1, min_repeats: int = 3
 ) -> Optional[LoopSpan]:
@@ -60,20 +30,29 @@ def detect_loop(
     A candidate (start, period) qualifies when tokens[start:] holds at least
     ``min_repeats`` full consecutive copies of its leading ``period`` tokens,
     a partial final copy permitted.  Returns None when nothing qualifies.
+
+    For each period p, one backward scan finds the longest suffix with
+    period p (tokens[i] == tokens[i + p] throughout); a shorter suffix with
+    the same period starts later and repeats less, so the earliest
+    qualifying start is the earliest of these longest suffixes.
     """
     n = len(tokens)
     if n == 0:
         raise ValueError("tokens must be nonempty")
-    for start in range(n):
-        suffix = tokens[start:]
-        m = n - start
-        for period in _periods(suffix):
-            repeats = m // period
-            if repeats < min_repeats:
-                break  # periods only grow, so repeats only shrink
-            if period >= min_period:
-                return LoopSpan(start=start, period=period, repeats=repeats)
-    return None
+    if min_period < 1 or min_repeats < 1:
+        raise ValueError("min_period and min_repeats must be >= 1")
+    best = None
+    for period in range(min_period, n // min_repeats + 1):
+        i = n - period - 1
+        while i >= 0 and tokens[i] == tokens[i + period]:
+            i -= 1
+        start = i + 1
+        repeats = (n - start) // period
+        if repeats >= min_repeats and (best is None or start < best.start):
+            best = LoopSpan(start=start, period=period, repeats=repeats)
+            if start == 0:
+                break  # no later period can start earlier
+    return best
 
 
 def repetition_score(

@@ -110,6 +110,8 @@ class TrainConfig:
             raise ValueError("batch_groups must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.min_period < 1 or self.min_repeats < 1:
+            raise ValueError("min_period and min_repeats must be >= 1")
         if self.init not in ("format", "uniform"):
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.context_order < self.task.query_length:
@@ -222,28 +224,53 @@ def init_policy(config: TrainConfig) -> PolicyParams:
     return params
 
 
+def _reward(ro: Rollout, gold: str, memo: dict) -> float:
+    """``verifier.reward`` of a rollout, verified once per distinct
+    ``(response, gold)`` in ``memo``; a truncated rollout scores 0 unverified."""
+    if ro.truncated:
+        return 0.0
+    key = (ro.response, gold)
+    reward = memo.get(key)
+    if reward is None:
+        reward = memo[key] = verifier.reward(
+            tasks.decode_tokens(ro.response), gold, False
+        )
+    return reward
+
+
+def _repetition(ro: Rollout, config: TrainConfig, memo: dict) -> float:
+    """``repetition_score`` of a rollout's content, scored once per distinct
+    content in ``memo``; an empty content scores 0."""
+    content = ro.content(tasks.EOS)
+    if not content:
+        return 0.0
+    score = memo.get(content)
+    if score is None:
+        score = memo[content] = repetition.repetition_score(
+            content, config.min_period, config.min_repeats
+        )
+    return score
+
+
 def _score_group(
-    query_id: int, rollouts: tuple[Rollout, ...], gold: str, config: TrainConfig
-) -> Group:
-    rewards, penalties = [], []
-    for ro in rollouts:
-        answer = tasks.decode_tokens(ro.response)
-        rewards.append(verifier.reward(answer, gold, ro.truncated))
-        content = ro.content(tasks.EOS)
-        if config.repetition_penalty and content:
-            penalties.append(
-                repetition.repetition_score(
-                    content, config.min_period, config.min_repeats
-                )
-            )
-        else:
-            penalties.append(0.0)
-    return Group(
+    query_id: int,
+    rollouts: tuple[Rollout, ...],
+    gold: str,
+    config: TrainConfig,
+    reward_memo: dict,
+    score_memo: dict,
+) -> tuple[Group, np.ndarray]:
+    """The scored group and its rollouts' raw repetition scores, looked up
+    in (or added to) the memos.  With the penalty off the group's penalties
+    are zero, but the metrics still report the raw scores."""
+    raw = np.array([_repetition(ro, config, score_memo) for ro in rollouts])
+    group = Group(
         query_id=query_id,
         rollouts=rollouts,
-        rewards=np.array(rewards),
-        penalties=np.array(penalties),
+        rewards=np.array([_reward(ro, gold, reward_memo) for ro in rollouts]),
+        penalties=raw if config.repetition_penalty else np.zeros(len(rollouts)),
     )
+    return group, raw
 
 
 @dataclass
@@ -255,21 +282,21 @@ class BatchStats:
     reward_sum: float = 0.0
     repetition_sum: float = 0.0
 
-    def absorb(self, group: Group, penalty_on: bool, config: TrainConfig) -> None:
+    def absorb(self, group: Group, scores: np.ndarray, penalty_on: bool) -> None:
+        """Add a group, with its raw repetition ``scores``."""
         self.attempted_groups += 1
         for ro, rew in zip(group.rollouts, group.rewards):
             self.rollouts += 1
             self.response_tokens += len(ro.response)
             self.reward_sum += float(rew)
+        # Summed group by group with the penalty on and score by score with
+        # it off, the orders mean_repetition has always used, so that it
+        # reproduces earlier runs bit for bit.
         if penalty_on:
-            self.repetition_sum += float(group.penalties.sum())
+            self.repetition_sum += float(scores.sum())
         else:
-            for ro in group.rollouts:
-                content = ro.content(tasks.EOS)
-                if content:
-                    self.repetition_sum += repetition.repetition_score(
-                        content, config.min_period, config.min_repeats
-                    )
+            for score in scores:
+                self.repetition_sum += float(score)
 
 
 def collect_batch(
@@ -292,6 +319,10 @@ def collect_batch(
     abort_after = 100 * n
     valid: list[Group] = []
     stats = BatchStats()
+    # Scoring memos for this call only: rewards by (response, gold) and
+    # repetition scores by content.
+    reward_memo: dict = {}
+    score_memo: dict = {}
     consecutive_invalid = 0
     while len(valid) < n:
         chunk = [tasks.generate_task(config.task, task_rng) for _ in range(n)]
@@ -306,8 +337,10 @@ def collect_batch(
             [np.random.default_rng([config.seed, 1, qid]) for qid in qids],
         )
         for qid, (_, gold), rollouts in zip(qids, chunk, sampled):
-            group = _score_group(qid, rollouts, gold, config)
-            stats.absorb(group, config.repetition_penalty, config)
+            group, raw = _score_group(
+                qid, rollouts, gold, config, reward_memo, score_memo
+            )
+            stats.absorb(group, raw, config.repetition_penalty)
             if filter_mixed_groups([group]):
                 valid.append(group)
                 consecutive_invalid = 0
@@ -364,6 +397,7 @@ def evaluate(
     task_rng = np.random.default_rng([seed, 2])
     eval_set = [tasks.generate_task(spec, task_rng) for _ in range(n_tasks)]
     total = 0.0
+    reward_memo: dict = {}  # by (response, gold), for this call only
     for start in range(0, n_tasks, EVAL_CHUNK):
         chunk = eval_set[start : start + EVAL_CHUNK]
         ids = range(start, start + len(chunk))
@@ -376,10 +410,7 @@ def evaluate(
             [np.random.default_rng([seed, 4, i]) for i in ids],
         )
         for (_, gold), rollouts in zip(chunk, sampled):
-            hits = sum(
-                verifier.reward(tasks.decode_tokens(ro.response), gold, ro.truncated)
-                for ro in rollouts
-            )
+            hits = sum(_reward(ro, gold, reward_memo) for ro in rollouts)
             total += hits / k
     return total / n_tasks
 

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the library against.
 
-Each one computes what a library function computes, one token or one
-rollout at a time and without the library's packing, so that a test can
-require equal results.
+Each one computes what a library function computes by a plainer route (one
+token or one rollout at a time, without the library's packing, or by the
+algorithm the library used before), so that a test can require equal
+results.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from rlvrlab.objectives import RefModel, reward_advantages, shaped_advantages
 from rlvrlab.policy import PolicyParams, Rollout, bucket_of
+from rlvrlab.repetition import LoopSpan
 
 
 @dataclass(frozen=True)
@@ -249,3 +251,51 @@ def sequence_mean_objective(
             contrib[np.arange(len(toks)), toks] += coef
             np.add.at(grad, buckets, contrib)
     return j, grad
+
+
+def _border_table(seq) -> list[int]:
+    """KMP failure function: border[i] = length of the longest proper border
+    of seq[:i+1]."""
+    border = [0] * len(seq)
+    j = 0
+    for i in range(1, len(seq)):
+        while j > 0 and seq[i] != seq[j]:
+            j = border[j - 1]
+        if seq[i] == seq[j]:
+            j += 1
+        border[i] = j
+    return border
+
+
+def _periods(seq):
+    """All periods of seq in increasing order (partial final block allowed).
+
+    p is a period iff seq[i] == seq[i+p] for every valid i, which holds iff
+    seq has a border of length len(seq) - p; walking the border chain from
+    the longest border enumerates the periods smallest first.
+    """
+    n = len(seq)
+    border = _border_table(seq)
+    b = border[-1]
+    while b > 0:
+        yield n - b
+        b = border[b - 1]
+    yield n
+
+
+def detect_loop(tokens, min_period: int = 1, min_repeats: int = 3) -> LoopSpan | None:
+    """Earliest trailing loop from each start's border-table periods, the
+    library's former detector: O(n^2) per sequence."""
+    n = len(tokens)
+    if n == 0:
+        raise ValueError("tokens must be nonempty")
+    for start in range(n):
+        suffix = tokens[start:]
+        m = n - start
+        for period in _periods(suffix):
+            repeats = m // period
+            if repeats < min_repeats:
+                break  # periods only grow, so repeats only shrink
+            if period >= min_period:
+                return LoopSpan(start=start, period=period, repeats=repeats)
+    return None

@@ -132,6 +132,37 @@ class TestCurateCommand:
         assert code == 2
         assert "/missing.jsonl" in capsys.readouterr().err
 
+    def test_directory_input_exits_two(self, tmp_path, capsys):
+        code = dispatch(["curate", "--in", str(tmp_path), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: file not found: {tmp_path}\n"
+        assert dispatch(["eval", "--ckpt", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "bad_line,reason",
+        [
+            ("not json", "invalid JSON"),
+            (json.dumps({"id": "x", "answer": "1"}), 'expected an object with a string "question"'),
+            ('["question"]', 'expected an object with a string "question"'),
+        ],
+        ids=["not_json", "missing_question", "not_object"],
+    )
+    @pytest.mark.parametrize("role", ["in", "eval_set"])
+    def test_bad_record_exits_two(self, tmp_path, capsys, bad_line, reason, role):
+        good = tmp_path / "good.jsonl"
+        write_records([ProblemRecord(id="a", question="what is one", answer="1")], str(good))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(good.read_text() + bad_line + "\n")
+        out = tmp_path / "out.jsonl"
+        args = ["curate", "--in", str(good), "--out", str(out), "--eval-set", str(bad)]
+        if role == "in":
+            args = ["curate", "--in", str(bad), "--out", str(out)]
+        assert dispatch(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} line 2: {reason}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrainEvalReport:
     def test_round_trip(self, tmp_path, capsys):
@@ -212,6 +243,7 @@ class TestTrainEvalReport:
             ('{"group_size": 4,', "Expecting property name"),
             ('{"group_size": 1}', "group_size must be >= 2"),
             ("[]", "TrainConfig must be an object"),
+            ('{"min_repeats": 0}', "min_period and min_repeats must be >= 1"),
         ],
         ids=[
             "unknown_key",
@@ -220,6 +252,7 @@ class TestTrainEvalReport:
             "invalid_json",
             "failed_check",
             "not_object",
+            "nonpositive_min_repeats",
         ],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, text, message):
@@ -254,3 +287,34 @@ class TestTrainEvalReport:
         )
         assert code == 1
         assert "aborted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_line,reason",
+        [("not json", "invalid JSON"), ("[1, 2]", "expected an object")],
+        ids=["not_json", "not_object"],
+    )
+    def test_bad_metrics_line_exits_two(self, tmp_path, capsys, bad_line, reason):
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text(json.dumps({"step": 1, "stage": 0}) + "\n" + bad_line + "\n")
+        csv_path = tmp_path / "curves.csv"
+        assert dispatch(["report", "--metrics", str(metrics), "--out", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {metrics} line 2: {reason}")
+        assert err.count("\n") == 1
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "blob,reason",
+        [
+            (b"not a checkpoint", "checkpoint too short"),
+            (b"\x07" * 24, "unsupported checkpoint version"),
+        ],
+        ids=["too_short", "bad_version"],
+    )
+    def test_bad_checkpoint_exits_two(self, tmp_path, capsys, blob, reason):
+        ckpt = tmp_path / "p.ckpt"
+        ckpt.write_bytes(blob)
+        assert dispatch(["eval", "--ckpt", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: {reason}")
+        assert err.count("\n") == 1

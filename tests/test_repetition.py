@@ -1,3 +1,4 @@
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,3 +124,35 @@ class TestRepetitionScore:
         base = repetition_score(tokens)
         extended = tokens + [1, 2]
         assert repetition_score(extended) >= base
+
+
+@st.composite
+def loop_cases(draw):
+    """(tokens, min_period, min_repeats): 1-48 tokens over 1-4 symbols, half
+    of them built as a prefix, a block repeated and a cut copy of it."""
+    symbols = draw(st.integers(1, 4))
+    token = st.integers(0, symbols - 1)
+    if draw(st.booleans()):
+        tokens = draw(st.lists(token, min_size=1, max_size=48))
+    else:
+        prefix = draw(st.lists(token, max_size=12))
+        block = draw(st.lists(token, min_size=1, max_size=6))
+        repeats = draw(st.integers(1, 8))
+        tail = draw(st.integers(0, len(block) - 1))
+        tokens = (prefix + block * repeats + block[:tail])[:48]
+    return tokens, draw(st.integers(1, 4)), draw(st.integers(1, 5))
+
+
+class TestScanMatchesBorderDetector:
+    @given(loop_cases())
+    @settings(max_examples=1000, deadline=None)
+    def test_same_span(self, case):
+        tokens, min_period, min_repeats = case
+        assert detect_loop(tokens, min_period, min_repeats) == oracles.detect_loop(
+            tokens, min_period, min_repeats
+        )
+
+    @pytest.mark.parametrize("min_period,min_repeats", [(0, 3), (1, 0), (-1, 2)])
+    def test_nonpositive_gates_rejected(self, min_period, min_repeats):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            detect_loop([1, 1, 1], min_period, min_repeats)

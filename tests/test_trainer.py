@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlvrlab import tasks
+from rlvrlab import repetition, tasks, trainer, verifier
 from rlvrlab.policy import PolicyParams, bucket_of
 from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_task
 from rlvrlab.trainer import (
@@ -219,6 +219,88 @@ class TestCollectBatch:
                 np.testing.assert_array_equal(ra.old_logprobs, rb.old_logprobs)
             np.testing.assert_array_equal(a.rewards, b.rewards)
             np.testing.assert_array_equal(a.penalties, b.penalties)
+
+
+def add_gold(query):
+    a, _, b, _ = query
+    return str((a + b) % 10)
+
+
+class TestScoringMemo:
+    """Each collect_batch and evaluate call scores each distinct rollout once."""
+
+    @pytest.mark.parametrize("penalty", [True, False])
+    def test_scores_equal_direct_calls(self, penalty):
+        cfg = tiny_config(loop_boost=6.0, repetition_penalty=penalty, batch_groups=8)
+        groups, stats, _ = collect_batch(
+            init_policy(cfg), cfg.stages[0], cfg, np.random.default_rng([7, 0]), 0
+        )
+        for g in groups:
+            gold = add_gold(g.rollouts[0].query)
+            rewards = [
+                verifier.reward(tasks.decode_tokens(ro.response), gold, ro.truncated)
+                for ro in g.rollouts
+            ]
+            scores = [
+                repetition.repetition_score(ro.content(EOS)) if ro.content(EOS) else 0.0
+                for ro in g.rollouts
+            ]
+            assert g.rewards.tolist() == rewards
+            assert g.penalties.tolist() == (scores if penalty else [0.0] * g.size)
+        assert stats.repetition_sum > 0.0
+
+    def test_one_call_per_distinct_rollout(self, monkeypatch):
+        reward_calls, score_calls = [], []
+
+        def spy_reward(answer, gold, truncated):
+            reward_calls.append((answer, gold, truncated))
+            return real_reward(answer, gold, truncated)
+
+        def spy_score(tokens, *args):
+            score_calls.append(tuple(tokens))
+            return real_score(tokens, *args)
+
+        real_reward, real_score = verifier.reward, repetition.repetition_score
+        monkeypatch.setattr(verifier, "reward", spy_reward)
+        monkeypatch.setattr(repetition, "repetition_score", spy_score)
+        cfg = tiny_config(group_size=16, batch_groups=8)
+        params, task_rng = init_policy(cfg), np.random.default_rng([7, 0])
+        counter = 0
+        for _ in range(3):
+            reward_calls.clear()
+            score_calls.clear()
+            groups, stats, counter = collect_batch(
+                params, cfg.stages[0], cfg, task_rng, counter
+            )
+            assert reward_calls and score_calls
+            assert not any(truncated for _, _, truncated in reward_calls)
+            assert len(set(reward_calls)) == len(reward_calls)
+            assert len(set(score_calls)) == len(score_calls)
+            # The memo had work to save: rollouts repeat within the call.
+            assert len(reward_calls) + len(score_calls) < 2 * stats.rollouts
+
+    def test_evaluate_equals_per_rollout_sum(self, monkeypatch):
+        sampled = []
+
+        def recording(params, queries, *args):
+            out = sample_groups(params, queries, *args)
+            sampled.extend(zip(queries, out))
+            return out
+
+        sample_groups = trainer.sample_groups
+        monkeypatch.setattr(trainer, "sample_groups", recording)
+        cfg = tiny_config()
+        k, n_tasks = 8, 40
+        got = evaluate(init_policy(cfg), cfg.task, k, 1.0, 12, seed=3, n_tasks=n_tasks)
+        assert len(sampled) == n_tasks
+        total = 0.0
+        for query, rollouts in sampled:
+            hits = sum(
+                verifier.reward(tasks.decode_tokens(ro.response), add_gold(query), ro.truncated)
+                for ro in rollouts
+            )
+            total += hits / k
+        assert got == total / n_tasks
 
 
 class TestTrain:
