@@ -2,9 +2,10 @@
 evaluation and reporting into reproducible runs.
 
 Exit codes: 0 success, 1 domain failure (a non-equivalent single-pair
-verification, a collapsed training run), 2 usage errors, missing files and
+verification, a collapsed training run), 2 usage errors, missing files,
 malformed input (a bad config, pairs, records, metrics or checkpoint
-file), with a one-line message.
+file), out-of-range numbers and outputs that cannot be written, with a
+one-line message.
 Training and evaluation draw all their randomness from the run's single
 --seed; the other commands use none.
 """
@@ -55,21 +56,33 @@ def write_manifest(
         "artifacts": sorted(artifacts),
     }
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # Name the manifest, not its temporary file.
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _require_file(path: str, parser: argparse.ArgumentParser) -> None:
     if not os.path.isfile(path):
         parser.exit(2, f"error: file not found: {path}\n")
+
+
+def _require_positive(args, parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if not value > 0:  # also rejects nan
+            flag = "--" + name.replace("_", "-")
+            parser.exit(2, f"error: {flag} must be positive, got {value}\n")
 
 
 def _read_jsonl(path: str, parser: argparse.ArgumentParser) -> list[tuple[int, object]]:
@@ -147,6 +160,7 @@ def _read_records(
 
 def _cmd_curate(args, parser) -> int:
     started = _utc_now()
+    _require_positive(args, parser, "ngram")
     _require_file(args.infile, parser)
     for path in args.eval_set:
         _require_file(path, parser)
@@ -240,6 +254,7 @@ def _cmd_train(args, parser) -> int:
 
 def _cmd_eval(args, parser) -> int:
     started = _utc_now()
+    _require_positive(args, parser, "k", "temperature", "max_len", "n_tasks")
     _require_file(args.ckpt, parser)
     try:
         params = load_checkpoint(args.ckpt)
@@ -375,6 +390,11 @@ def dispatch(argv=None) -> int:
         return args.fn(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:
+        # A file the command cannot read or an output it cannot write.
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -92,16 +92,11 @@ class PolicyParams:
 
 @dataclass(frozen=True)
 class Rollout:
-    """One sampled response with the log-probs recorded at sampling time."""
+    """One sampled response to a query."""
 
     query: tuple[int, ...]
     response: tuple[int, ...]
-    old_logprobs: np.ndarray  # one entry per response token, each <= 0
     truncated: bool  # hit the length cap without emitting eos
-
-    def __post_init__(self) -> None:
-        if len(self.old_logprobs) != len(self.response):
-            raise ValueError("old_logprobs length must match response length")
 
     def content(self, eos: int) -> tuple[int, ...]:
         """Response tokens without the trailing eos, if any."""
@@ -157,9 +152,10 @@ def sample_groups(
     which other queries share the call, and one query with one rollout
     draws exactly the stream of a token-at-a-time sampler.
 
-    Temperature scales the sampling distribution only; the recorded
-    log-probs are always those of the unscaled policy, which is what the
-    likelihood ratio in the surrogate objectives is defined on.
+    Temperature scales the sampling distribution only.  The sampler returns
+    tokens, not log-probabilities: the surrogate objectives take the old
+    log-probs from the old table at temperature 1, which is what their
+    likelihood ratio is defined on.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -178,7 +174,6 @@ def sample_groups(
     for g, query in enumerate(queries):
         block = slice(g * group_size, (g + 1) * group_size)
         history[block, :k] = ((vocab.begin_marker,) * k + tuple(query))[-k:]
-    logprobs = np.zeros((n, max_len))
     lengths = np.full(n, max_len)
     noise = np.empty((len(queries), group_size, vocab.size))
     live = np.arange(n)
@@ -195,7 +190,6 @@ def sample_groups(
                 rngs[g].random(out=noise[g])
             gumbel = -np.log(-np.log(noise.reshape(n, vocab.size)[live]))
             toks = np.argmax(rows / temperature + gumbel, axis=1)
-        logprobs[live, t], _ = log_softmax_at(rows, toks)
         history[live, k + t] = toks
         stopped = toks == vocab.eos
         lengths[live[stopped]] = t + 1
@@ -215,7 +209,6 @@ def sample_groups(
                 Rollout(
                     query=query,
                     response=response,
-                    old_logprobs=logprobs[r, :length].copy(),
                     # Sampling stops at eos, so only a truncated one lacks it.
                     truncated=response[-1] != vocab.eos,
                 )

@@ -305,6 +305,7 @@ def collect_batch(
     config: TrainConfig,
     task_rng: np.random.Generator,
     query_counter: int,
+    reward_memo: Optional[dict] = None,
 ) -> tuple[list[Group], BatchStats, int]:
     """Accumulate exactly ``batch_groups`` mixed-correctness groups.
 
@@ -314,14 +315,19 @@ def collect_batch(
     depend on the chunk it lands in.  Aborts when 100 * batch_groups
     consecutive queries yield no valid group, which signals a collapsed
     policy or a degenerate task.
+
+    ``reward_memo`` maps ``(response, gold)`` to its reward and is filled
+    as rollouts are verified; ``train`` passes one for the whole run.  With
+    ``None`` the memo lasts this call only.
     """
     n = config.batch_groups
     abort_after = 100 * n
     valid: list[Group] = []
     stats = BatchStats()
-    # Scoring memos for this call only: rewards by (response, gold) and
-    # repetition scores by content.
-    reward_memo: dict = {}
+    if reward_memo is None:
+        reward_memo = {}
+    # Repetition scores by content, for this call only: a run-long memo
+    # would hold every distinct looping response of the run.
     score_memo: dict = {}
     consecutive_invalid = 0
     while len(valid) < n:
@@ -394,6 +400,8 @@ def evaluate(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n_tasks < 1:
+        raise ValueError("n_tasks must be >= 1")
     task_rng = np.random.default_rng([seed, 2])
     eval_set = [tasks.generate_task(spec, task_rng) for _ in range(n_tasks)]
     total = 0.0
@@ -430,6 +438,9 @@ def train(
     task_rng = np.random.default_rng([config.seed, 0])
     query_counter = 0
     global_step = 0
+    # Rewards by (response, gold) for the whole run: a reward depends on
+    # nothing else, so each distinct pair is verified once.
+    reward_memo: dict = {}
     for stage_idx, stage in enumerate(config.stages):
         clip_rng = np.random.default_rng([config.seed, 3, stage_idx])
         eps_low, eps_high = sample_clip_ratios(schedule, stage_idx, clip_rng)
@@ -437,7 +448,7 @@ def train(
         for _ in range(stage.max_steps):
             old = policy.copy()
             groups, stats, query_counter = collect_batch(
-                old, stage, config, task_rng, query_counter
+                old, stage, config, task_rng, query_counter, reward_memo
             )
             for group in groups:
                 assert 0 < int((group.rewards > 0.5).sum()) < group.size

@@ -146,7 +146,7 @@ def reference_sample(params, query, max_len, temperature, rng, greedy=False):
     """Token-at-a-time sampler: the oracle for the lockstep one."""
     vocab = params.vocab
     window = ((vocab.begin_marker,) * params.k + tuple(query))[-params.k :]
-    response, logprobs, truncated = [], [], True
+    response, truncated = [], True
     for _ in range(max_len):
         row = params.logits[bucket_of(window, params.buckets)]
         if greedy:
@@ -154,14 +154,12 @@ def reference_sample(params, query, max_len, temperature, rng, greedy=False):
         else:
             gumbel = -np.log(-np.log(rng.random(vocab.size)))
             tok = int(np.argmax(row / temperature + gumbel))
-        m = row.max()
         response.append(tok)
-        logprobs.append(float(row[tok] - m - np.log(np.exp(row - m).sum())))
         if tok == vocab.eos:
             truncated = False
             break
         window = window[1:] + (tok,)
-    return Rollout(tuple(query), tuple(response), np.array(logprobs), truncated)
+    return Rollout(tuple(query), tuple(response), truncated)
 
 
 def _accumulate_clipped(

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -318,3 +319,80 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: {reason}")
         assert err.count("\n") == 1
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """One valid input file of each kind the commands read."""
+    paths = {
+        "records": tmp_path / "in.jsonl",
+        "pairs": tmp_path / "pairs.jsonl",
+        "metrics": tmp_path / "metrics.jsonl",
+        "ckpt": tmp_path / "p.ckpt",
+        "config": tmp_path / "config.json",
+        "out": tmp_path / "out.jsonl",
+    }
+    write_records(
+        [ProblemRecord(id="a", question="what is one", answer="1")], str(paths["records"])
+    )
+    paths["pairs"].write_text(json.dumps({"gold": "1", "pred": "1"}) + "\n")
+    paths["metrics"].write_text(json.dumps({"step": 1, "stage": 0}) + "\n")
+    save_checkpoint(init_policy(micro_train_config()), str(paths["ckpt"]))
+    write_config(paths["config"], micro_train_config())
+    return {name: str(path) for name, path in paths.items()}
+
+
+def command(template, **paths):
+    return [part.format(**paths) for part in template.split()]
+
+
+class TestOutputsAndNumbers:
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "curate --in {records} --out {bad}",
+            "curate --in {records} --out {out} --report {bad}",
+            "verify --pairs {pairs} --out {bad}",
+            "verify --gold 1 --pred 1 --manifest {bad}",
+            "report --metrics {metrics} --out {bad}",
+            "eval --ckpt {ckpt} --k 2 --n-tasks 2 --max-len 4 --manifest {bad}",
+            "train --config {config} --out-dir {bad}",
+        ],
+        ids=[
+            "curate_out",
+            "curate_report",
+            "verify_out",
+            "verify_manifest",
+            "report_out",
+            "eval_manifest",
+            "train_out_dir",
+        ],
+    )
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, inputs, template):
+        # A missing directory, or for train (which creates missing
+        # directories) a directory path through a regular file.
+        bad = tmp_path / "nodir" / "x"
+        if template.startswith("train"):
+            (tmp_path / "file").write_text("")
+            bad = tmp_path / "file" / "run"
+        assert dispatch(command(template, bad=bad, **inputs)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "template,message",
+        [
+            ("curate --in {records} --out {out} --ngram 0", "--ngram must be positive, got 0"),
+            ("eval --ckpt {ckpt} --k 0", "--k must be positive, got 0"),
+            ("eval --ckpt {ckpt} --temperature 0", "--temperature must be positive, got 0.0"),
+            ("eval --ckpt {ckpt} --temperature nan", "--temperature must be positive, got nan"),
+            ("eval --ckpt {ckpt} --max-len 0", "--max-len must be positive, got 0"),
+            ("eval --ckpt {ckpt} --n-tasks 0", "--n-tasks must be positive, got 0"),
+        ],
+        ids=["ngram", "k", "temperature", "temperature_nan", "max_len", "n_tasks"],
+    )
+    def test_nonpositive_number_exits_two(self, capsys, inputs, template, message):
+        assert dispatch(command(template, **inputs)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(inputs["out"])

@@ -37,8 +37,7 @@ def make_params(rng, vocab_size=8, k=2, buckets=16, scale=1.0):
 def make_rollout(rng, params, length):
     query = tuple(int(t) for t in rng.integers(0, params.vocab.size, size=2))
     response = tuple(int(t) for t in rng.integers(0, params.vocab.size, size=length))
-    _, lps, _ = sequence_logprobs(params, query, response)
-    return Rollout(query, response, lps, truncated=params.vocab.eos not in response)
+    return Rollout(query, response, truncated=params.vocab.eos not in response)
 
 
 def make_group(rng, old_params, query_id=0, size=None):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlvrlab.objectives import Group, token_mean_objective
 from rlvrlab.policy import (
     PolicyParams,
     Rollout,
@@ -18,12 +19,12 @@ from rlvrlab.policy import (
     window_buckets,
 )
 
+import oracles
 from oracles import (
     Context,
     bucket,
     reference_sample,
     response_buckets,
-    sequence_logprobs,
     token_logprob,
     token_logprob_grad,
 )
@@ -112,7 +113,7 @@ class TestContextBuckets:
             st.lists(tokens, max_size=6), st.lists(tokens, max_size=10)
         )
         rollouts = [
-            Rollout(tuple(q), tuple(r), np.zeros(len(r)), False)
+            Rollout(tuple(q), tuple(r), False)
             for q, r in data.draw(st.lists(shapes, max_size=6))
         ]
         got_buckets, got_toks = context_buckets(params, rollouts)
@@ -216,7 +217,6 @@ class TestSampleResponse:
         a = sample_response(params, (1, 2), 12, 1.0, rng_a)
         b = sample_response(params, (1, 2), 12, 1.0, rng_b)
         assert a.response == b.response
-        assert np.array_equal(a.old_logprobs, b.old_logprobs)
         assert a.truncated == b.truncated
 
     def test_truncated_iff_no_eos(self):
@@ -229,13 +229,28 @@ class TestSampleResponse:
                 assert ro.response[-1] == 3
                 assert 3 not in ro.response[:-1]
 
-    def test_old_logprobs_are_temperature_one(self):
+    def test_objective_takes_old_logprobs_at_temperature_one(self):
+        # Rollouts sampled at temperature 0.25 with the old table equal to
+        # the new one: the oracle's ratios are exactly 1, so the packed
+        # objective's gradient equals it only if it too takes the old
+        # log-probs from the unscaled table.
         rng = np.random.default_rng(9)
         params = random_params(rng, vocab_size=6, scale=1.5)
-        ro = sample_response(params, (0, 1), 8, 0.25, np.random.default_rng(1))
-        _, lps, _ = sequence_logprobs(params, ro.query, ro.response)
-        np.testing.assert_allclose(ro.old_logprobs, lps, atol=1e-12)
-        assert (ro.old_logprobs <= 0).all()
+        queries = [(0, 1), (2,), (3, 4), ()]
+        sampled = sample_groups(
+            params, queries, 4, 8, 0.25, [np.random.default_rng(i) for i in range(4)]
+        )
+        groups = [
+            Group(g, rollouts, np.array([1.0, 0.0, 1.0, 0.0]), rng.uniform(0, 1, 4))
+            for g, rollouts in enumerate(sampled)
+        ]
+        got_j, got_grad = token_mean_objective(groups, params, params.copy(), 0.2, 0.28)
+        want_j, want_grad = oracles.token_mean_objective(
+            groups, params, params.copy(), 0.2, 0.28
+        )
+        assert np.any(got_grad != 0)
+        assert np.array_equal(got_grad, want_grad)
+        assert got_j == pytest.approx(want_j, abs=1e-12)
 
     def test_parameter_validation(self):
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
@@ -284,13 +299,10 @@ class TestSampleResponse:
             assert got.query == want.query
             assert got.response == want.response
             assert got.truncated == want.truncated
-            np.testing.assert_allclose(
-                got.old_logprobs, want.old_logprobs, rtol=0, atol=1e-12
-            )
 
 
 class TestSampleGroups:
-    def test_shapes_and_logprobs(self):
+    def test_shapes(self):
         rng = np.random.default_rng(8)
         params = random_params(rng, vocab_size=5, scale=1.0)
         rngs = [np.random.default_rng(i) for i in range(2)]
@@ -300,8 +312,6 @@ class TestSampleGroups:
             for ro in group:
                 assert ro.query == query and 1 <= len(ro.response) <= 7
                 assert ro.truncated == (4 not in ro.response)
-                _, lps, _ = sequence_logprobs(params, ro.query, ro.response)
-                np.testing.assert_allclose(ro.old_logprobs, lps, atol=1e-12)
 
     def test_generator_count_must_match(self):
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
@@ -310,12 +320,8 @@ class TestSampleGroups:
 
 
 class TestRollout:
-    def test_logprob_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Rollout((0,), (1, 2), np.zeros(3), False)
-
     def test_content_strips_trailing_eos(self):
-        ro = Rollout((0,), (1, 2, 3), np.zeros(3) - 1.0, False)
+        ro = Rollout((0,), (1, 2, 3), False)
         assert ro.content(3) == (1, 2)
         assert ro.content(9) == (1, 2, 3)
 

@@ -215,8 +215,6 @@ class TestCollectBatch:
             b = singles[a.query_id]
             assert [r.query for r in a.rollouts] == [r.query for r in b.rollouts]
             assert [r.response for r in a.rollouts] == [r.response for r in b.rollouts]
-            for ra, rb in zip(a.rollouts, b.rollouts):
-                np.testing.assert_array_equal(ra.old_logprobs, rb.old_logprobs)
             np.testing.assert_array_equal(a.rewards, b.rewards)
             np.testing.assert_array_equal(a.penalties, b.penalties)
 
@@ -278,6 +276,20 @@ class TestScoringMemo:
             assert len(set(score_calls)) == len(score_calls)
             # The memo had work to save: rollouts repeat within the call.
             assert len(reward_calls) + len(score_calls) < 2 * stats.rollouts
+
+    def test_one_verification_per_distinct_answer_per_run(self, monkeypatch):
+        calls = []
+
+        def spy_reward(answer, gold, truncated):
+            calls.append((answer, gold, truncated))
+            return real_reward(answer, gold, truncated)
+
+        real_reward = verifier.reward
+        monkeypatch.setattr(verifier, "reward", spy_reward)
+        cfg = tiny_config(stages=(StagePlan(max_response_len=12, max_steps=8),))
+        assert len(train(cfg).metrics) == 8 and calls
+        assert not any(truncated for _, _, truncated in calls)
+        assert len(set(calls)) == len(calls)
 
     def test_evaluate_equals_per_rollout_sum(self, monkeypatch):
         sampled = []
@@ -405,3 +417,8 @@ class TestEvaluate:
         cfg = tiny_config()
         with pytest.raises(ValueError):
             evaluate(init_policy(cfg), cfg.task, 0, 1.0, 12, seed=0)
+
+    def test_n_tasks_must_be_positive(self):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="n_tasks must be >= 1"):
+            evaluate(init_policy(cfg), cfg.task, 4, 1.0, 12, seed=0, n_tasks=0)

@@ -231,6 +231,25 @@ class TestTotality:
         assert verify(a, b).outcome == verify(b, a).outcome
         assert verify(a, a).outcome == EQUIVALENT
 
+    @given(
+        st.one_of(
+            st.sampled_from(ALL_PAIRS),
+            st.tuples(_ANSWERS, _ANSWERS),
+            _ANSWERS.map(lambda a: (a, a)),
+        ),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_start_stage_is_monotone(self, pair, start):
+        # A later start decides at a stage no earlier than itself, and
+        # starting at or before the stage that decides from stage 1
+        # changes nothing.
+        verdict = verify(*pair, start_stage=start)
+        assert verdict.stage is None or verdict.stage >= start
+        first = verify(*pair)
+        if first.stage is not None and start <= first.stage:
+            assert verdict == first
+
 
 class TestReward:
     def test_truncation_zeroes_any_answer(self):
