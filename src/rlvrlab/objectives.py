@@ -6,7 +6,9 @@ of the batch (so long rollouts are not down-weighted) with decoupled clip
 bounds, and a sequence-mean form that averages per rollout and per group
 and adds a K3 KL penalty against a frozen reference.  Both return the
 objective value together with its analytic gradient over the policy logits
-table, checked elsewhere against finite differences.
+table, checked elsewhere against finite differences.  A batch touches a
+few hundred of the table's rows, so the gradient is row-sparse: those rows
+and their values alone (a ``SparseGrad``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ STD_FLOOR = 1e-6
 
 # A clip bound is either a point value or a uniform interval (lo, hi).
 ClipSpec = Union[float, tuple[float, float]]
+
+# A gradient over the logits table as (rows, values): the sorted, distinct
+# rows it touches and its (len(rows), vocab) values there; every other row
+# of the gradient is zero.
+SparseGrad = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -141,12 +148,13 @@ def _clipped_surrogate(
     eps_high: float,
     ref: RefModel | None = None,
     beta: float = 0.0,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, SparseGrad]:
     """J = sum_i w_i sum_t [min(r A_i, clip(r) A_i) - beta * K3] and dJ/dlogits
     over a batch of (rollout i, advantage A_i, weight w_i).
 
     K3 is rho - ln rho - 1 with rho = pi_ref / pi_theta, and is left out
-    when ``ref`` is None.  The gradient treats old log-probs as constants.
+    when ``ref`` is None.  The gradient treats old log-probs as constants,
+    and comes as a ``SparseGrad`` over the rows the batch's contexts touch.
     """
     rollouts = [ro for ro, _, _ in batch]
     lengths = np.array([len(ro.response) for ro in rollouts], dtype=np.int64)
@@ -178,9 +186,13 @@ def _clipped_surrogate(
     coef = np.concatenate(coefs)[order]
     contrib = -probs[pos] * coef[:, None]
     contrib[np.arange(len(pos)), toks[pos]] += coef
-    grad = np.zeros_like(params.logits)
-    np.add.at(grad, buckets[pos], contrib)
-    return float((w * terms).sum()), grad
+    # Accumulate over the touched rows only, with the same additions in the
+    # same order as into a dense table, so each touched entry is equal to
+    # its dense value bit for bit.
+    rows, row_of = np.unique(buckets, return_inverse=True)
+    values = np.zeros((len(rows), params.vocab.size))
+    np.add.at(values, row_of[pos], contrib)
+    return float((w * terms).sum()), (rows, values)
 
 
 def _scored_rollouts(
@@ -202,13 +214,14 @@ def token_mean_objective(
     old_params: PolicyParams,
     eps_low: float,
     eps_high: float,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, SparseGrad]:
     """Token-normalized clipped surrogate with penalty-shaped advantages.
 
     J = (1 / sum_i |o_i|) * sum_i sum_t min(r A, clip(r) A) over every
     rollout of every group, so each token carries equal weight regardless
     of its rollout's length.  The gradient treats old log-probs as
-    constants.  Maximize J (or equivalently minimize -J).
+    constants.  Maximize J (or equivalently minimize -J).  Returns J and
+    dJ/dlogits as ``(rows, values)`` over the touched rows.
     """
     if not groups:
         raise ValueError("empty batch")
@@ -227,13 +240,14 @@ def sequence_mean_objective(
     ref: RefModel,
     beta: float,
     eps: float,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, SparseGrad]:
     """Sequence-averaged clipped surrogate with a K3 KL penalty.
 
     Per-token terms are averaged within each rollout (1/|o_i|), then across
     the group (1/G), then across groups; each token additionally pays
     beta * (rho - ln rho - 1) with rho = pi_ref / pi_theta, whose
-    dependence on the current policy is part of the gradient.
+    dependence on the current policy is part of the gradient.  Returns J
+    and dJ/dlogits as ``(rows, values)`` over the touched rows.
     """
     if not groups:
         raise ValueError("empty batch")

@@ -10,6 +10,7 @@ that can be checked against finite differences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from dataclasses import dataclass
@@ -117,6 +118,18 @@ def log_softmax_at(
     return logprobs, expd / denom[:, None]
 
 
+@functools.lru_cache(maxsize=8)
+def _hash_powers(order: int) -> np.ndarray:
+    """Read-only powers of the hash multiplier, mod 2**64, for a window of
+    ``order`` tokens, highest first."""
+    powers = np.array(
+        [pow(_HASH_MULT, order - 1 - j, 1 << 64) for j in range(order)],
+        dtype=np.uint64,
+    )
+    powers.setflags(write=False)
+    return powers
+
+
 def window_buckets(windows: np.ndarray, buckets: int) -> np.ndarray:
     """``bucket_of`` of every row of an ``(n, order)`` array of windows.
 
@@ -124,12 +137,9 @@ def window_buckets(windows: np.ndarray, buckets: int) -> np.ndarray:
     of the multiplier; uint64 arithmetic wraps like the 64-bit mask.
     """
     windows = np.asarray(windows, dtype=np.uint64)
-    order = windows.shape[1]
-    powers = np.array(
-        [pow(_HASH_MULT, order - 1 - j, 1 << 64) for j in range(order)],
-        dtype=np.uint64,
+    h = ((windows + np.uint64(1)) * _hash_powers(windows.shape[1])).sum(
+        axis=1, dtype=np.uint64
     )
-    h = ((windows + np.uint64(1)) * powers).sum(axis=1, dtype=np.uint64)
     return (h % np.uint64(buckets)).astype(np.int64)
 
 

@@ -10,6 +10,7 @@ mean response length saturates, and the cap then grows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
@@ -110,6 +111,8 @@ class TrainConfig:
             raise ValueError("batch_groups must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.inner_iterations < 1:
+            raise ValueError("inner_iterations must be >= 1")
         if self.min_period < 1 or self.min_repeats < 1:
             raise ValueError("min_period and min_repeats must be >= 1")
         if self.init not in ("format", "uniform"):
@@ -299,6 +302,14 @@ class BatchStats:
                 self.repetition_sum += float(score)
 
 
+# Tasks per lockstep call in ``evaluate``: bounds its arrays at
+# EVAL_CHUNK * k rollouts instead of all n_tasks * k.
+EVAL_CHUNK = 16
+# Most chunks of batch_groups queries per lockstep call in
+# ``collect_batch``: bounds its arrays, however many groups the filter drops.
+COLLECT_CHUNKS = 8
+
+
 def collect_batch(
     old_params: PolicyParams,
     stage: StagePlan,
@@ -306,15 +317,23 @@ def collect_batch(
     task_rng: np.random.Generator,
     query_counter: int,
     reward_memo: Optional[dict] = None,
+    drop_hint: float = 0.0,
 ) -> tuple[list[Group], BatchStats, int]:
     """Accumulate exactly ``batch_groups`` mixed-correctness groups.
 
-    Queries are consumed in chunks of ``batch_groups``, and each chunk is
-    sampled in one lockstep call.  Every group draws its noise from its own
-    ``[seed, 1, query index]`` generator, so a group's rollouts do not
-    depend on the chunk it lands in.  Aborts when 100 * batch_groups
-    consecutive queries yield no valid group, which signals a collapsed
-    policy or a degenerate task.
+    Queries are consumed in chunks of ``batch_groups``.  ``drop_hint`` is
+    the fraction of groups the filter is expected to drop (``train``
+    passes the previous step's); each lockstep call samples as many whole
+    chunks as that predicts the batch still needs, up to
+    ``COLLECT_CHUNKS``.  The chunks are then scored and filtered in order,
+    and collection stops after the chunk that fills the batch: the chunks
+    after it were sampled but are never scored, and ``task_rng`` is
+    rewound to where they began, so the returned groups, stats and query
+    counter, and the task stream the next call sees, do not depend on the
+    hint.  Every group draws its noise from its own ``[seed, 1, query
+    index]`` generator, so a group's rollouts do not depend on the call it
+    lands in.  Aborts when 100 * batch_groups consecutive queries yield no
+    valid group, which signals a collapsed policy or a degenerate task.
 
     ``reward_memo`` maps ``(response, gold)`` to its reward and is filled
     as rollouts are verified; ``train`` passes one for the whole run.  With
@@ -331,34 +350,47 @@ def collect_batch(
     score_memo: dict = {}
     consecutive_invalid = 0
     while len(valid) < n:
-        chunk = [tasks.generate_task(config.task, task_rng) for _ in range(n)]
-        qids = range(query_counter, query_counter + n)
-        query_counter += n
+        expected_valid = n * (1.0 - drop_hint)
+        if expected_valid > 0:
+            n_chunks = min(COLLECT_CHUNKS, math.ceil((n - len(valid)) / expected_valid))
+        else:
+            n_chunks = COLLECT_CHUNKS
+        rng_states, drawn = [], []
+        for _ in range(n_chunks):
+            rng_states.append(task_rng.bit_generator.state)
+            drawn += [tasks.generate_task(config.task, task_rng) for _ in range(n)]
+        qids = range(query_counter, query_counter + n_chunks * n)
         sampled = sample_groups(
             old_params,
-            [query for query, _ in chunk],
+            [query for query, _ in drawn],
             config.group_size,
             stage.max_response_len,
             config.temperature,
             [np.random.default_rng([config.seed, 1, qid]) for qid in qids],
         )
-        for qid, (_, gold), rollouts in zip(qids, chunk, sampled):
-            group, raw = _score_group(
-                qid, rollouts, gold, config, reward_memo, score_memo
-            )
-            stats.absorb(group, raw, config.repetition_penalty)
-            if filter_mixed_groups([group]):
-                valid.append(group)
-                consecutive_invalid = 0
-            else:
-                stats.invalid_groups += 1
-                consecutive_invalid += 1
-                if consecutive_invalid >= abort_after:
-                    raise CollectAbort(
-                        f"no mixed-correctness group in {abort_after} consecutive "
-                        "queries; the policy answers uniformly (all correct or all "
-                        "incorrect) or the task is degenerate"
-                    )
+        for c in range(n_chunks):
+            if len(valid) >= n:
+                # Give the unscored chunks back to the task stream.
+                task_rng.bit_generator.state = rng_states[c]
+                break
+            query_counter += n
+            for i in range(c * n, (c + 1) * n):
+                group, raw = _score_group(
+                    qids[i], sampled[i], drawn[i][1], config, reward_memo, score_memo
+                )
+                stats.absorb(group, raw, config.repetition_penalty)
+                if filter_mixed_groups([group]):
+                    valid.append(group)
+                    consecutive_invalid = 0
+                else:
+                    stats.invalid_groups += 1
+                    consecutive_invalid += 1
+                    if consecutive_invalid >= abort_after:
+                        raise CollectAbort(
+                            f"no mixed-correctness group in {abort_after} consecutive "
+                            "queries; the policy answers uniformly (all correct or all "
+                            "incorrect) or the task is degenerate"
+                        )
     return valid[:n], stats, query_counter
 
 
@@ -375,11 +407,6 @@ def stage_saturated(lengths: Sequence[float], threshold: float = 0.01) -> bool:
     first = float(np.mean(lengths[:half]))
     last = float(np.mean(lengths[-half:]))
     return abs(last - first) < threshold * max(abs(first), 1e-12)
-
-
-# Tasks per lockstep call in ``evaluate``: bounds its arrays at
-# EVAL_CHUNK * k rollouts instead of all n_tasks * k.
-EVAL_CHUNK = 16
 
 
 def evaluate(
@@ -437,6 +464,7 @@ def train(
     schedule = ClipSchedule(tuple((s.clip_low, s.clip_high) for s in config.stages))
     task_rng = np.random.default_rng([config.seed, 0])
     query_counter = 0
+    drop_hint = 0.0  # the previous step's dropped-group fraction
     global_step = 0
     # Rewards by (response, gold) for the whole run: a reward depends on
     # nothing else, so each distinct pair is verified once.
@@ -448,16 +476,16 @@ def train(
         for _ in range(stage.max_steps):
             old = policy.copy()
             groups, stats, query_counter = collect_batch(
-                old, stage, config, task_rng, query_counter, reward_memo
+                old, stage, config, task_rng, query_counter, reward_memo, drop_hint
             )
+            drop_hint = stats.invalid_groups / stats.attempted_groups
             for group in groups:
                 assert 0 < int((group.rewards > 0.5).sum()) < group.size
-            objective, grad = 0.0, None
             for _ in range(config.inner_iterations):
-                objective, grad = token_mean_objective(
+                objective, (rows, values) = token_mean_objective(
                     groups, policy, old, eps_low, eps_high
                 )
-                policy.logits += config.learning_rate * grad
+                policy.logits[rows] += config.learning_rate * values
             global_step += 1
             avg_at_k = None
             if config.eval_every and global_step % config.eval_every == 0:
@@ -475,10 +503,12 @@ def train(
                 stage=stage_idx,
                 mean_response_len=stats.response_tokens / stats.rollouts,
                 mean_reward=stats.reward_sum / stats.rollouts,
-                dropped_group_fraction=stats.invalid_groups / stats.attempted_groups,
+                dropped_group_fraction=drop_hint,
                 mean_repetition=stats.repetition_sum / stats.rollouts,
                 objective=objective,
-                grad_norm=float(np.linalg.norm(grad)),
+                # A NumPy reduction, not BLAS: its sum order does not
+                # depend on the BLAS thread count.
+                grad_norm=float(np.sqrt(np.sum(values * values))),
                 avg_at_k=avg_at_k,
             )
             metrics.append(record)

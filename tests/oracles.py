@@ -126,6 +126,15 @@ def sequence_logprobs(
     return buckets, logprobs, probs
 
 
+def dense(grad: tuple[np.ndarray, np.ndarray], params: PolicyParams) -> np.ndarray:
+    """A row-sparse ``(rows, values)`` gradient as a table shaped like
+    ``params.logits``: ``values`` at ``rows`` and zero elsewhere."""
+    rows, values = grad
+    out = np.zeros_like(params.logits)
+    out[rows] = values
+    return out
+
+
 def k3_divergence(ratio_ref_over_theta: float) -> float:
     """Non-negative KL estimator rho - ln(rho) - 1, rho = pi_ref / pi_theta."""
     if ratio_ref_over_theta <= 0:

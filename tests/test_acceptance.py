@@ -28,6 +28,7 @@ from rlvrlab.tasks import TaskSpec
 from rlvrlab.trainer import StagePlan, TrainConfig, evaluate, init_policy, train
 from rlvrlab.verifier import EQUIVALENT, NOT_EQUIVALENT, UNVERIFIABLE, verify
 
+import oracles
 from curation_fixture import (
     EXPECTED_FINAL,
     EXPECTED_STAGE_EXCLUSIONS,
@@ -65,6 +66,7 @@ def test_c01_gradient_correctness():
                 continue
             if objective == "token_mean":
                 _, grad = token_mean_objective(groups, params, old, 0.2, 0.3)
+                grad = oracles.dense(grad, params)
                 fd = fd_table_gradient(
                     lambda p: token_mean_objective(groups, p, old, 0.2, 0.3)[0],
                     params,
@@ -72,6 +74,7 @@ def test_c01_gradient_correctness():
             else:
                 ref = RefModel.capture(make_params(rng, scale=0.8))
                 _, grad = sequence_mean_objective(groups, params, old, ref, 0.04, 0.2)
+                grad = oracles.dense(grad, params)
                 fd = fd_table_gradient(
                     lambda p: sequence_mean_objective(groups, p, old, ref, 0.04, 0.2)[0],
                     params,

@@ -245,6 +245,7 @@ class TestTrainEvalReport:
             ('{"group_size": 1}', "group_size must be >= 2"),
             ("[]", "TrainConfig must be an object"),
             ('{"min_repeats": 0}', "min_period and min_repeats must be >= 1"),
+            ('{"inner_iterations": 0}', "inner_iterations must be >= 1"),
         ],
         ids=[
             "unknown_key",
@@ -254,6 +255,7 @@ class TestTrainEvalReport:
             "failed_check",
             "not_object",
             "nonpositive_min_repeats",
+            "zero_inner_iterations",
         ],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, text, message):

@@ -16,7 +16,7 @@ from rlvrlab.objectives import (
     shaped_advantages,
     token_mean_objective,
 )
-from rlvrlab.policy import PolicyParams, Rollout, Vocab
+from rlvrlab.policy import PolicyParams, Rollout, Vocab, context_buckets
 
 import oracles
 from oracles import (
@@ -266,6 +266,7 @@ class TestTokenMeanObjective:
         params = make_params(rng)
         groups = [make_group(rng, params, i) for i in range(2)]
         j, grad = token_mean_objective(groups, params, params, 0.2, 0.2)
+        grad = oracles.dense(grad, params)
 
         total = sum(len(r.response) for g in groups for r in g.rollouts)
         expect_j = 0.0
@@ -292,6 +293,7 @@ class TestTokenMeanObjective:
         rollouts = tuple(make_rollout(rng, params, 3) for _ in range(3))
         g = Group(0, rollouts, np.ones(3), np.ones(3))  # zero variance
         j, grad = token_mean_objective([g], params, params, 0.2, 0.2)
+        grad = oracles.dense(grad, params)
         assert j == 0.0
         np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
@@ -307,6 +309,7 @@ class TestTokenMeanObjective:
             if not ratios_clear_of_clip_edges(groups, params, old, 0.2, 0.3):
                 continue
             j, grad = token_mean_objective(groups, params, old, 0.2, 0.3)
+            grad = oracles.dense(grad, params)
             fd = fd_table_gradient(
                 lambda p: token_mean_objective(groups, p, old, 0.2, 0.3)[0], params
             )
@@ -327,7 +330,9 @@ class TestSequenceMeanObjective:
             rewards = np.array([1.0, 0.0, 0.0])
             groups.append(Group(i, rollouts, rewards, np.zeros(3)))
         j_seq, g_seq = sequence_mean_objective(groups, params, old, ref, 0.0, 0.2)
+        g_seq = oracles.dense(g_seq, params)
         j_tok, g_tok = token_mean_objective(groups, params, old, 0.2, 0.2)
+        g_tok = oracles.dense(g_tok, params)
         assert j_seq == pytest.approx(j_tok, rel=1e-12)
         np.testing.assert_allclose(g_seq, g_tok, atol=1e-12)
 
@@ -338,7 +343,9 @@ class TestSequenceMeanObjective:
         groups = [make_group(rng, old, 0)]
         ref = RefModel.capture(params)
         j0, g0 = sequence_mean_objective(groups, params, old, ref, 0.0, 0.2)
+        g0 = oracles.dense(g0, params)
         j1, g1 = sequence_mean_objective(groups, params, old, ref, 0.7, 0.2)
+        g1 = oracles.dense(g1, params)
         assert j0 == pytest.approx(j1, abs=1e-12)
         np.testing.assert_allclose(g0, g1, atol=1e-12)
 
@@ -371,6 +378,7 @@ class TestSequenceMeanObjective:
             if not ratios_clear_of_clip_edges(groups, params, old, 0.2, 0.2):
                 continue
             j, grad = sequence_mean_objective(groups, params, old, ref, 0.04, 0.2)
+            grad = oracles.dense(grad, params)
             fd = fd_table_gradient(
                 lambda p: sequence_mean_objective(groups, p, old, ref, 0.04, 0.2)[0],
                 params,
@@ -435,6 +443,7 @@ class TestPackedObjectiveMatchesOracle:
                     token_mean_objective(groups, params, old, eps_low, eps_high)
                 continue
             j, grad = token_mean_objective(groups, params, old, eps_low, eps_high)
+            grad = oracles.dense(grad, params)
             want_j, want_grad = oracles.token_mean_objective(
                 groups, params, old, eps_low, eps_high
             )
@@ -455,11 +464,32 @@ class TestPackedObjectiveMatchesOracle:
                 ref = RefModel.capture(make_params(rng))
             beta, eps = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.05, 0.5))
             j, grad = sequence_mean_objective(groups, params, old, ref, beta, eps)
+            grad = oracles.dense(grad, params)
             want_j, want_grad = oracles.sequence_mean_objective(
                 groups, params, old, ref, beta, eps
             )
             assert np.array_equal(grad, want_grad), f"seed {seed}"
             assert abs(j - want_j) <= 1e-12, f"seed {seed}"
+
+    def test_rows_are_the_touched_buckets(self):
+        # The gradient's rows are the distinct buckets of every context in
+        # the batch, sorted, degenerate groups included.
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            old = make_params(rng)
+            params = current_params(rng, old, seed % 3)
+            groups = oracle_batch(rng, old)
+            nonempty = [ro for g in groups for ro in g.rollouts if ro.response]
+            if not nonempty:
+                continue
+            want = np.unique(context_buckets(params, nonempty)[0])
+            ref = RefModel.capture(make_params(rng, k=3, buckets=23))
+            for _, (rows, values) in (
+                token_mean_objective(groups, params, old, 0.2, 0.28),
+                sequence_mean_objective(groups, params, old, ref, 0.1, 0.2),
+            ):
+                assert np.array_equal(rows, want), f"seed {seed}"
+                assert values.shape == (len(want), params.vocab.size)
 
     def test_all_empty_responses(self):
         rng = np.random.default_rng(0)
@@ -468,6 +498,7 @@ class TestPackedObjectiveMatchesOracle:
         groups = [Group(0, rollouts, np.array([1.0, 0.0, 0.0]), np.zeros(3))]
         ref = RefModel.capture(make_params(rng))
         j, grad = sequence_mean_objective(groups, params, params, ref, 0.5, 0.2)
+        grad = oracles.dense(grad, params)
         assert j == 0.0
         assert not grad.any()
         with pytest.raises(ValueError):

@@ -245,6 +245,7 @@ class TestSampleResponse:
             for g, rollouts in enumerate(sampled)
         ]
         got_j, got_grad = token_mean_objective(groups, params, params.copy(), 0.2, 0.28)
+        got_grad = oracles.dense(got_grad, params)
         want_j, want_grad = oracles.token_mean_objective(
             groups, params, params.copy(), 0.2, 0.28
         )

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -219,6 +222,56 @@ class TestCollectBatch:
             np.testing.assert_array_equal(a.penalties, b.penalties)
 
 
+class TestOneLockstepCallPerStep:
+    """``collect_batch`` samples several chunks per call, as ``drop_hint``
+    predicts, and scores only the chunks the batch needs."""
+
+    @pytest.mark.parametrize("penalty", [True, False])
+    def test_result_does_not_depend_on_the_hint(self, penalty):
+        cfg = tiny_config(loop_boost=6.0, repetition_penalty=penalty)
+        params = init_policy(cfg)
+        outcomes = []
+        for hint in (0.0, 0.5, 0.95):
+            task_rng, counter, steps = np.random.default_rng([7, 0]), 0, []
+            for _ in range(3):
+                groups, stats, counter = collect_batch(
+                    params, cfg.stages[0], cfg, task_rng, counter, drop_hint=hint
+                )
+                steps.append(
+                    (
+                        [[r.response for r in g.rollouts] for g in groups],
+                        [g.rewards.tolist() for g in groups],
+                        [g.penalties.tolist() for g in groups],
+                        stats,
+                        counter,
+                    )
+                )
+            outcomes.append((steps, task_rng.random()))
+        assert any(stats.invalid_groups for *_, stats, _ in outcomes[0][0])
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_train_makes_fewer_calls_than_chunks(self, monkeypatch):
+        calls, counters = [], []
+
+        def spy_sample(*args):
+            calls.append(len(args[1]))
+            return real_sample(*args)
+
+        def spy_collect(*args):
+            out = real_collect(*args)
+            counters.append(out[2])
+            return out
+
+        real_sample, real_collect = trainer.sample_groups, trainer.collect_batch
+        monkeypatch.setattr(trainer, "sample_groups", spy_sample)
+        monkeypatch.setattr(trainer, "collect_batch", spy_collect)
+        cfg = tiny_config(stages=(StagePlan(max_response_len=12, max_steps=8),))
+        assert len(train(cfg).metrics) == 8
+        chunks = counters[-1] // cfg.batch_groups
+        assert len(calls) < chunks
+        assert max(calls) <= trainer.COLLECT_CHUNKS * cfg.batch_groups
+
+
 def add_gold(query):
     a, _, b, _ = query
     return str((a + b) % 10)
@@ -377,6 +430,45 @@ class TestTrain:
         first = np.mean([m.mean_reward for m in result.metrics[:5]])
         last = np.mean([m.mean_reward for m in result.metrics[-5:]])
         assert last > first + 0.05
+
+
+_METRICS_SCRIPT = """
+import json
+from rlvrlab.tasks import TaskSpec
+from rlvrlab.trainer import StagePlan, TrainConfig, train
+
+cfg = TrainConfig(
+    stages=(StagePlan(max_response_len=24, max_steps=4),),
+    task=TaskSpec("modular-add", 10),
+    group_size=8,
+    batch_groups=16,
+    learning_rate=20.0,
+    seed=1,
+)
+print(json.dumps([m.to_dict() for m in train(cfg).metrics]))
+"""
+
+
+def test_metrics_do_not_depend_on_blas_threads():
+    # A norm of the 16384-row gradient summed through BLAS changes in its
+    # last bit with the BLAS thread count; the metrics must not.
+    src = os.path.dirname(os.path.dirname(trainer.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        run = subprocess.run(
+            [sys.executable, "-c", _METRICS_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.append(run.stdout)
+    assert len(json.loads(outputs[0])) == 4
+    assert outputs[0] == outputs[1]
 
 
 class TestEvaluate:

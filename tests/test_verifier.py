@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from rlvrlab.verifier import (
     EQUIVALENT,
+    MAX_EXACT_POWER,
+    MAX_EXPONENT,
+    MAX_LITERAL_LEN,
+    MAX_NESTING,
     NOT_EQUIVALENT,
     UNVERIFIABLE,
     Verdict,
@@ -249,6 +253,89 @@ class TestTotality:
         first = verify(*pair)
         if first.stage is not None and start <= first.stage:
             assert verdict == first
+
+
+_SMALL_LITERALS = st.one_of(
+    st.integers(0, 12).map(str), st.sampled_from(["0.5", "1.25", "\\pi"])
+)
+# Literals at and around the parser's caps: digit strings near the longest
+# literal, exponents near the largest, and integers near the largest exact
+# power or root index.
+_LONG_LITERALS = st.integers(MAX_LITERAL_LEN - 3, MAX_LITERAL_LEN + 1).flatmap(
+    lambda n: st.sampled_from(["9" * n, "0." + "3" * (n - 2), "1" + "0" * (n - 1)])
+)
+_EXPONENT_LITERALS = st.integers(MAX_EXPONENT - 1, MAX_EXPONENT + 1).flatmap(
+    lambda e: st.sampled_from([f"7e{e}", f"3e-{e}"])
+)
+_POWER_LITERALS = st.integers(MAX_EXACT_POWER - 1, MAX_EXACT_POWER + 1).map(str)
+_CAP_LITERALS = st.one_of(
+    _SMALL_LITERALS, _LONG_LITERALS, _EXPONENT_LITERALS, _POWER_LITERALS
+)
+# A literal near the length or exponent cap under a power or root near the
+# exact-power cap: the costliest exact arithmetic the caps admit.
+_AT_CAPS = st.builds(
+    lambda form, x, n: form.format(x=x, n=n),
+    st.sampled_from(
+        ["({x})^{{{n}}}", "({x})^{n}", "({x})^{{-{n}}}", "\\sqrt[{n}]{{{x}}}"]
+    ),
+    st.one_of(_LONG_LITERALS, _EXPONENT_LITERALS),
+    _POWER_LITERALS,
+)
+_LEAVES = st.one_of(_CAP_LITERALS, _AT_CAPS)
+# One level of nesting around an inner expression ``x`` and a literal ``n``.
+_WRAPPERS = (
+    "\\sqrt{{{x}}}",
+    "\\sqrt[{n}]{{{x}}}",
+    "\\sqrt[{x}]{{{n}}}",
+    "({x})^{{{n}}}",
+    "{n}^{{{x}}}",
+    "({x})^{n}",
+    "-{x}",
+    "\\frac{{{x}}}{{{n}}}",
+    "({x})*{n}",
+)
+
+
+def _wrap(inner):
+    return st.builds(
+        lambda form, x, n: form.format(x=x, n=n),
+        st.sampled_from(_WRAPPERS),
+        inner,
+        _CAP_LITERALS,
+    )
+
+
+def _nest(core, forms_and_literals):
+    for form, n in forms_and_literals:
+        core = form.format(x=core, n=n)
+    return core
+
+
+# Random trees of roots and powers, and straight chains nested to around the
+# parser's depth cap.
+_ROOTS_AND_POWERS = st.one_of(
+    st.recursive(_LEAVES, _wrap, max_leaves=12),
+    st.builds(
+        _nest,
+        _LEAVES,
+        st.lists(
+            st.tuples(st.sampled_from(_WRAPPERS), _CAP_LITERALS),
+            min_size=MAX_NESTING - 8,
+            max_size=MAX_NESTING + 8,
+        ),
+    ),
+)
+
+
+class TestVerifierTime:
+    @given(_ROOTS_AND_POWERS, st.one_of(_CAP_LITERALS, _ROOTS_AND_POWERS))
+    @settings(max_examples=500, deadline=None)
+    def test_each_call_is_bounded(self, a, b):
+        for pred, gold in ((a, b), (b, a), (a, a)):
+            t0 = time.perf_counter()
+            verify(pred, gold)
+            elapsed = time.perf_counter() - t0
+            assert elapsed < 0.5, f"verify took {elapsed:.2f}s on {pred!r}, {gold!r}"
 
 
 class TestReward:
