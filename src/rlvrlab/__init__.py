@@ -48,7 +48,6 @@ from .trainer import (
 from .verifier import (
     ParsedAnswer,
     Verdict,
-    extract_final_answer,
     normalize,
     parse_math,
     reward,

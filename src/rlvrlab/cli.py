@@ -85,6 +85,11 @@ def _require_positive(args, parser: argparse.ArgumentParser, *names: str) -> Non
             parser.exit(2, f"error: {flag} must be positive, got {value}\n")
 
 
+def _require_seed(args, parser: argparse.ArgumentParser) -> None:
+    if args.seed is not None and args.seed < 0:
+        parser.exit(2, f"error: --seed must be >= 0, got {args.seed}\n")
+
+
 def _read_jsonl(path: str, parser: argparse.ArgumentParser) -> list[tuple[int, object]]:
     """Each nonblank line of a JSONL file as (line number, JSON value); a
     missing file or a line that is not JSON exits 2."""
@@ -204,13 +209,15 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> trainer.TrainCon
     _require_file(path, parser)
     try:
         return trainer.load_config(path)
-    except (ValueError, TypeError) as exc:
-        # Invalid JSON, an unknown key, a wrong type or a failed check.
+    except (ValueError, TypeError, OverflowError) as exc:
+        # Invalid JSON, an unknown key, a wrong type, a failed check, or an
+        # integer too large for a float field.
         parser.exit(2, f"error: {path}: {exc}\n")
 
 
 def _cmd_train(args, parser) -> int:
     started = _utc_now()
+    _require_seed(args, parser)
     config = _load_config(args.config, parser)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -255,6 +262,7 @@ def _cmd_train(args, parser) -> int:
 def _cmd_eval(args, parser) -> int:
     started = _utc_now()
     _require_positive(args, parser, "k", "temperature", "max_len", "n_tasks")
+    _require_seed(args, parser)
     _require_file(args.ckpt, parser)
     try:
         params = load_checkpoint(args.ckpt)

@@ -12,13 +12,10 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 from .verifier import normalize as normalize_answer
-from .verifier import reward as verify_reward
 
 PROOF_PATTERN = re.compile(r"\bprove\b|\bshow that\b|\bdisprove\b", re.IGNORECASE)
 NON_ASCII_RATIO_LIMIT = 0.3
@@ -235,43 +232,6 @@ def answer_length_filter(
         else:
             kept.append(rec)
     return kept, excluded
-
-
-def estimate_pass_rate(
-    records: Sequence[ProblemRecord],
-    rollout_fn: Callable[[str, np.random.Generator], tuple[str, bool]],
-    attempts: int = 5,
-    seed: int = 0,
-) -> list[ProblemRecord]:
-    """Attach pass rates measured by rolling out an answerer per record.
-
-    ``rollout_fn(question, rng)`` returns (answer string, truncated flag);
-    each attempt is graded by the cascade verifier against the record's
-    gold answer.
-    """
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    out = []
-    for idx, rec in enumerate(records):
-        hits = 0
-        for attempt in range(attempts):
-            rng = np.random.default_rng([seed, idx, attempt])
-            answer, truncated = rollout_fn(rec.question, rng)
-            hits += int(verify_reward(answer, rec.answer, truncated))
-        out.append(replace(rec, pass_rate=hits / attempts))
-    return out
-
-
-def select_longest(
-    records: Sequence[ProblemRecord], k: int
-) -> list[ProblemRecord]:
-    """The k records with the longest responses, ties broken by id."""
-    if k > len(records):
-        raise ValueError(f"k={k} exceeds record count {len(records)}")
-    if any(rec.response_len is None for rec in records):
-        raise ValueError("response_len must be present on every record")
-    ranked = sorted(records, key=lambda r: (-r.response_len, r.id))
-    return ranked[:k]
 
 
 @dataclass(frozen=True)

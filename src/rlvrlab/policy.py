@@ -151,7 +151,7 @@ def sample_groups(
     temperature: float,
     rngs: Sequence[np.random.Generator],
     greedy: bool = False,
-) -> list[tuple[Rollout, ...]]:
+) -> tuple[list[tuple[Rollout, ...]], np.ndarray]:
     """Sample ``group_size`` rollouts of every query, all in lockstep.
 
     Each iteration advances every live rollout by one token position.  At
@@ -162,10 +162,17 @@ def sample_groups(
     which other queries share the call, and one query with one rollout
     draws exactly the stream of a token-at-a-time sampler.
 
+    Returns the groups of rollouts and the ``(len(queries) * group_size,
+    max_len)`` array of the buckets it hashed.  Row ``g * group_size + i``
+    belongs to rollout ``i`` of query ``g``: column ``t`` holds the bucket
+    of the context before its token ``t``, and -1 past its last token.
+    Its non-negative entries, in row-major order, are ``context_buckets``
+    of the rollouts, so the objectives need not hash the contexts again.
+
     Temperature scales the sampling distribution only.  The sampler returns
     tokens, not log-probabilities: the surrogate objectives take the old
-    log-probs from the old table at temperature 1, which is what their
-    likelihood ratio is defined on.
+    log-probs at temperature 1, which is what their likelihood ratio is
+    defined on.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -185,10 +192,13 @@ def sample_groups(
         block = slice(g * group_size, (g + 1) * group_size)
         history[block, :k] = ((vocab.begin_marker,) * k + tuple(query))[-k:]
     lengths = np.full(n, max_len)
+    buckets = np.full((n, max_len), -1, dtype=np.int64)
     noise = np.empty((len(queries), group_size, vocab.size))
     live = np.arange(n)
     for t in range(max_len):
-        rows = params.logits[window_buckets(history[live, t : t + k], params.buckets)]
+        live_buckets = window_buckets(history[live, t : t + k], params.buckets)
+        buckets[live, t] = live_buckets
+        rows = params.logits[live_buckets]
         if not np.isfinite(rows).all():
             raise ValueError("logits table contains non-finite entries")
         if greedy:
@@ -224,7 +234,7 @@ def sample_groups(
                 )
             )
         out.append(tuple(group))
-    return out
+    return out, buckets
 
 
 def sample_response(
@@ -237,7 +247,8 @@ def sample_response(
 ) -> Rollout:
     """Sample one rollout until eos or ``max_len`` tokens: the
     one-query, one-rollout case of ``sample_groups``."""
-    return sample_groups(params, [query], 1, max_len, temperature, [rng], greedy)[0][0]
+    groups, _ = sample_groups(params, [query], 1, max_len, temperature, [rng], greedy)
+    return groups[0][0]
 
 
 def context_buckets(

@@ -23,7 +23,6 @@ EOS = 13
 VOCAB = Vocab(size=14, eos=EOS)
 
 _CHARS = "0123456789+*="
-_CHAR_TO_TOKEN = {c: i for i, c in enumerate(_CHARS)}
 
 
 @dataclass(frozen=True)
@@ -69,28 +68,3 @@ def decode_tokens(tokens) -> str:
             break
         chars.append(_CHARS[tok])
     return "".join(chars)
-
-
-def encode_text(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(_CHAR_TO_TOKEN[c] for c in text)
-    except KeyError as exc:
-        raise ValueError(f"character {exc.args[0]!r} not in the task alphabet")
-
-
-def policy_answerer(params, max_len: int, temperature: float = 1.0):
-    """Adapt a policy into a question-answering callable.
-
-    Returns ``fn(question, rng) -> (answer, truncated)`` suitable for
-    pass-rate estimation: the question text is tokenized, rolled out, and
-    the response decoded back to an answer string.
-    """
-    from .policy import sample_response
-
-    def answer(question: str, rng) -> tuple[str, bool]:
-        rollout = sample_response(
-            params, encode_text(question), max_len, temperature, rng
-        )
-        return decode_tokens(rollout.response), rollout.truncated
-
-    return answer

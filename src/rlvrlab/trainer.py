@@ -1,16 +1,19 @@
 """Multi-stage on-policy training of the toy policy on synthetic tasks.
 
 Each stage fixes a response-length cap and a pair of clip bounds (sampled
-once per stage); within a stage every step snapshots the policy, collects a
-batch of mixed-correctness rollout groups, and ascends the token-mean
-clipped surrogate.  A stage ends when its step budget runs out or when the
-mean response length saturates, and the cap then grows.
+once per stage); within a stage every step collects a batch of
+mixed-correctness rollout groups with the context bucket of each of their
+tokens, takes the old log-probs of those tokens from the policy before it
+moves, and ascends the token-mean clipped surrogate against them.  A stage
+ends when its step budget runs out or when the mean response length
+saturates, and the cap then grows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
@@ -22,6 +25,7 @@ from .objectives import (
     ClipSpec,
     Group,
     filter_mixed_groups,
+    response_logprobs,
     sample_clip_ratios,
     token_mean_objective,
 )
@@ -51,6 +55,26 @@ def _coercions(cls) -> dict[str, Callable]:
     return {f.name: by_type[f.type] for f in fields(cls) if f.type in by_type}
 
 
+def _check_types(obj) -> None:
+    """Raise ``ValueError`` for a field of ``obj`` declared int, float or
+    bool that holds anything else.  A bool is not a number here, and a
+    float must be finite."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "bool":
+            ok, want = isinstance(v, bool), "true or false"
+        elif f.type == "int":
+            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            want = "an integer"
+        elif f.type == "float":
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            ok, want = real and math.isfinite(v), "a finite number"
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{f.name} must be {want}, got {v!r}")
+
+
 def _from_dict(cls, d, convert: dict[str, Callable]):
     """``cls`` from a dict of its fields, converting the values ``convert``
     names; a key that names no field is a ``ValueError``."""
@@ -72,6 +96,18 @@ class StagePlan:
     max_steps: int = 400
     saturation_window: int = 0  # 0 disables the saturation test
     saturation_threshold: float = 0.01
+
+    def __post_init__(self) -> None:
+        _check_types(self)
+        if self.max_response_len < 1:
+            raise ValueError("max_response_len must be >= 1")
+        ClipSchedule(((self.clip_low, self.clip_high),))  # bounds inside (0, 1)
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+        if self.saturation_window < 0 or self.saturation_window == 1:
+            raise ValueError("saturation_window must be 0 (off) or >= 2")
+        if self.saturation_threshold <= 0:
+            raise ValueError("saturation_threshold must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -105,6 +141,7 @@ class TrainConfig:
     eval_tasks: int = 200
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
         if self.batch_groups < 1:
@@ -113,6 +150,14 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.inner_iterations < 1:
             raise ValueError("inner_iterations must be >= 1")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.buckets < 1:
+            raise ValueError("buckets must be >= 1")
+        if self.eval_every < 0 or self.eval_k < 1 or self.eval_tasks < 1:
+            raise ValueError("eval_every must be >= 0, and eval_k and eval_tasks >= 1")
         if self.min_period < 1 or self.min_repeats < 1:
             raise ValueError("min_period and min_repeats must be >= 1")
         if self.init not in ("format", "uniform"):
@@ -311,15 +356,17 @@ COLLECT_CHUNKS = 8
 
 
 def collect_batch(
-    old_params: PolicyParams,
+    params: PolicyParams,
     stage: StagePlan,
     config: TrainConfig,
     task_rng: np.random.Generator,
     query_counter: int,
     reward_memo: Optional[dict] = None,
     drop_hint: float = 0.0,
-) -> tuple[list[Group], BatchStats, int]:
-    """Accumulate exactly ``batch_groups`` mixed-correctness groups.
+) -> tuple[list[Group], np.ndarray, BatchStats, int]:
+    """Accumulate exactly ``batch_groups`` mixed-correctness groups, sampled
+    from ``params``, and the bucket of the context before every token of
+    their responses, flattened in rollout order as the objectives take it.
 
     Queries are consumed in chunks of ``batch_groups``.  ``drop_hint`` is
     the fraction of groups the filter is expected to drop (``train``
@@ -342,6 +389,7 @@ def collect_batch(
     n = config.batch_groups
     abort_after = 100 * n
     valid: list[Group] = []
+    valid_buckets: list[np.ndarray] = []  # the sampler's rows of each valid group
     stats = BatchStats()
     if reward_memo is None:
         reward_memo = {}
@@ -360,8 +408,8 @@ def collect_batch(
             rng_states.append(task_rng.bit_generator.state)
             drawn += [tasks.generate_task(config.task, task_rng) for _ in range(n)]
         qids = range(query_counter, query_counter + n_chunks * n)
-        sampled = sample_groups(
-            old_params,
+        sampled, buckets = sample_groups(
+            params,
             [query for query, _ in drawn],
             config.group_size,
             stage.max_response_len,
@@ -381,6 +429,9 @@ def collect_batch(
                 stats.absorb(group, raw, config.repetition_penalty)
                 if filter_mixed_groups([group]):
                     valid.append(group)
+                    valid_buckets.append(
+                        buckets[i * config.group_size : (i + 1) * config.group_size]
+                    )
                     consecutive_invalid = 0
                 else:
                     stats.invalid_groups += 1
@@ -391,7 +442,10 @@ def collect_batch(
                             "queries; the policy answers uniformly (all correct or all "
                             "incorrect) or the task is degenerate"
                         )
-    return valid[:n], stats, query_counter
+    # Unfilled positions hold -1, so the filled ones, row by row, are the
+    # buckets of every response token in rollout order.
+    buckets = np.concatenate(valid_buckets[:n])
+    return valid[:n], buckets[buckets >= 0], stats, query_counter
 
 
 def stage_saturated(lengths: Sequence[float], threshold: float = 0.01) -> bool:
@@ -436,7 +490,7 @@ def evaluate(
     for start in range(0, n_tasks, EVAL_CHUNK):
         chunk = eval_set[start : start + EVAL_CHUNK]
         ids = range(start, start + len(chunk))
-        sampled = sample_groups(
+        sampled, _ = sample_groups(
             params,
             [query for query, _ in chunk],
             k,
@@ -474,16 +528,18 @@ def train(
         eps_low, eps_high = sample_clip_ratios(schedule, stage_idx, clip_rng)
         window: list[float] = []
         for _ in range(stage.max_steps):
-            old = policy.copy()
-            groups, stats, query_counter = collect_batch(
-                old, stage, config, task_rng, query_counter, reward_memo, drop_hint
+            groups, buckets, stats, query_counter = collect_batch(
+                policy, stage, config, task_rng, query_counter, reward_memo, drop_hint
             )
             drop_hint = stats.invalid_groups / stats.attempted_groups
             for group in groups:
                 assert 0 < int((group.rewards > 0.5).sum()) < group.size
+            # Every iteration's ratio is against the policy that sampled the
+            # batch, so its log-probs are taken once, before any update.
+            lp_old = response_logprobs(policy, groups, buckets)
             for _ in range(config.inner_iterations):
                 objective, (rows, values) = token_mean_objective(
-                    groups, policy, old, eps_low, eps_high
+                    groups, policy, lp_old, eps_low, eps_high, buckets
                 )
                 policy.logits[rows] += config.learning_rate * values
             global_step += 1

@@ -567,26 +567,3 @@ def reward(response_answer: str, gold: str, truncated: bool) -> float:
     if truncated:
         return 0.0
     return 1.0 if verify(response_answer, gold).outcome == EQUIVALENT else 0.0
-
-
-_BOXED_RE = re.compile(r"\\boxed\s*\{")
-
-
-def extract_final_answer(text: str) -> str:
-    """Content of the last ``\\boxed{...}`` if present, else the final line."""
-    last = None
-    for m in _BOXED_RE.finditer(text):
-        depth = 1
-        i = m.end()
-        while i < len(text) and depth > 0:
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-            i += 1
-        if depth == 0:
-            last = text[m.end() : i - 1]
-    if last is not None:
-        return last.strip()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    return lines[-1] if lines else ""

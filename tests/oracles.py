@@ -3,19 +3,24 @@
 Each one computes what a library function computes by a plainer route (one
 token or one rollout at a time, without the library's packing, or by the
 algorithm the library used before), so that a test can require equal
-results.
+results.  At the end are the helpers that left the library because nothing
+in the program called them; their tests still run against them here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from rlvrlab import tasks
+from rlvrlab.curation import ProblemRecord
 from rlvrlab.objectives import RefModel, reward_advantages, shaped_advantages
-from rlvrlab.policy import PolicyParams, Rollout, bucket_of
+from rlvrlab.policy import PolicyParams, Rollout, bucket_of, sample_response
 from rlvrlab.repetition import LoopSpan
+from rlvrlab.verifier import reward
 
 
 @dataclass(frozen=True)
@@ -306,3 +311,62 @@ def detect_loop(tokens, min_period: int = 1, min_repeats: int = 3) -> LoopSpan |
             if period >= min_period:
                 return LoopSpan(start=start, period=period, repeats=repeats)
     return None
+
+
+def encode_text(text: str) -> tuple[int, ...]:
+    """Task-alphabet text as token ids: the inverse of ``tasks.decode_tokens``."""
+    alphabet = "0123456789+*="
+    if any(c not in alphabet for c in text):
+        raise ValueError(f"{text!r} has a character outside the task alphabet")
+    return tuple(alphabet.index(c) for c in text)
+
+
+def policy_answerer(params, max_len: int, temperature: float = 1.0):
+    """``fn(question, rng) -> (answer, truncated)``: the question text
+    tokenized, rolled out by the policy, and the response decoded."""
+
+    def answer(question: str, rng) -> tuple[str, bool]:
+        rollout = sample_response(params, encode_text(question), max_len, temperature, rng)
+        return tasks.decode_tokens(rollout.response), rollout.truncated
+
+    return answer
+
+
+def estimate_pass_rate(records, rollout_fn, attempts: int = 5, seed: int = 0):
+    """``records`` with the pass rate of ``attempts`` answers from
+    ``rollout_fn(question, rng)`` each, graded by ``verifier.reward``."""
+    if attempts < 1:
+        raise ValueError("attempts must be >= 1")
+    out = []
+    for idx, rec in enumerate(records):
+        hits = 0
+        for attempt in range(attempts):
+            answer, truncated = rollout_fn(rec.question, np.random.default_rng([seed, idx, attempt]))
+            hits += int(reward(answer, rec.answer, truncated))
+        out.append(replace(rec, pass_rate=hits / attempts))
+    return out
+
+
+def select_longest(records: list[ProblemRecord], k: int) -> list[ProblemRecord]:
+    """The k records with the longest responses, ties broken by id."""
+    if k > len(records):
+        raise ValueError(f"k={k} exceeds record count {len(records)}")
+    if any(rec.response_len is None for rec in records):
+        raise ValueError("response_len must be present on every record")
+    return sorted(records, key=lambda r: (-r.response_len, r.id))[:k]
+
+
+def extract_final_answer(text: str) -> str:
+    """Content of the last ``\\boxed{...}`` if present, else the final line."""
+    last = None
+    for m in re.finditer(r"\\boxed\s*\{", text):
+        depth, i = 1, m.end()
+        while i < len(text) and depth > 0:
+            depth += {"{": 1, "}": -1}.get(text[i], 0)
+            i += 1
+        if depth == 0:
+            last = text[m.end() : i - 1]
+    if last is not None:
+        return last.strip()
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    return lines[-1] if lines else ""

@@ -19,6 +19,7 @@ from rlvrlab.objectives import (
     Group,
     RefModel,
     filter_mixed_groups,
+    response_logprobs,
     sequence_mean_objective,
     shaped_advantages,
     token_mean_objective,
@@ -64,19 +65,20 @@ def test_c01_gradient_correctness():
             groups = [make_group(rng, old, i) for i in range(int(rng.integers(1, 3)))]
             if not ratios_clear_of_clip_edges(groups, params, old, 0.2, 0.3):
                 continue
+            lp_old = response_logprobs(old, groups)
             if objective == "token_mean":
-                _, grad = token_mean_objective(groups, params, old, 0.2, 0.3)
+                _, grad = token_mean_objective(groups, params, lp_old, 0.2, 0.3)
                 grad = oracles.dense(grad, params)
                 fd = fd_table_gradient(
-                    lambda p: token_mean_objective(groups, p, old, 0.2, 0.3)[0],
+                    lambda p: token_mean_objective(groups, p, lp_old, 0.2, 0.3)[0],
                     params,
                 )
             else:
                 ref = RefModel.capture(make_params(rng, scale=0.8))
-                _, grad = sequence_mean_objective(groups, params, old, ref, 0.04, 0.2)
+                _, grad = sequence_mean_objective(groups, params, lp_old, ref, 0.04, 0.2)
                 grad = oracles.dense(grad, params)
                 fd = fd_table_gradient(
-                    lambda p: sequence_mean_objective(groups, p, old, ref, 0.04, 0.2)[0],
+                    lambda p: sequence_mean_objective(groups, p, lp_old, ref, 0.04, 0.2)[0],
                     params,
                 )
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)

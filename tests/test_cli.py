@@ -246,6 +246,26 @@ class TestTrainEvalReport:
             ("[]", "TrainConfig must be an object"),
             ('{"min_repeats": 0}', "min_period and min_repeats must be >= 1"),
             ('{"inner_iterations": 0}', "inner_iterations must be >= 1"),
+            ('{"temperature": 0}', "temperature must be positive"),
+            ('{"temperature": NaN}', "temperature must be a finite number, got nan"),
+            ('{"learning_rate": NaN}', "learning_rate must be a finite number, got nan"),
+            ('{"learning_rate": Infinity}', "learning_rate must be a finite number, got inf"),
+            ('{"learning_rate": 1%s}' % ("0" * 400), "int too large to convert to float"),
+            ('{"format_bias": NaN}', "format_bias must be a finite number, got nan"),
+            ('{"buckets": -5}', "buckets must be >= 1"),
+            ('{"buckets": 0}', "buckets must be >= 1"),
+            ('{"stages": [{"max_response_len": 0}]}', "max_response_len must be >= 1"),
+            ('{"stages": [{"max_response_len": 4, "clip_high": 1.5}]}',
+             "clip value 1.5 outside (0, 1)"),
+            ('{"stages": [{"max_response_len": 4, "saturation_window": 1}]}',
+             "saturation_window must be 0 (off) or >= 2"),
+            ('{"eval_every": 1, "eval_k": 0}',
+             "eval_every must be >= 0, and eval_k and eval_tasks >= 1"),
+            ('{"eval_every": 1, "eval_tasks": 0}',
+             "eval_every must be >= 0, and eval_k and eval_tasks >= 1"),
+            ('{"seed": -1}', "seed must be >= 0"),
+            ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+            ('{"repetition_penalty": "no"}', "repetition_penalty must be true or false"),
         ],
         ids=[
             "unknown_key",
@@ -256,6 +276,22 @@ class TestTrainEvalReport:
             "not_object",
             "nonpositive_min_repeats",
             "zero_inner_iterations",
+            "zero_temperature",
+            "nan_temperature",
+            "nan_learning_rate",
+            "infinite_learning_rate",
+            "huge_learning_rate",
+            "nan_format_bias",
+            "negative_buckets",
+            "zero_buckets",
+            "zero_max_response_len",
+            "clip_high_above_one",
+            "one_entry_saturation_window",
+            "zero_eval_k",
+            "zero_eval_tasks",
+            "negative_seed",
+            "fractional_seed",
+            "string_repetition_penalty",
         ],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, text, message):
@@ -391,8 +427,19 @@ class TestOutputsAndNumbers:
             ("eval --ckpt {ckpt} --temperature nan", "--temperature must be positive, got nan"),
             ("eval --ckpt {ckpt} --max-len 0", "--max-len must be positive, got 0"),
             ("eval --ckpt {ckpt} --n-tasks 0", "--n-tasks must be positive, got 0"),
+            ("eval --ckpt {ckpt} --seed -1", "--seed must be >= 0, got -1"),
+            ("train --config {config} --out-dir {out} --seed -1", "--seed must be >= 0, got -1"),
         ],
-        ids=["ngram", "k", "temperature", "temperature_nan", "max_len", "n_tasks"],
+        ids=[
+            "ngram",
+            "k",
+            "temperature",
+            "temperature_nan",
+            "max_len",
+            "n_tasks",
+            "eval_negative_seed",
+            "train_negative_seed",
+        ],
     )
     def test_nonpositive_number_exits_two(self, capsys, inputs, template, message):
         assert dispatch(command(template, **inputs)) == 2

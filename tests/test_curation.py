@@ -13,15 +13,14 @@ from rlvrlab.curation import (
     answer_length_filter,
     decontaminate,
     difficulty_filter,
-    estimate_pass_rate,
     exact_dedup,
     ngram_dedup,
     read_records,
     run_pipeline,
-    select_longest,
     style_filter,
     write_records,
 )
+from oracles import estimate_pass_rate, policy_answerer, select_longest
 from curation_fixture import (
     EXPECTED_FINAL,
     EXPECTED_STAGE_EXCLUSIONS,
@@ -181,7 +180,7 @@ class TestEstimatePassRate:
         assert r.pass_rate is None
 
     def test_toy_policy_as_the_roller(self):
-        from rlvrlab.tasks import TaskSpec, policy_answerer
+        from rlvrlab.tasks import TaskSpec
         from rlvrlab.trainer import StagePlan, TrainConfig, init_policy
         from test_trainer import oracle_policy
 

@@ -10,6 +10,7 @@ from rlvrlab.objectives import (
     Group,
     RefModel,
     filter_mixed_groups,
+    response_logprobs,
     reward_advantages,
     sample_clip_ratios,
     sequence_mean_objective,
@@ -113,6 +114,36 @@ class TestShapedAdvantages:
             [1.73205081, -0.57735027, -0.57735027, -0.57735027],
             atol=1e-6,
         )
+
+    @given(
+        st.integers(1, 12),
+        st.integers(2, 16),
+        st.sampled_from(["uniform", "grid", "zero"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_per_group_calls(self, groups, size, penalty_kind, seed):
+        # One call over a (groups, G) array equals one call per group, bit
+        # for bit, degenerate groups included.
+        rng = np.random.default_rng(seed)
+        rewards = rng.integers(0, 2, (groups, size)).astype(float)
+        rewards[rng.random(groups) < 0.3] = 1.0  # all-correct groups
+        rewards[0] = 1.0
+        if penalty_kind == "uniform":
+            penalties = rng.uniform(0, 1, (groups, size))
+        elif penalty_kind == "grid":
+            penalties = rng.choice([0.0, 0.25, 0.5, 1.0], (groups, size))
+        else:
+            penalties = np.zeros((groups, size))
+        rows = shaped_advantages(rewards, penalties)
+        assert rows.values.shape == (groups, size)
+        assert rows.degenerate.shape == (groups,)
+        for i in range(groups):
+            one = shaped_advantages(rewards[i], penalties[i])
+            assert np.array_equal(rows.values[i], one.values)
+            assert bool(rows.degenerate[i]) == bool(one.degenerate)
+        if penalty_kind == "zero":
+            assert rows.degenerate[0]
 
     @given(
         st.lists(st.integers(0, 1), min_size=2, max_size=16),
@@ -256,7 +287,7 @@ class TestTokenMeanObjective:
         rng = np.random.default_rng(0)
         params = make_params(rng)
         with pytest.raises(ValueError):
-            token_mean_objective([], params, params, 0.2, 0.2)
+            token_mean_objective([], params, np.empty(0), 0.2, 0.2)
 
     def test_on_policy_identity(self):
         # With params == old_params every ratio is 1: J is the
@@ -265,7 +296,8 @@ class TestTokenMeanObjective:
         rng = np.random.default_rng(5)
         params = make_params(rng)
         groups = [make_group(rng, params, i) for i in range(2)]
-        j, grad = token_mean_objective(groups, params, params, 0.2, 0.2)
+        lp_old = response_logprobs(params, groups)
+        j, grad = token_mean_objective(groups, params, lp_old, 0.2, 0.2)
         grad = oracles.dense(grad, params)
 
         total = sum(len(r.response) for g in groups for r in g.rollouts)
@@ -292,7 +324,8 @@ class TestTokenMeanObjective:
         params = make_params(rng)
         rollouts = tuple(make_rollout(rng, params, 3) for _ in range(3))
         g = Group(0, rollouts, np.ones(3), np.ones(3))  # zero variance
-        j, grad = token_mean_objective([g], params, params, 0.2, 0.2)
+        lp_old = response_logprobs(params, [g])
+        j, grad = token_mean_objective([g], params, lp_old, 0.2, 0.2)
         grad = oracles.dense(grad, params)
         assert j == 0.0
         np.testing.assert_array_equal(grad, np.zeros_like(grad))
@@ -308,10 +341,11 @@ class TestTokenMeanObjective:
             groups = [make_group(rng, old, i) for i in range(int(rng.integers(1, 3)))]
             if not ratios_clear_of_clip_edges(groups, params, old, 0.2, 0.3):
                 continue
-            j, grad = token_mean_objective(groups, params, old, 0.2, 0.3)
+            lp_old = response_logprobs(old, groups)
+            j, grad = token_mean_objective(groups, params, lp_old, 0.2, 0.3)
             grad = oracles.dense(grad, params)
             fd = fd_table_gradient(
-                lambda p: token_mean_objective(groups, p, old, 0.2, 0.3)[0], params
+                lambda p: token_mean_objective(groups, p, lp_old, 0.2, 0.3)[0], params
             )
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4, f"seed {seed}: rel err {rel}"
@@ -329,9 +363,10 @@ class TestSequenceMeanObjective:
             rollouts = tuple(make_rollout(rng, old, 4) for _ in range(3))
             rewards = np.array([1.0, 0.0, 0.0])
             groups.append(Group(i, rollouts, rewards, np.zeros(3)))
-        j_seq, g_seq = sequence_mean_objective(groups, params, old, ref, 0.0, 0.2)
+        lp_old = response_logprobs(old, groups)
+        j_seq, g_seq = sequence_mean_objective(groups, params, lp_old, ref, 0.0, 0.2)
         g_seq = oracles.dense(g_seq, params)
-        j_tok, g_tok = token_mean_objective(groups, params, old, 0.2, 0.2)
+        j_tok, g_tok = token_mean_objective(groups, params, lp_old, 0.2, 0.2)
         g_tok = oracles.dense(g_tok, params)
         assert j_seq == pytest.approx(j_tok, rel=1e-12)
         np.testing.assert_allclose(g_seq, g_tok, atol=1e-12)
@@ -342,9 +377,10 @@ class TestSequenceMeanObjective:
         params = make_params(rng)
         groups = [make_group(rng, old, 0)]
         ref = RefModel.capture(params)
-        j0, g0 = sequence_mean_objective(groups, params, old, ref, 0.0, 0.2)
+        lp_old = response_logprobs(old, groups)
+        j0, g0 = sequence_mean_objective(groups, params, lp_old, ref, 0.0, 0.2)
         g0 = oracles.dense(g0, params)
-        j1, g1 = sequence_mean_objective(groups, params, old, ref, 0.7, 0.2)
+        j1, g1 = sequence_mean_objective(groups, params, lp_old, ref, 0.7, 0.2)
         g1 = oracles.dense(g1, params)
         assert j0 == pytest.approx(j1, abs=1e-12)
         np.testing.assert_allclose(g0, g1, atol=1e-12)
@@ -359,8 +395,9 @@ class TestSequenceMeanObjective:
         long = make_rollout(rng, params, 20)
         g = Group(0, (short, long), np.array([1.0, 0.0]), np.zeros(2))
         ref = RefModel.capture(params)
-        j_tok, _ = token_mean_objective([g], params, params, 0.2, 0.2)
-        j_seq, _ = sequence_mean_objective([g], params, params, ref, 0.0, 0.2)
+        lp_old = response_logprobs(params, [g])
+        j_tok, _ = token_mean_objective([g], params, lp_old, 0.2, 0.2)
+        j_seq, _ = sequence_mean_objective([g], params, lp_old, ref, 0.0, 0.2)
         assert j_tok == pytest.approx((2 * 1.0 + 20 * -1.0) / 22)
         assert j_seq == pytest.approx(0.0, abs=1e-12)
         assert abs(j_tok - j_seq) > 0.5
@@ -377,10 +414,11 @@ class TestSequenceMeanObjective:
             groups = [make_group(rng, old, i) for i in range(int(rng.integers(1, 3)))]
             if not ratios_clear_of_clip_edges(groups, params, old, 0.2, 0.2):
                 continue
-            j, grad = sequence_mean_objective(groups, params, old, ref, 0.04, 0.2)
+            lp_old = response_logprobs(old, groups)
+            j, grad = sequence_mean_objective(groups, params, lp_old, ref, 0.04, 0.2)
             grad = oracles.dense(grad, params)
             fd = fd_table_gradient(
-                lambda p: sequence_mean_objective(groups, p, old, ref, 0.04, 0.2)[0],
+                lambda p: sequence_mean_objective(groups, p, lp_old, ref, 0.04, 0.2)[0],
                 params,
             )
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
@@ -438,11 +476,12 @@ class TestPackedObjectiveMatchesOracle:
             params = current_params(rng, old, seed % 3)
             groups = oracle_batch(rng, old)
             eps_low, eps_high = (float(e) for e in rng.uniform(0.05, 0.5, 2))
+            lp_old = response_logprobs(old, groups)
             if not any(ro.response for g in groups for ro in g.rollouts):
                 with pytest.raises(ValueError):
-                    token_mean_objective(groups, params, old, eps_low, eps_high)
+                    token_mean_objective(groups, params, lp_old, eps_low, eps_high)
                 continue
-            j, grad = token_mean_objective(groups, params, old, eps_low, eps_high)
+            j, grad = token_mean_objective(groups, params, lp_old, eps_low, eps_high)
             grad = oracles.dense(grad, params)
             want_j, want_grad = oracles.token_mean_objective(
                 groups, params, old, eps_low, eps_high
@@ -463,7 +502,8 @@ class TestPackedObjectiveMatchesOracle:
             else:
                 ref = RefModel.capture(make_params(rng))
             beta, eps = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.05, 0.5))
-            j, grad = sequence_mean_objective(groups, params, old, ref, beta, eps)
+            lp_old = response_logprobs(old, groups)
+            j, grad = sequence_mean_objective(groups, params, lp_old, ref, beta, eps)
             grad = oracles.dense(grad, params)
             want_j, want_grad = oracles.sequence_mean_objective(
                 groups, params, old, ref, beta, eps
@@ -484,9 +524,10 @@ class TestPackedObjectiveMatchesOracle:
                 continue
             want = np.unique(context_buckets(params, nonempty)[0])
             ref = RefModel.capture(make_params(rng, k=3, buckets=23))
+            lp_old = response_logprobs(old, groups)
             for _, (rows, values) in (
-                token_mean_objective(groups, params, old, 0.2, 0.28),
-                sequence_mean_objective(groups, params, old, ref, 0.1, 0.2),
+                token_mean_objective(groups, params, lp_old, 0.2, 0.28),
+                sequence_mean_objective(groups, params, lp_old, ref, 0.1, 0.2),
             ):
                 assert np.array_equal(rows, want), f"seed {seed}"
                 assert values.shape == (len(want), params.vocab.size)
@@ -497,9 +538,10 @@ class TestPackedObjectiveMatchesOracle:
         rollouts = tuple(make_rollout(rng, params, 0) for _ in range(3))
         groups = [Group(0, rollouts, np.array([1.0, 0.0, 0.0]), np.zeros(3))]
         ref = RefModel.capture(make_params(rng))
-        j, grad = sequence_mean_objective(groups, params, params, ref, 0.5, 0.2)
+        lp_old = response_logprobs(params, groups)
+        j, grad = sequence_mean_objective(groups, params, lp_old, ref, 0.5, 0.2)
         grad = oracles.dense(grad, params)
         assert j == 0.0
         assert not grad.any()
         with pytest.raises(ValueError):
-            token_mean_objective(groups, params, params, 0.2, 0.2)
+            token_mean_objective(groups, params, lp_old, 0.2, 0.2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlvrlab.objectives import Group, token_mean_objective
+from rlvrlab.objectives import Group, response_logprobs, token_mean_objective
 from rlvrlab.policy import (
     PolicyParams,
     Rollout,
@@ -237,14 +237,15 @@ class TestSampleResponse:
         rng = np.random.default_rng(9)
         params = random_params(rng, vocab_size=6, scale=1.5)
         queries = [(0, 1), (2,), (3, 4), ()]
-        sampled = sample_groups(
+        sampled, _ = sample_groups(
             params, queries, 4, 8, 0.25, [np.random.default_rng(i) for i in range(4)]
         )
         groups = [
             Group(g, rollouts, np.array([1.0, 0.0, 1.0, 0.0]), rng.uniform(0, 1, 4))
             for g, rollouts in enumerate(sampled)
         ]
-        got_j, got_grad = token_mean_objective(groups, params, params.copy(), 0.2, 0.28)
+        lp_old = response_logprobs(params, groups)
+        got_j, got_grad = token_mean_objective(groups, params, lp_old, 0.2, 0.28)
         got_grad = oracles.dense(got_grad, params)
         want_j, want_grad = oracles.token_mean_objective(
             groups, params, params.copy(), 0.2, 0.28
@@ -288,7 +289,7 @@ class TestSampleResponse:
             want = reference_sample(
                 params, query, max_len, temperature, np.random.default_rng(seed), greedy
             )
-            ((got,),) = sample_groups(
+            ((got,),), _ = sample_groups(
                 params,
                 [query],
                 1,
@@ -307,12 +308,47 @@ class TestSampleGroups:
         rng = np.random.default_rng(8)
         params = random_params(rng, vocab_size=5, scale=1.0)
         rngs = [np.random.default_rng(i) for i in range(2)]
-        groups = sample_groups(params, [(0, 1), (2,)], 3, 7, 0.7, rngs)
+        groups, _ = sample_groups(params, [(0, 1), (2,)], 3, 7, 0.7, rngs)
         assert [len(g) for g in groups] == [3, 3]
         for query, group in zip([(0, 1), (2,)], groups):
             for ro in group:
                 assert ro.query == query and 1 <= len(ro.response) <= 7
                 assert ro.truncated == (4 not in ro.response)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.integers(1, 5),
+        vocab_size=st.integers(2, 10),
+        buckets=st.sampled_from([1, 7, 64, 16384]),
+        group_size=st.integers(1, 4),
+        max_len=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_buckets_are_the_context_buckets(
+        self, order, vocab_size, buckets, group_size, max_len, seed, data
+    ):
+        # The bucket array read at each rollout's filled positions, in
+        # rollout order, is context_buckets of the returned rollouts, and
+        # every position past a rollout's last token holds -1.
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, vocab_size, order, buckets, scale=2.0)
+        queries = data.draw(
+            st.lists(
+                st.lists(st.integers(0, vocab_size - 1), max_size=6).map(tuple),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(queries))]
+        groups, got = sample_groups(params, queries, group_size, max_len, 1.0, rngs)
+        rollouts = [ro for group in groups for ro in group]
+        assert got.shape == (len(rollouts), max_len)
+        lengths = np.array([len(ro.response) for ro in rollouts])
+        filled = np.arange(max_len) < lengths[:, None]
+        want, _ = context_buckets(params, rollouts)
+        assert np.array_equal(got[filled], want)
+        assert (got[~filled] == -1).all()
 
     def test_generator_count_must_match(self):
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)

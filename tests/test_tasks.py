@@ -8,9 +8,10 @@ from rlvrlab.tasks import (
     TIMES,
     TaskSpec,
     decode_tokens,
-    encode_text,
     generate_task,
 )
+
+from oracles import encode_text
 
 
 class TestGenerateTask:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rlvrlab import repetition, tasks, trainer, verifier
-from rlvrlab.policy import PolicyParams, bucket_of
+from rlvrlab.policy import PolicyParams, bucket_of, context_buckets
 from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_task
 from rlvrlab.trainer import (
     CollectAbort,
@@ -21,6 +21,8 @@ from rlvrlab.trainer import (
     stage_saturated,
     train,
 )
+
+import oracles
 
 
 def tiny_config(**overrides):
@@ -152,10 +154,12 @@ class TestCollectBatch:
         cfg = tiny_config()
         params = init_policy(cfg)
         rng = np.random.default_rng([cfg.seed, 0])
-        groups, stats, counter = collect_batch(
+        groups, buckets, stats, counter = collect_batch(
             params, cfg.stages[0], cfg, rng, query_counter=0
         )
         assert len(groups) == cfg.batch_groups
+        rollouts = [ro for g in groups for ro in g.rollouts]
+        assert np.array_equal(buckets, context_buckets(params, rollouts)[0])
         for g in groups:
             correct = int((g.rewards > 0.5).sum())
             assert 0 < correct < g.size
@@ -173,7 +177,7 @@ class TestCollectBatch:
         )
         params = init_policy(cfg)
         rng = np.random.default_rng([cfg.seed, 0])
-        groups, _, _ = collect_batch(params, cfg.stages[0], cfg, rng, 0)
+        groups, _, _, _ = collect_batch(params, cfg.stages[0], cfg, rng, 0)
         seen_truncated = 0
         for g in groups:
             for ro, rew in zip(g.rollouts, g.rewards):
@@ -186,7 +190,7 @@ class TestCollectBatch:
         cfg = tiny_config()
         params = init_policy(cfg)
         rng = np.random.default_rng([cfg.seed, 0])
-        groups, _, _ = collect_batch(params, cfg.stages[0], cfg, rng, 0)
+        groups, _, _, _ = collect_batch(params, cfg.stages[0], cfg, rng, 0)
         cap = cfg.stages[0].max_response_len
         assert all(len(ro.response) <= cap for g in groups for ro in g.rollouts)
 
@@ -202,14 +206,14 @@ class TestCollectBatch:
         # One 16-query chunk against the same queries consumed one at a time.
         chunked = tiny_config(batch_groups=16)
         params = init_policy(chunked)
-        groups, _, counter = collect_batch(
+        groups, _, _, counter = collect_batch(
             params, chunked.stages[0], chunked, np.random.default_rng([7, 0]), 0
         )
         alone = tiny_config(batch_groups=1)
         task_rng = np.random.default_rng([7, 0])
         singles, qid = {}, 0
         while qid < counter:
-            (group,), _, qid = collect_batch(
+            (group,), _, _, qid = collect_batch(
                 params, alone.stages[0], alone, task_rng, qid
             )
             singles[group.query_id] = group
@@ -234,12 +238,13 @@ class TestOneLockstepCallPerStep:
         for hint in (0.0, 0.5, 0.95):
             task_rng, counter, steps = np.random.default_rng([7, 0]), 0, []
             for _ in range(3):
-                groups, stats, counter = collect_batch(
+                groups, buckets, stats, counter = collect_batch(
                     params, cfg.stages[0], cfg, task_rng, counter, drop_hint=hint
                 )
                 steps.append(
                     (
                         [[r.response for r in g.rollouts] for g in groups],
+                        buckets.tolist(),
                         [g.rewards.tolist() for g in groups],
                         [g.penalties.tolist() for g in groups],
                         stats,
@@ -259,7 +264,7 @@ class TestOneLockstepCallPerStep:
 
         def spy_collect(*args):
             out = real_collect(*args)
-            counters.append(out[2])
+            counters.append(out[3])
             return out
 
         real_sample, real_collect = trainer.sample_groups, trainer.collect_batch
@@ -283,7 +288,7 @@ class TestScoringMemo:
     @pytest.mark.parametrize("penalty", [True, False])
     def test_scores_equal_direct_calls(self, penalty):
         cfg = tiny_config(loop_boost=6.0, repetition_penalty=penalty, batch_groups=8)
-        groups, stats, _ = collect_batch(
+        groups, _, stats, _ = collect_batch(
             init_policy(cfg), cfg.stages[0], cfg, np.random.default_rng([7, 0]), 0
         )
         for g in groups:
@@ -320,7 +325,7 @@ class TestScoringMemo:
         for _ in range(3):
             reward_calls.clear()
             score_calls.clear()
-            groups, stats, counter = collect_batch(
+            groups, _, stats, counter = collect_batch(
                 params, cfg.stages[0], cfg, task_rng, counter
             )
             assert reward_calls and score_calls
@@ -349,7 +354,7 @@ class TestScoringMemo:
 
         def recording(params, queries, *args):
             out = sample_groups(params, queries, *args)
-            sampled.extend(zip(queries, out))
+            sampled.extend(zip(queries, out[0]))
             return out
 
         sample_groups = trainer.sample_groups
@@ -418,6 +423,39 @@ class TestTrain:
         )
         result = train(cfg)
         assert len(result.metrics) == 6
+
+    def test_inner_iterations_take_the_step_start_logprobs(self):
+        # Two updates of one batch, both against an explicit snapshot of the
+        # policy that sampled it, through the per-rollout oracle.  Taking
+        # the old log-probs again before the second update would make its
+        # ratios 1 and its gradient differ.
+        cfg = tiny_config(stages=(StagePlan(12, max_steps=1),), inner_iterations=2)
+        result = train(cfg)
+        snapshot = init_policy(cfg)
+        policy = init_policy(cfg)
+        groups, _, _, _ = collect_batch(
+            snapshot, cfg.stages[0], cfg, np.random.default_rng([cfg.seed, 0]), 0, {}
+        )
+        for _ in range(cfg.inner_iterations):
+            j, grad = oracles.token_mean_objective(groups, policy, snapshot, 0.2, 0.2)
+            policy.logits += cfg.learning_rate * grad
+        assert np.array_equal(result.policy.logits, policy.logits)
+        assert result.metrics[0].objective == pytest.approx(j, abs=1e-12)
+        assert not np.array_equal(policy.logits, snapshot.logits)
+
+    def test_one_policy_copy_per_stage(self, monkeypatch):
+        calls = []
+
+        def spy_copy(self):
+            calls.append(self)
+            return real_copy(self)
+
+        real_copy = PolicyParams.copy
+        monkeypatch.setattr(PolicyParams, "copy", spy_copy)
+        cfg = tiny_config(stages=(StagePlan(12, max_steps=3), StagePlan(16, max_steps=4)))
+        result = train(cfg)
+        assert len(result.metrics) == 7
+        assert len(calls) == len(cfg.stages)
 
     def test_improves_reward_on_tiny_budget(self):
         cfg = tiny_config(

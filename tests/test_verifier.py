@@ -14,12 +14,12 @@ from rlvrlab.verifier import (
     NOT_EQUIVALENT,
     UNVERIFIABLE,
     Verdict,
-    extract_final_answer,
     normalize,
     parse_math,
     reward,
     verify,
 )
+from oracles import extract_final_answer
 from verifier_corpus import (
     EQUIVALENT_PAIRS,
     NOT_EQUIVALENT_PAIRS,
