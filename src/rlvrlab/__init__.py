@@ -29,6 +29,7 @@ from .policy import (
     Rollout,
     Vocab,
     load_checkpoint,
+    rollouts_from,
     sample_groups,
     sample_response,
     save_checkpoint,

@@ -124,14 +124,12 @@ def reward_advantages(rewards: np.ndarray | Sequence[float]) -> AdvantageSet:
     return shaped_advantages(r, np.zeros_like(r))
 
 
-def filter_mixed_groups(groups: Sequence[Group]) -> list[Group]:
-    """Keep only groups whose rollouts are neither all correct nor all wrong."""
-    kept = []
-    for g in groups:
-        correct = int((g.rewards > 0.5).sum())
-        if 0 < correct < g.size:
-            kept.append(g)
-    return kept
+def filter_mixed_groups(rewards: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a ``(groups, G)`` reward array, one group per
+    row, whose rollouts are neither all correct nor all wrong."""
+    rewards = np.asarray(rewards)
+    correct = (rewards > 0.5).sum(axis=1)
+    return np.flatnonzero((correct > 0) & (correct < rewards.shape[1]))
 
 
 def sample_clip_ratios(

@@ -28,6 +28,12 @@ DEFAULT_BUCKETS = 4096
 _HASH_MULT = 1000003
 _HASH_MASK = (1 << 64) - 1
 
+# Positions of Gumbel noise drawn at once by ``sample_groups``: a short
+# first block, since most rollouts end within a few tokens, then blocks
+# capped to bound the noise array for the long stragglers.
+FIRST_BLOCK = 4
+BLOCK = 8
+
 
 @dataclass(frozen=True)
 class Vocab:
@@ -119,27 +125,27 @@ def log_softmax_at(
 
 
 @functools.lru_cache(maxsize=8)
-def _hash_powers(order: int) -> np.ndarray:
+def _hash_terms(order: int) -> tuple[np.ndarray, np.uint64]:
     """Read-only powers of the hash multiplier, mod 2**64, for a window of
-    ``order`` tokens, highest first."""
+    ``order`` tokens, highest first, and their sum."""
     powers = np.array(
         [pow(_HASH_MULT, order - 1 - j, 1 << 64) for j in range(order)],
         dtype=np.uint64,
     )
     powers.setflags(write=False)
-    return powers
+    return powers, powers.sum(dtype=np.uint64)
 
 
 def window_buckets(windows: np.ndarray, buckets: int) -> np.ndarray:
     """``bucket_of`` of every row of an ``(n, order)`` array of windows.
 
     The same polynomial hash, expanded into a dot product with the powers
-    of the multiplier; uint64 arithmetic wraps like the 64-bit mask.
+    of the multiplier, plus their sum for the +1 on every token; uint64
+    arithmetic wraps like the 64-bit mask.
     """
     windows = np.asarray(windows, dtype=np.uint64)
-    h = ((windows + np.uint64(1)) * _hash_powers(windows.shape[1])).sum(
-        axis=1, dtype=np.uint64
-    )
+    powers, offset = _hash_terms(windows.shape[1])
+    h = windows @ powers + offset
     return (h % np.uint64(buckets)).astype(np.int64)
 
 
@@ -150,24 +156,31 @@ def sample_groups(
     max_len: int,
     temperature: float,
     rngs: Sequence[np.random.Generator],
-    greedy: bool = False,
-) -> tuple[list[tuple[Rollout, ...]], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``group_size`` rollouts of every query, all in lockstep.
 
-    Each iteration advances every live rollout by one token position.  At
-    each position where some rollout of query ``g`` is still live,
-    ``rngs[g]`` draws one ``(group_size, vocab)`` block of uniforms, and
-    rollout ``i`` takes row ``i`` of it as Gumbel noise.  A group's
-    rollouts thus depend only on its query and its generator, never on
+    Each iteration advances every live rollout by one token position.  The
+    Gumbel noise is drawn in blocks of positions: the first block covers
+    ``FIRST_BLOCK`` positions and every later one ``BLOCK``.  At the start
+    of a block, ``rngs[g]`` of every query ``g`` with a live rollout draws
+    one ``(block, group_size, vocab)`` array of uniforms, position-major,
+    and rollout ``i`` takes row ``[t, i]`` of it at position ``t`` of the
+    block.  So every value used at a position is the one a draw of a
+    ``(group_size, vocab)`` block at each live position would give: a
+    group's rollouts depend only on its query and its generator, never on
     which other queries share the call, and one query with one rollout
-    draws exactly the stream of a token-at-a-time sampler.
+    uses exactly the stream of a token-at-a-time sampler.  A generator
+    is advanced past the whole block it drew, not just the positions its
+    rollouts used.
 
-    Returns the groups of rollouts and the ``(len(queries) * group_size,
-    max_len)`` array of the buckets it hashed.  Row ``g * group_size + i``
-    belongs to rollout ``i`` of query ``g``: column ``t`` holds the bucket
-    of the context before its token ``t``, and -1 past its last token.
-    Its non-negative entries, in row-major order, are ``context_buckets``
-    of the rollouts, so the objectives need not hash the contexts again.
+    Returns two ``(len(queries) * group_size, max_len)`` arrays, the
+    tokens and the buckets the sampler hashed.  Row ``g * group_size + i``
+    belongs to rollout ``i`` of query ``g``: column ``t`` holds its token
+    ``t`` and the bucket of the context before it, and both hold -1 past
+    its last token.  A rollout ends at its first eos or at ``max_len``
+    tokens; it is truncated when its last token is not eos.  The
+    non-negative buckets, in row-major order, are ``context_buckets`` of
+    the rollouts, so the objectives need not hash the contexts again.
 
     Temperature scales the sampling distribution only.  The sampler returns
     tokens, not log-probabilities: the surrogate objectives take the old
@@ -177,7 +190,7 @@ def sample_groups(
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if temperature <= 0:
-        raise ValueError("temperature must be positive (use greedy=True for argmax)")
+        raise ValueError("temperature must be positive")
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
     if len(rngs) != len(queries):
@@ -186,55 +199,69 @@ def sample_groups(
     vocab, k = params.vocab, params.k
     n = len(queries) * group_size
     # Row r holds rollout r's context history: the padded query tail, then
-    # its response; the window before position t is columns t..t+k-1.
-    history = np.empty((n, k + max_len), dtype=np.int64)
+    # its response, -1 past its end; the window before position t is
+    # columns t..t+k-1.
+    history = np.full((n, k + max_len), -1, dtype=np.int64)
     for g, query in enumerate(queries):
         block = slice(g * group_size, (g + 1) * group_size)
         history[block, :k] = ((vocab.begin_marker,) * k + tuple(query))[-k:]
-    lengths = np.full(n, max_len)
     buckets = np.full((n, max_len), -1, dtype=np.int64)
-    noise = np.empty((len(queries), group_size, vocab.size))
     live = np.arange(n)
-    for t in range(max_len):
-        live_buckets = window_buckets(history[live, t : t + k], params.buckets)
-        buckets[live, t] = live_buckets
-        rows = params.logits[live_buckets]
-        if not np.isfinite(rows).all():
-            raise ValueError("logits table contains non-finite entries")
-        if greedy:
-            toks = rows.argmax(axis=1)
-        else:
+    start = 0
+    while live.size and start < max_len:
+        stop = min(max_len, start + (BLOCK if start else FIRST_BLOCK))
+        width = stop - start
+        # One block of noise per live group, in the order of the groups;
+        # rollout i of the j-th live group reads row (j * width + t) *
+        # group_size + i of it at position start + t.
+        groups, slot = np.unique(live // group_size, return_inverse=True)
+        noise = np.empty((len(groups), width, group_size, vocab.size))
+        for j, g in enumerate(groups.tolist()):
+            rngs[g].random(out=noise[j])
+        # Gumbel noise -log(-log(u)), in place.
+        np.log(noise, out=noise)
+        np.negative(noise, out=noise)
+        np.log(noise, out=noise)
+        np.negative(noise, out=noise)
+        gumbel = noise.reshape(-1, vocab.size)
+        row = slot * (width * group_size) + live % group_size
+        for t in range(start, stop):
+            live_buckets = window_buckets(history[live, t : t + k], params.buckets)
+            buckets[live, t] = live_buckets
+            rows = params.logits[live_buckets]
+            if not np.isfinite(rows).all():
+                raise ValueError("logits table contains non-finite entries")
             # Gumbel-max draw from softmax(row / temperature).
-            live_groups = np.bincount(live // group_size, minlength=len(queries))
-            for g in np.flatnonzero(live_groups):
-                rngs[g].random(out=noise[g])
-            gumbel = -np.log(-np.log(noise.reshape(n, vocab.size)[live]))
-            toks = np.argmax(rows / temperature + gumbel, axis=1)
-        history[live, k + t] = toks
-        stopped = toks == vocab.eos
-        lengths[live[stopped]] = t + 1
-        live = live[~stopped]
-        if not live.size:
-            break
+            scores = gumbel[row]
+            scores += rows / temperature
+            toks = scores.argmax(axis=1)
+            history[live, k + t] = toks
+            going = toks != vocab.eos
+            live, row = live[going], row[going] + group_size
+            if not live.size:
+                break
+        start = stop
+    return history[:, k:], buckets
 
-    responses = history[:, k:].tolist()
+
+def response_of(row: Sequence[int]) -> tuple[int, ...]:
+    """The response in a row of the token array of ``sample_groups``, as a
+    list or tuple: its tokens before the first -1.  Sampling stops at eos,
+    so the response is truncated exactly when its last token is not eos."""
+    return tuple(row[: row.index(-1)] if row[-1] == -1 else row)
+
+
+def rollouts_from(
+    query: tuple[int, ...], tokens: np.ndarray, eos: int
+) -> tuple[Rollout, ...]:
+    """The rollouts of ``query`` whose rows of the token array of
+    ``sample_groups`` are ``tokens``."""
+    query = tuple(query)
     out = []
-    for g, query in enumerate(queries):
-        query = tuple(query)
-        group = []
-        for r in range(g * group_size, (g + 1) * group_size):
-            length = int(lengths[r])
-            response = tuple(responses[r][:length])
-            group.append(
-                Rollout(
-                    query=query,
-                    response=response,
-                    # Sampling stops at eos, so only a truncated one lacks it.
-                    truncated=response[-1] != vocab.eos,
-                )
-            )
-        out.append(tuple(group))
-    return out, buckets
+    for row in tokens.tolist():
+        response = response_of(row)
+        out.append(Rollout(query, response, truncated=response[-1] != eos))
+    return tuple(out)
 
 
 def sample_response(
@@ -243,12 +270,11 @@ def sample_response(
     max_len: int,
     temperature: float,
     rng: np.random.Generator,
-    greedy: bool = False,
 ) -> Rollout:
     """Sample one rollout until eos or ``max_len`` tokens: the
     one-query, one-rollout case of ``sample_groups``."""
-    groups, _ = sample_groups(params, [query], 1, max_len, temperature, [rng], greedy)
-    return groups[0][0]
+    tokens, _ = sample_groups(params, [query], 1, max_len, temperature, [rng])
+    return rollouts_from(query, tokens, params.vocab.eos)[0]
 
 
 def context_buckets(

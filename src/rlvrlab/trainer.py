@@ -7,10 +7,16 @@ tokens, takes the old log-probs of those tokens from the policy before it
 moves, and ascends the token-mean clipped surrogate against them.  A stage
 ends when its step budget runs out or when the mean response length
 saturates, and the cap then grows.
+
+Collection and evaluation work on the sampler's token arrays: each chunk
+of groups is scored as arrays of rewards and repetition scores, each
+distinct response looked up once, and ``Rollout`` and ``Group`` objects
+are built only for the groups that enter a batch.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -29,7 +35,7 @@ from .objectives import (
     sample_clip_ratios,
     token_mean_objective,
 )
-from .policy import PolicyParams, Rollout, bucket_of, sample_groups
+from .policy import PolicyParams, bucket_of, response_of, rollouts_from, sample_groups
 from .policy import sample_response  # noqa: F401  perfbench's tracer looks it up here
 from .tasks import TaskSpec
 
@@ -40,19 +46,43 @@ class CollectAbort(RuntimeError):
     """Raised when batch collection cannot find mixed-correctness groups."""
 
 
-def _clip_spec(v) -> ClipSpec:
+def _to_int(name: str, v) -> int:
+    """``v`` as an int: an integer, or a float with an integral value (JSON
+    may write 24 as 24.0).  A fraction, bool or string is a ``ValueError``."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def _to_float(name: str, v) -> float:
+    """``v`` as a float: any real number but a bool (JSON writes 1.0 as 1)."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        return float(v)
+    raise ValueError(f"{name} must be a finite number, got {v!r}")
+
+
+def _to_clip_spec(name: str, v) -> ClipSpec:
+    """``v`` as a clip spec: a number, or a pair of them (JSON writes a list
+    for a tuple)."""
     if isinstance(v, (list, tuple)):
-        lo, hi = v
-        return float(lo), float(hi)
-    return float(v)
+        if len(v) != 2:
+            raise ValueError(f"{name} must be a number or a pair, got {v!r}")
+        return _to_float(name, v[0]), _to_float(name, v[1])
+    return _to_float(name, v)
 
 
 def _coercions(cls) -> dict[str, Callable]:
     """Converters to the declared type of each field of ``cls`` declared as
-    int, float or a clip spec (JSON writes 1.0 as 1, and a list for a
-    tuple)."""
-    by_type = {"int": int, "float": float, "ClipSpec": _clip_spec}
-    return {f.name: by_type[f.type] for f in fields(cls) if f.type in by_type}
+    int, float or a clip spec; each rejects a value of another kind with a
+    ``ValueError`` naming the field."""
+    by_type = {"int": _to_int, "float": _to_float, "ClipSpec": _to_clip_spec}
+    return {
+        f.name: functools.partial(by_type[f.type], f.name)
+        for f in fields(cls)
+        if f.type in by_type
+    }
 
 
 def _check_types(obj) -> None:
@@ -272,24 +302,21 @@ def init_policy(config: TrainConfig) -> PolicyParams:
     return params
 
 
-def _reward(ro: Rollout, gold: str, memo: dict) -> float:
-    """``verifier.reward`` of a rollout, verified once per distinct
-    ``(response, gold)`` in ``memo``; a truncated rollout scores 0 unverified."""
-    if ro.truncated:
+def _reward(response: tuple[int, ...], truncated: bool, gold: str, memo: dict) -> float:
+    """``verifier.reward`` of a response, verified once per distinct
+    ``(response, gold)`` in ``memo``; a truncated one scores 0 unverified."""
+    if truncated:
         return 0.0
-    key = (ro.response, gold)
+    key = (response, gold)
     reward = memo.get(key)
     if reward is None:
-        reward = memo[key] = verifier.reward(
-            tasks.decode_tokens(ro.response), gold, False
-        )
+        reward = memo[key] = verifier.reward(tasks.decode_tokens(response), gold, False)
     return reward
 
 
-def _repetition(ro: Rollout, config: TrainConfig, memo: dict) -> float:
-    """``repetition_score`` of a rollout's content, scored once per distinct
-    content in ``memo``; an empty content scores 0."""
-    content = ro.content(tasks.EOS)
+def _repetition(content: tuple[int, ...], config: TrainConfig, memo: dict) -> float:
+    """``repetition_score`` of a response's content, scored once per
+    distinct content in ``memo``; an empty content scores 0."""
     if not content:
         return 0.0
     score = memo.get(content)
@@ -300,25 +327,43 @@ def _repetition(ro: Rollout, config: TrainConfig, memo: dict) -> float:
     return score
 
 
-def _score_group(
-    query_id: int,
-    rollouts: tuple[Rollout, ...],
-    gold: str,
-    config: TrainConfig,
+def _score(
+    tokens: np.ndarray,
+    golds: Sequence[str],
     reward_memo: dict,
-    score_memo: dict,
-) -> tuple[Group, np.ndarray]:
-    """The scored group and its rollouts' raw repetition scores, looked up
-    in (or added to) the memos.  With the penalty off the group's penalties
-    are zero, but the metrics still report the raw scores."""
-    raw = np.array([_repetition(ro, config, score_memo) for ro in rollouts])
-    group = Group(
-        query_id=query_id,
-        rollouts=rollouts,
-        rewards=np.array([_reward(ro, gold, reward_memo) for ro in rollouts]),
-        penalties=raw if config.repetition_penalty else np.zeros(len(rollouts)),
-    )
-    return group, raw
+    score_memo: Optional[dict] = None,
+    config: Optional[TrainConfig] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Rewards of the rollouts whose rows of the token array of
+    ``sample_groups`` are ``tokens``, one group per gold answer in
+    ``golds``, as a ``(len(golds), group_size)`` array; and, when
+    ``score_memo`` is given, their raw repetition scores under ``config``
+    shaped alike (else None).
+
+    One dict pass maps every rollout to its distinct ``(response, gold)``
+    pair, and only the distinct pairs are looked up in (or added to) the
+    memos.
+    """
+    group_size = len(tokens) // len(golds)
+    pairs: dict = {}
+    slots = [
+        pairs.setdefault(pair, len(pairs))
+        for pair in zip(
+            map(tuple, tokens.tolist()),
+            (gold for gold in golds for _ in range(group_size)),
+        )
+    ]
+    rewards = np.empty(len(pairs))
+    scores = None if score_memo is None else np.empty(len(pairs))
+    for j, (row, gold) in enumerate(pairs):
+        response = response_of(row)
+        truncated = response[-1] != tasks.EOS
+        rewards[j] = _reward(response, truncated, gold, reward_memo)
+        if scores is not None:
+            content = response if truncated else response[:-1]
+            scores[j] = _repetition(content, config, score_memo)
+    index = np.array(slots).reshape(len(golds), group_size)
+    return rewards[index], None if scores is None else scores[index]
 
 
 @dataclass
@@ -330,21 +375,26 @@ class BatchStats:
     reward_sum: float = 0.0
     repetition_sum: float = 0.0
 
-    def absorb(self, group: Group, scores: np.ndarray, penalty_on: bool) -> None:
-        """Add a group, with its raw repetition ``scores``."""
-        self.attempted_groups += 1
-        for ro, rew in zip(group.rollouts, group.rewards):
-            self.rollouts += 1
-            self.response_tokens += len(ro.response)
-            self.reward_sum += float(rew)
+    def absorb(
+        self,
+        tokens: np.ndarray,
+        rewards: np.ndarray,
+        scores: np.ndarray,
+        penalty_on: bool,
+    ) -> None:
+        """Add a chunk of groups: their rows of the sampler's token array,
+        and their rewards and raw repetition scores as ``(groups, G)``
+        arrays."""
+        self.attempted_groups += rewards.shape[0]
+        self.rollouts += rewards.size
+        self.response_tokens += int(np.count_nonzero(tokens >= 0))
+        # Rewards are 0 or 1, so their sum is exact in any order.
+        self.reward_sum += float(rewards.sum())
         # Summed group by group with the penalty on and score by score with
         # it off, the orders mean_repetition has always used, so that it
         # reproduces earlier runs bit for bit.
-        if penalty_on:
-            self.repetition_sum += float(scores.sum())
-        else:
-            for score in scores:
-                self.repetition_sum += float(score)
+        for x in (scores.sum(axis=1) if penalty_on else scores.ravel()).tolist():
+            self.repetition_sum += x
 
 
 # Tasks per lockstep call in ``evaluate``: bounds its arrays at
@@ -373,20 +423,22 @@ def collect_batch(
     passes the previous step's); each lockstep call samples as many whole
     chunks as that predicts the batch still needs, up to
     ``COLLECT_CHUNKS``.  The chunks are then scored and filtered in order,
-    and collection stops after the chunk that fills the batch: the chunks
-    after it were sampled but are never scored, and ``task_rng`` is
-    rewound to where they began, so the returned groups, stats and query
-    counter, and the task stream the next call sees, do not depend on the
-    hint.  Every group draws its noise from its own ``[seed, 1, query
-    index]`` generator, so a group's rollouts do not depend on the call it
-    lands in.  Aborts when 100 * batch_groups consecutive queries yield no
-    valid group, which signals a collapsed policy or a degenerate task.
+    each as arrays of rewards and repetition scores, and collection stops
+    after the chunk that fills the batch: the chunks after it were sampled
+    but are never scored, and ``task_rng`` is rewound to where they began,
+    so the returned groups, stats and query counter, and the task stream
+    the next call sees, do not depend on the hint.  ``Rollout`` and
+    ``Group`` objects are built for the returned groups only.  Every group
+    draws its noise from its own ``[seed, 1, query index]`` generator, so a
+    group's rollouts do not depend on the call it lands in.  Aborts when
+    100 * batch_groups consecutive queries yield no valid group, which
+    signals a collapsed policy or a degenerate task.
 
     ``reward_memo`` maps ``(response, gold)`` to its reward and is filled
     as rollouts are verified; ``train`` passes one for the whole run.  With
     ``None`` the memo lasts this call only.
     """
-    n = config.batch_groups
+    n, size = config.batch_groups, config.group_size
     abort_after = 100 * n
     valid: list[Group] = []
     valid_buckets: list[np.ndarray] = []  # the sampler's rows of each valid group
@@ -408,10 +460,10 @@ def collect_batch(
             rng_states.append(task_rng.bit_generator.state)
             drawn += [tasks.generate_task(config.task, task_rng) for _ in range(n)]
         qids = range(query_counter, query_counter + n_chunks * n)
-        sampled, buckets = sample_groups(
+        tokens, buckets = sample_groups(
             params,
             [query for query, _ in drawn],
-            config.group_size,
+            size,
             stage.max_response_len,
             config.temperature,
             [np.random.default_rng([config.seed, 1, qid]) for qid in qids],
@@ -422,30 +474,31 @@ def collect_batch(
                 task_rng.bit_generator.state = rng_states[c]
                 break
             query_counter += n
-            for i in range(c * n, (c + 1) * n):
-                group, raw = _score_group(
-                    qids[i], sampled[i], drawn[i][1], config, reward_memo, score_memo
+            chunk = tokens[c * n * size : (c + 1) * n * size]
+            golds = [gold for _, gold in drawn[c * n : (c + 1) * n]]
+            rewards, raw = _score(chunk, golds, reward_memo, score_memo, config)
+            stats.absorb(chunk, rewards, raw, config.repetition_penalty)
+            kept = filter_mixed_groups(rewards).tolist()
+            stats.invalid_groups += n - len(kept)
+            # The longest run of invalid queries ends at the first kept group.
+            if consecutive_invalid + (kept[0] if kept else n) >= abort_after:
+                raise CollectAbort(
+                    f"no mixed-correctness group in {abort_after} consecutive "
+                    "queries; the policy answers uniformly (all correct or all "
+                    "incorrect) or the task is degenerate"
                 )
-                stats.absorb(group, raw, config.repetition_penalty)
-                if filter_mixed_groups([group]):
-                    valid.append(group)
-                    valid_buckets.append(
-                        buckets[i * config.group_size : (i + 1) * config.group_size]
-                    )
-                    consecutive_invalid = 0
-                else:
-                    stats.invalid_groups += 1
-                    consecutive_invalid += 1
-                    if consecutive_invalid >= abort_after:
-                        raise CollectAbort(
-                            f"no mixed-correctness group in {abort_after} consecutive "
-                            "queries; the policy answers uniformly (all correct or all "
-                            "incorrect) or the task is degenerate"
-                        )
+            consecutive_invalid = n - 1 - kept[-1] if kept else consecutive_invalid + n
+            penalties = raw if config.repetition_penalty else np.zeros_like(raw)
+            for i in kept[: n - len(valid)]:
+                g = c * n + i
+                rows = slice(g * size, (g + 1) * size)
+                rollouts = rollouts_from(drawn[g][0], tokens[rows], tasks.EOS)
+                valid.append(Group(qids[g], rollouts, rewards[i], penalties[i]))
+                valid_buckets.append(buckets[rows])
     # Unfilled positions hold -1, so the filled ones, row by row, are the
     # buckets of every response token in rollout order.
-    buckets = np.concatenate(valid_buckets[:n])
-    return valid[:n], buckets[buckets >= 0], stats, query_counter
+    buckets = np.concatenate(valid_buckets)
+    return valid, buckets[buckets >= 0], stats, query_counter
 
 
 def stage_saturated(lengths: Sequence[float], threshold: float = 0.01) -> bool:
@@ -477,7 +530,9 @@ def evaluate(
 
     The tasks come from their own ``[seed, 2]`` generator and the attempts
     at task ``i`` from a ``[seed, 4, i]`` generator, so the task set does
-    not depend on the policy, on k or on the sampling.
+    not depend on the policy, on k or on the sampling.  The attempts are
+    sampled ``EVAL_CHUNK`` tasks per lockstep call and scored as arrays,
+    each distinct ``(response, gold)`` pair verified once per call.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -490,7 +545,7 @@ def evaluate(
     for start in range(0, n_tasks, EVAL_CHUNK):
         chunk = eval_set[start : start + EVAL_CHUNK]
         ids = range(start, start + len(chunk))
-        sampled, _ = sample_groups(
+        tokens, _ = sample_groups(
             params,
             [query for query, _ in chunk],
             k,
@@ -498,8 +553,8 @@ def evaluate(
             temperature,
             [np.random.default_rng([seed, 4, i]) for i in ids],
         )
-        for (_, gold), rollouts in zip(chunk, sampled):
-            hits = sum(_reward(ro, gold, reward_memo) for ro in rollouts)
+        rewards, _ = _score(tokens, [gold for _, gold in chunk], reward_memo)
+        for hits in rewards.sum(axis=1).tolist():
             total += hits / k
     return total / n_tasks
 

@@ -17,9 +17,17 @@ import numpy as np
 
 from rlvrlab import tasks
 from rlvrlab.curation import ProblemRecord
-from rlvrlab.objectives import RefModel, reward_advantages, shaped_advantages
-from rlvrlab.policy import PolicyParams, Rollout, bucket_of, sample_response
-from rlvrlab.repetition import LoopSpan
+from rlvrlab.objectives import Group, RefModel, reward_advantages, shaped_advantages
+from rlvrlab.policy import (
+    PolicyParams,
+    Rollout,
+    bucket_of,
+    rollouts_from,
+    sample_groups,
+    sample_response,
+)
+from rlvrlab.repetition import LoopSpan, repetition_score
+from rlvrlab.trainer import BatchStats
 from rlvrlab.verifier import reward
 
 
@@ -156,24 +164,134 @@ def clipped_term(
     return min(ratio * advantage, clipped * advantage)
 
 
-def reference_sample(params, query, max_len, temperature, rng, greedy=False):
+def reference_sample(params, query, max_len, temperature, rng):
     """Token-at-a-time sampler: the oracle for the lockstep one."""
     vocab = params.vocab
     window = ((vocab.begin_marker,) * params.k + tuple(query))[-params.k :]
     response, truncated = [], True
     for _ in range(max_len):
         row = params.logits[bucket_of(window, params.buckets)]
-        if greedy:
-            tok = int(np.argmax(row))
-        else:
-            gumbel = -np.log(-np.log(rng.random(vocab.size)))
-            tok = int(np.argmax(row / temperature + gumbel))
+        gumbel = -np.log(-np.log(rng.random(vocab.size)))
+        tok = int(np.argmax(row / temperature + gumbel))
         response.append(tok)
         if tok == vocab.eos:
             truncated = False
             break
         window = window[1:] + (tok,)
     return Rollout(tuple(query), tuple(response), truncated)
+
+
+def reference_lockstep(params, queries, group_size, max_len, temperature, rngs):
+    """Per-position lockstep sampler: the oracle for the block-drawn one.
+
+    At each position where some rollout of query ``g`` is live, ``rngs[g]``
+    draws one ``(group_size, vocab)`` block of uniforms and rollout ``i``
+    takes row ``i`` of it.  Returns the tokens and buckets as
+    ``sample_groups`` does: one row per rollout, -1 past its end.
+    """
+    vocab = params.vocab
+    n = len(queries) * group_size
+    tokens = np.full((n, max_len), -1, dtype=np.int64)
+    buckets = np.full((n, max_len), -1, dtype=np.int64)
+    windows = [
+        ((vocab.begin_marker,) * params.k + tuple(query))[-params.k :]
+        for query in queries
+        for _ in range(group_size)
+    ]
+    live = [True] * n
+    for t in range(max_len):
+        for g, rng in enumerate(rngs):
+            group = range(g * group_size, (g + 1) * group_size)
+            if not any(live[r] for r in group):
+                continue
+            uniforms = rng.random((group_size, vocab.size))
+            for i, r in enumerate(group):
+                if not live[r]:
+                    continue
+                b = bucket_of(windows[r], params.buckets)
+                gumbel = -np.log(-np.log(uniforms[i]))
+                tok = int(np.argmax(params.logits[b] / temperature + gumbel))
+                tokens[r, t], buckets[r, t] = tok, b
+                windows[r] = windows[r][1:] + (tok,)
+                live[r] = tok != vocab.eos
+    return tokens, buckets
+
+
+def score_group(query_id, rollouts, gold, config, reward_memo, score_memo):
+    """The scored group and its rollouts' raw repetition scores, one rollout
+    at a time through the memos: the oracle for ``collect_batch``'s array
+    scoring.  A truncated rollout scores 0 unverified; with the penalty off
+    the group's penalties are zero."""
+    rewards, raw = [], []
+    for ro in rollouts:
+        key = (ro.response, gold)
+        if ro.truncated:
+            rewards.append(0.0)
+        else:
+            if key not in reward_memo:
+                reward_memo[key] = reward(tasks.decode_tokens(ro.response), gold, False)
+            rewards.append(reward_memo[key])
+        content = ro.content(tasks.EOS)
+        if content and content not in score_memo:
+            score_memo[content] = repetition_score(
+                content, config.min_period, config.min_repeats
+            )
+        raw.append(score_memo[content] if content else 0.0)
+    raw = np.array(raw)
+    group = Group(
+        query_id,
+        tuple(rollouts),
+        np.array(rewards),
+        raw if config.repetition_penalty else np.zeros(len(rollouts)),
+    )
+    return group, raw
+
+
+def absorb(stats, group, scores, penalty_on):
+    """Add one group, with its raw repetition ``scores``, to a
+    ``BatchStats`` rollout by rollout: the oracle for its chunk form."""
+    stats.attempted_groups += 1
+    for ro, rew in zip(group.rollouts, group.rewards):
+        stats.rollouts += 1
+        stats.response_tokens += len(ro.response)
+        stats.reward_sum += float(rew)
+    if penalty_on:
+        stats.repetition_sum += float(scores.sum())
+    else:
+        for score in scores:
+            stats.repetition_sum += float(score)
+
+
+def collect_batch(params, stage, config, task_rng, query_counter, reward_memo):
+    """``collect_batch`` one chunk per sampler call, scored group by group
+    as ``Rollout`` objects, with the former loop that builds every group
+    and keeps the mixed ones."""
+    n, size = config.batch_groups, config.group_size
+    valid, valid_buckets, stats, score_memo = [], [], BatchStats(), {}
+    while len(valid) < n:
+        drawn = [tasks.generate_task(config.task, task_rng) for _ in range(n)]
+        qids = range(query_counter, query_counter + n)
+        query_counter += n
+        tokens, buckets = sample_groups(
+            params,
+            [query for query, _ in drawn],
+            size,
+            stage.max_response_len,
+            config.temperature,
+            [np.random.default_rng([config.seed, 1, qid]) for qid in qids],
+        )
+        for i, ((query, gold), qid) in enumerate(zip(drawn, qids)):
+            rows = slice(i * size, (i + 1) * size)
+            rollouts = rollouts_from(query, tokens[rows], tasks.EOS)
+            group, raw = score_group(qid, rollouts, gold, config, reward_memo, score_memo)
+            absorb(stats, group, raw, config.repetition_penalty)
+            if 0 < int((group.rewards > 0.5).sum()) < size:
+                valid.append(group)
+                valid_buckets.append(buckets[rows])
+            else:
+                stats.invalid_groups += 1
+    buckets = np.concatenate(valid_buckets[:n])
+    return valid[:n], buckets[buckets >= 0], stats, query_counter
 
 
 def _accumulate_clipped(

@@ -266,6 +266,19 @@ class TestTrainEvalReport:
             ('{"seed": -1}', "seed must be >= 0"),
             ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
             ('{"repetition_penalty": "no"}', "repetition_penalty must be true or false"),
+            ('{"stages": [{"max_response_len": 12.7}]}',
+             "max_response_len must be an integer, got 12.7"),
+            ('{"stages": [{"max_response_len": 4, "max_steps": 2.9}]}',
+             "max_steps must be an integer, got 2.9"),
+            ('{"task": {"modulus": 7.9}}', "modulus must be an integer, got 7.9"),
+            ('{"stages": [{"max_response_len": 4, "max_steps": true}]}',
+             "max_steps must be an integer, got True"),
+            ('{"task": {"family": "digit-sum", "num_digits": true}}',
+             "num_digits must be an integer, got True"),
+            ('{"stages": [{"max_response_len": 4, "saturation_threshold": true}]}',
+             "saturation_threshold must be a finite number, got True"),
+            ('{"stages": [{"max_response_len": "12"}]}',
+             "max_response_len must be an integer, got '12'"),
         ],
         ids=[
             "unknown_key",
@@ -292,6 +305,13 @@ class TestTrainEvalReport:
             "negative_seed",
             "fractional_seed",
             "string_repetition_penalty",
+            "fractional_max_response_len",
+            "fractional_max_steps",
+            "fractional_modulus",
+            "bool_max_steps",
+            "bool_num_digits",
+            "bool_saturation_threshold",
+            "string_max_response_len",
         ],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, text, message):

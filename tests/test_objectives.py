@@ -229,28 +229,15 @@ class TestClippedTerm:
 
 class TestDynamicFilter:
     def test_uniform_groups_dropped_mixed_kept(self):
-        rng = np.random.default_rng(0)
-        params = make_params(rng)
-
-        def group_with(rewards):
-            rollouts = tuple(make_rollout(rng, params, 3) for _ in rewards)
-            return Group(0, rollouts, np.array(rewards, dtype=float), np.zeros(len(rewards)))
-
-        assert filter_mixed_groups([group_with([1, 1, 1, 1])]) == []
-        assert filter_mixed_groups([group_with([0, 0, 0, 0])]) == []
-        kept = filter_mixed_groups([group_with([1, 0, 1, 0])])
-        assert len(kept) == 1
+        rewards = np.array([[1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0]], dtype=float)
+        assert filter_mixed_groups(rewards).tolist() == [2]
+        assert filter_mixed_groups(rewards[:2]).tolist() == []
 
     def test_exhaustive_patterns_g4(self):
-        rng = np.random.default_rng(1)
-        params = make_params(rng)
-        rollouts = tuple(make_rollout(rng, params, 2) for _ in range(4))
-        kept_patterns = []
-        for mask in range(16):
-            rewards = np.array([float((mask >> i) & 1) for i in range(4)])
-            g = Group(mask, rollouts, rewards, np.zeros(4))
-            if filter_mixed_groups([g]):
-                kept_patterns.append(mask)
+        rewards = np.array(
+            [[float((mask >> i) & 1) for i in range(4)] for mask in range(16)]
+        )
+        kept_patterns = filter_mixed_groups(rewards).tolist()
         assert len(kept_patterns) == 14
         assert 0 not in kept_patterns and 15 not in kept_patterns
 

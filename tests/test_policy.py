@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from rlvrlab.objectives import Group, response_logprobs, token_mean_objective
 from rlvrlab.policy import (
+    FIRST_BLOCK,
     PolicyParams,
     Rollout,
     Vocab,
     bucket_of,
     context_buckets,
     load_checkpoint,
+    rollouts_from,
     sample_groups,
     sample_response,
     save_checkpoint,
@@ -195,13 +197,6 @@ class TestTokenLogprobGrad:
 
 
 class TestSampleResponse:
-    def test_greedy_eos_everywhere_stops_immediately(self):
-        params = PolicyParams.uniform(Vocab(6, 5), 3, 16)
-        params.logits[:, 5] = 9.0
-        ro = sample_response(params, (0, 1), 10, 1.0, np.random.default_rng(0), greedy=True)
-        assert ro.response == (5,)
-        assert not ro.truncated
-
     def test_cap_is_enforced(self):
         params = PolicyParams.uniform(Vocab(6, 5), 3, 16)
         params.logits[:, 5] = -20.0  # eos effectively never sampled
@@ -237,12 +232,17 @@ class TestSampleResponse:
         rng = np.random.default_rng(9)
         params = random_params(rng, vocab_size=6, scale=1.5)
         queries = [(0, 1), (2,), (3, 4), ()]
-        sampled, _ = sample_groups(
+        tokens, _ = sample_groups(
             params, queries, 4, 8, 0.25, [np.random.default_rng(i) for i in range(4)]
         )
         groups = [
-            Group(g, rollouts, np.array([1.0, 0.0, 1.0, 0.0]), rng.uniform(0, 1, 4))
-            for g, rollouts in enumerate(sampled)
+            Group(
+                g,
+                rollouts_from(query, tokens[4 * g : 4 * g + 4], params.vocab.eos),
+                np.array([1.0, 0.0, 1.0, 0.0]),
+                rng.uniform(0, 1, 4),
+            )
+            for g, query in enumerate(queries)
         ]
         lp_old = response_logprobs(params, groups)
         got_j, got_grad = token_mean_objective(groups, params, lp_old, 0.2, 0.28)
@@ -285,19 +285,13 @@ class TestSampleResponse:
             max_len = int(rng.integers(1, 30))
             temperature = float(rng.uniform(0.2, 3.0))
             seed = int(rng.integers(1 << 31))
-            greedy = trial % 10 == 0
             want = reference_sample(
-                params, query, max_len, temperature, np.random.default_rng(seed), greedy
+                params, query, max_len, temperature, np.random.default_rng(seed)
             )
-            ((got,),), _ = sample_groups(
-                params,
-                [query],
-                1,
-                max_len,
-                temperature,
-                [np.random.default_rng(seed)],
-                greedy,
+            tokens, _ = sample_groups(
+                params, [query], 1, max_len, temperature, [np.random.default_rng(seed)]
             )
+            (got,) = rollouts_from(query, tokens, params.vocab.eos)
             assert got.query == want.query
             assert got.response == want.response
             assert got.truncated == want.truncated
@@ -308,9 +302,11 @@ class TestSampleGroups:
         rng = np.random.default_rng(8)
         params = random_params(rng, vocab_size=5, scale=1.0)
         rngs = [np.random.default_rng(i) for i in range(2)]
-        groups, _ = sample_groups(params, [(0, 1), (2,)], 3, 7, 0.7, rngs)
-        assert [len(g) for g in groups] == [3, 3]
-        for query, group in zip([(0, 1), (2,)], groups):
+        tokens, buckets = sample_groups(params, [(0, 1), (2,)], 3, 7, 0.7, rngs)
+        assert tokens.shape == buckets.shape == (6, 7)
+        for g, query in enumerate([(0, 1), (2,)]):
+            group = rollouts_from(query, tokens[3 * g : 3 * g + 3], 4)
+            assert len(group) == 3
             for ro in group:
                 assert ro.query == query and 1 <= len(ro.response) <= 7
                 assert ro.truncated == (4 not in ro.response)
@@ -330,7 +326,8 @@ class TestSampleGroups:
     ):
         # The bucket array read at each rollout's filled positions, in
         # rollout order, is context_buckets of the returned rollouts, and
-        # every position past a rollout's last token holds -1.
+        # every position past a rollout's last token holds -1 in both
+        # arrays.
         rng = np.random.default_rng(seed)
         params = random_params(rng, vocab_size, order, buckets, scale=2.0)
         queries = data.draw(
@@ -341,14 +338,73 @@ class TestSampleGroups:
             )
         )
         rngs = [np.random.default_rng([seed, i]) for i in range(len(queries))]
-        groups, got = sample_groups(params, queries, group_size, max_len, 1.0, rngs)
-        rollouts = [ro for group in groups for ro in group]
+        tokens, got = sample_groups(params, queries, group_size, max_len, 1.0, rngs)
+        rollouts = [
+            ro
+            for g, query in enumerate(queries)
+            for ro in rollouts_from(
+                query, tokens[g * group_size : (g + 1) * group_size], params.vocab.eos
+            )
+        ]
         assert got.shape == (len(rollouts), max_len)
         lengths = np.array([len(ro.response) for ro in rollouts])
         filled = np.arange(max_len) < lengths[:, None]
-        want, _ = context_buckets(params, rollouts)
+        want, want_toks = context_buckets(params, rollouts)
         assert np.array_equal(got[filled], want)
-        assert (got[~filled] == -1).all()
+        assert np.array_equal(tokens[filled], want_toks)
+        assert (got[~filled] == -1).all() and (tokens[~filled] == -1).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.integers(1, 5),
+        vocab_size=st.integers(2, 10),
+        buckets=st.sampled_from([1, 7, 64, 16384]),
+        group_size=st.integers(1, 4),
+        max_len=st.integers(1, 20),
+        temperature=st.sampled_from([0.3, 0.7, 1.0, 2.5]),
+        eos_bias=st.floats(-3.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_per_position_lockstep_oracle(
+        self, order, vocab_size, buckets, group_size, max_len, temperature, eos_bias,
+        seed, data,
+    ):
+        # Noise drawn in blocks equals noise drawn one position at a time,
+        # bit for bit, wherever the blocks end: mid-rollout, or after some
+        # groups have finished.
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, vocab_size, order, buckets, scale=2.0)
+        params.logits[:, params.vocab.eos] += eos_bias
+        queries = data.draw(
+            st.lists(
+                st.lists(st.integers(0, vocab_size - 1), max_size=6).map(tuple),
+                min_size=1,
+                max_size=5,
+            )
+        )
+
+        def rngs():
+            return [np.random.default_rng([seed, i]) for i in range(len(queries))]
+
+        got = sample_groups(params, queries, group_size, max_len, temperature, rngs())
+        want = oracles.reference_lockstep(
+            params, queries, group_size, max_len, temperature, rngs()
+        )
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_generator_advances_past_the_block(self):
+        # Every rollout stops at its first token, but the generator has
+        # drawn the whole first block of noise.
+        params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
+        params.logits[:, 3] = 50.0
+        rng = np.random.default_rng(0)
+        tokens, _ = sample_groups(params, [(0,)], 2, 10, 1.0, [rng])
+        assert tokens[:, 0].tolist() == [3, 3] and (tokens[:, 1:] == -1).all()
+        skipped = np.random.default_rng(0)
+        skipped.random((FIRST_BLOCK, 2, 4))
+        assert rng.random() == skipped.random()
 
     def test_generator_count_must_match(self):
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)

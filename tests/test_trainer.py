@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rlvrlab import repetition, tasks, trainer, verifier
-from rlvrlab.policy import PolicyParams, bucket_of, context_buckets
+from rlvrlab.policy import PolicyParams, bucket_of, context_buckets, rollouts_from
 from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_task
 from rlvrlab.trainer import (
     CollectAbort,
@@ -98,6 +98,13 @@ class TestConfig:
             "grad_norm",
         ]
         assert replace(record, avg_at_k=0.75).to_dict()["avg_at_k"] == 0.75
+
+    def test_integral_floats_convert(self):
+        stage = StagePlan.from_dict({"max_response_len": 24.0, "max_steps": 3.0})
+        assert (stage.max_response_len, stage.max_steps) == (24, 3)
+        assert type(stage.max_response_len) is int
+        cfg = TrainConfig.from_dict({"task": {"modulus": 7.0}, "stages": [stage.to_dict()]})
+        assert cfg.task.modulus == 7 and type(cfg.task.modulus) is int
 
     def test_unknown_keys_are_named(self):
         with pytest.raises(ValueError, match="unknown TrainConfig key.*learning_rat"):
@@ -352,9 +359,11 @@ class TestScoringMemo:
     def test_evaluate_equals_per_rollout_sum(self, monkeypatch):
         sampled = []
 
-        def recording(params, queries, *args):
-            out = sample_groups(params, queries, *args)
-            sampled.extend(zip(queries, out[0]))
+        def recording(params, queries, group_size, *args):
+            out = sample_groups(params, queries, group_size, *args)
+            for g, query in enumerate(queries):
+                rows = out[0][g * group_size : (g + 1) * group_size]
+                sampled.append((query, rollouts_from(query, rows, EOS)))
             return out
 
         sample_groups = trainer.sample_groups
@@ -371,6 +380,39 @@ class TestScoringMemo:
             )
             total += hits / k
         assert got == total / n_tasks
+
+
+class TestCollectionOracle:
+    """``collect_batch``, scoring each chunk as arrays, equals the former
+    group-at-a-time collection, floats compared by ``==``."""
+
+    @pytest.mark.parametrize("penalty", [True, False])
+    def test_matches_group_at_a_time_collection(self, penalty):
+        cfg = tiny_config(loop_boost=6.0, repetition_penalty=penalty, group_size=8)
+        params = init_policy(cfg)
+        got_rng, want_rng = np.random.default_rng([7, 0]), np.random.default_rng([7, 0])
+        got_memo, want_memo = {}, {}
+        got_counter = want_counter = 0
+        for hint in (0.0, 0.5, 0.9):
+            got = collect_batch(
+                params, cfg.stages[0], cfg, got_rng, got_counter, got_memo, hint
+            )
+            want = oracles.collect_batch(
+                params, cfg.stages[0], cfg, want_rng, want_counter, want_memo
+            )
+            groups, buckets, stats, got_counter = got
+            want_groups, want_buckets, want_stats, want_counter = want
+            assert [g.query_id for g in groups] == [g.query_id for g in want_groups]
+            for a, b in zip(groups, want_groups):
+                assert a.rollouts == b.rollouts
+                assert a.rewards.tolist() == b.rewards.tolist()
+                assert a.penalties.tolist() == b.penalties.tolist()
+            assert np.array_equal(buckets, want_buckets)
+            assert stats == want_stats
+            assert got_counter == want_counter
+        assert any(g.penalties.any() for g in groups) == penalty
+        assert got_memo == want_memo
+        assert got_rng.random() == want_rng.random()
 
 
 class TestTrain:
