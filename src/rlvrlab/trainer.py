@@ -9,9 +9,11 @@ ends when its step budget runs out or when the mean response length
 saturates, and the cap then grows.
 
 Collection and evaluation work on the sampler's token arrays: each chunk
-of groups is scored as arrays of rewards and repetition scores, each
-distinct response looked up once, and ``Rollout`` and ``Group`` objects
-are built only for the groups that enter a batch.
+of groups is scored as arrays of rewards and repetition scores, each row
+keyed by bytes and each distinct response looked up once, and ``Rollout``
+and ``Group`` objects are built only for the groups that enter a batch.
+The per-group generators of a sampler call are derived in one vectorized
+pass (``group_generators``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .objectives import (
     sample_clip_ratios,
     token_mean_objective,
 )
-from .policy import PolicyParams, bucket_of, response_of, rollouts_from, sample_groups
+from .policy import PolicyParams, bucket_of, rollouts_from, sample_groups
 from .policy import sample_response  # noqa: F401  perfbench's tracer looks it up here
 from .tasks import TaskSpec
 
@@ -252,6 +254,127 @@ class TrainResult:
     stage_checkpoints: list[PolicyParams]
 
 
+# Constants of numpy's documented SeedSequence hash (pool of 4 uint32 words).
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+
+
+@functools.lru_cache(maxsize=8)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**i`` mod 2**32 for i < count, as a read-only
+    ``(count, 1)`` uint64 column."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    consts = np.array(out, dtype=np.uint64)[:, None]
+    consts.setflags(write=False)
+    return consts
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray, k: int) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of each row of ``values`` (uint64 holding
+    32-bit words), row ``i`` at the ``k + i``-th hash constant."""
+    x = values ^ consts[k : k + len(values)]
+    x *= consts[k + 1 : k + len(values) + 1]
+    x &= _MASK32
+    x ^= x >> 16
+    return x
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of two arrays of 32-bit words."""
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    out &= _MASK32
+    out ^= out >> 16
+    return out
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence splits it: 32-bit words, least
+    significant first."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.cache
+def _state_words_type():
+    """A ``numpy.random.bit_generator.ISeedSequence`` that hands PCG64 a
+    fixed ``generate_state(4, np.uint64)``, and the ``Generator`` and
+    ``PCG64`` types.  numpy.random is imported here, on the first sampler
+    call, not when rlvrlab is imported: loading it would lengthen the
+    start of every command that never samples."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """The four uint64 words a ``SeedSequence`` generates for PCG64."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds the 4 uint64 words of a PCG64 seed only")
+            return self.words
+
+    return StateWords, Generator, PCG64
+
+
+def group_generators(
+    seed: int, tag: int, ids: Sequence[int]
+) -> list[np.random.Generator]:
+    """``np.random.default_rng([seed, tag, i])`` for every ``i`` in
+    ``ids``, each in the same state, derived for all ids in one pass.
+
+    ``default_rng`` runs numpy's ``SeedSequence`` hash over the words of
+    ``[seed, tag, i]`` and seeds a ``PCG64`` with 4 uint64 words of its
+    state.  Here that hash runs over uint64 arrays masked to 32 bits, one
+    element per id, and each id's words reach ``PCG64`` through a small
+    ``ISeedSequence``, so PCG64's own seeding is unchanged.  Each id must
+    be one 32-bit word: an id outside ``[0, 2**32)`` is a ``ValueError``.
+    """
+    ids = np.asarray(ids)
+    bad = (ids < 0) | (ids > _MASK32)
+    if bad.any():
+        raise ValueError(f"generator id {ids[bad][0]} is outside [0, 2**32)")
+    if seed < 0 or tag < 0:
+        raise ValueError("seed and tag must be >= 0")
+    n = len(ids)
+    head = _uint32_words(int(seed)) + _uint32_words(int(tag))
+    width = len(head) + 1
+    entropy = np.zeros((max(width, 4), n), dtype=np.uint64)
+    entropy[: len(head)] = np.array(head, dtype=np.uint64)[:, None]
+    entropy[len(head)] = ids
+    consts_a = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * max(0, width - 4))
+    # Hash the first 4 words into the pool, then mix every pool word into
+    # every other one, then each further word into all 4, consuming hash
+    # constants in SeedSequence's order.
+    pool = _hashmix(entropy[:4], consts_a, 0)
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(np.broadcast_to(pool[src], (3, n)), consts_a, k)
+        pool[dst] = _mix(pool[dst], hashed)
+        k += 3
+    for word in entropy[4:width]:
+        pool = _mix(pool, _hashmix(np.broadcast_to(word, (4, n)), consts_a, k))
+        k += 4
+    # generate_state(4, np.uint64): 8 words cycling over the pool, paired
+    # little-endian into 4 uint64.
+    consts_b = _hash_consts(_INIT_B, _MULT_B, 9)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], consts_b, 0)
+    words = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+    state_words, generator, pcg64 = _state_words_type()
+    return [generator(pcg64(state_words(w))) for w in words]
+
+
 def _enumerate_queries(spec: TaskSpec):
     if spec.family in ("modular-add", "modular-mul"):
         op = tasks.PLUS if spec.family == "modular-add" else tasks.TIMES
@@ -302,29 +425,8 @@ def init_policy(config: TrainConfig) -> PolicyParams:
     return params
 
 
-def _reward(response: tuple[int, ...], truncated: bool, gold: str, memo: dict) -> float:
-    """``verifier.reward`` of a response, verified once per distinct
-    ``(response, gold)`` in ``memo``; a truncated one scores 0 unverified."""
-    if truncated:
-        return 0.0
-    key = (response, gold)
-    reward = memo.get(key)
-    if reward is None:
-        reward = memo[key] = verifier.reward(tasks.decode_tokens(response), gold, False)
-    return reward
-
-
-def _repetition(content: tuple[int, ...], config: TrainConfig, memo: dict) -> float:
-    """``repetition_score`` of a response's content, scored once per
-    distinct content in ``memo``; an empty content scores 0."""
-    if not content:
-        return 0.0
-    score = memo.get(content)
-    if score is None:
-        score = memo[content] = repetition.repetition_score(
-            content, config.min_period, config.min_repeats
-        )
-    return score
+# A row key's byte for eos: keys hold each token plus one (see ``_score``).
+_EOS_BYTE = tasks.EOS + 1
 
 
 def _score(
@@ -340,28 +442,47 @@ def _score(
     ``score_memo`` is given, their raw repetition scores under ``config``
     shaped alike (else None).
 
-    One dict pass maps every rollout to its distinct ``(response, gold)``
-    pair, and only the distinct pairs are looked up in (or added to) the
-    memos.
+    Each row is keyed by one vectorized conversion: its tokens plus one,
+    as bytes.  The -1 padding becomes trailing NULs, which numpy drops, so
+    a key is as long as its response, equal keys are equal responses, and
+    the last byte is ``_EOS_BYTE`` exactly when the response ended at eos
+    (else it was truncated).  One dict pass maps every row to its
+    distinct ``(key, gold)`` pair, and only the distinct pairs reach the
+    memos: ``reward_memo`` maps ``(key, gold)`` to the pair's reward and
+    ``score_memo`` a key's content (without its eos) to its repetition
+    score.  A truncated response scores 0 unverified, an empty content 0
+    unscored.  The repetition score only compares tokens for equality, so
+    it is taken on the shifted bytes as they are.
     """
+    if tokens.max(initial=0) >= 255:
+        raise ValueError("row keys hold token ids below 255 only")
     group_size = len(tokens) // len(golds)
+    keys = (tokens + 1).astype(np.uint8).view(f"S{tokens.shape[1]}").ravel().tolist()
     pairs: dict = {}
     slots = [
         pairs.setdefault(pair, len(pairs))
-        for pair in zip(
-            map(tuple, tokens.tolist()),
-            (gold for gold in golds for _ in range(group_size)),
-        )
+        for pair in zip(keys, (gold for gold in golds for _ in range(group_size)))
     ]
-    rewards = np.empty(len(pairs))
-    scores = None if score_memo is None else np.empty(len(pairs))
-    for j, (row, gold) in enumerate(pairs):
-        response = response_of(row)
-        truncated = response[-1] != tasks.EOS
-        rewards[j] = _reward(response, truncated, gold, reward_memo)
+    rewards = np.zeros(len(pairs))
+    scores = None if score_memo is None else np.zeros(len(pairs))
+    for j, pair in enumerate(pairs):
+        key, gold = pair
+        truncated = key[-1] != _EOS_BYTE
+        if not truncated:
+            reward = reward_memo.get(pair)
+            if reward is None:
+                answer = tasks.decode_tokens([b - 1 for b in key])
+                reward = reward_memo[pair] = verifier.reward(answer, gold, False)
+            rewards[j] = reward
         if scores is not None:
-            content = response if truncated else response[:-1]
-            scores[j] = _repetition(content, config, score_memo)
+            content = key if truncated else key[:-1]
+            if content:
+                score = score_memo.get(content)
+                if score is None:
+                    score = score_memo[content] = repetition.repetition_score(
+                        content, config.min_period, config.min_repeats
+                    )
+                scores[j] = score
     index = np.array(slots).reshape(len(golds), group_size)
     return rewards[index], None if scores is None else scores[index]
 
@@ -429,13 +550,15 @@ def collect_batch(
     so the returned groups, stats and query counter, and the task stream
     the next call sees, do not depend on the hint.  ``Rollout`` and
     ``Group`` objects are built for the returned groups only.  Every group
-    draws its noise from its own ``[seed, 1, query index]`` generator, so a
-    group's rollouts do not depend on the call it lands in.  Aborts when
+    draws its noise from its own ``[seed, 1, query index]`` generator, all
+    of a call's derived in one pass by ``group_generators``, so a group's
+    rollouts do not depend on the call it lands in.  Aborts when
     100 * batch_groups consecutive queries yield no valid group, which
     signals a collapsed policy or a degenerate task.
 
-    ``reward_memo`` maps ``(response, gold)`` to its reward and is filled
-    as rollouts are verified; ``train`` passes one for the whole run.  With
+    ``reward_memo`` maps ``(row key, gold)`` to its reward, where the row
+    key is the response's bytes as ``_score`` makes them, and is filled as
+    rollouts are verified; ``train`` passes one for the whole run.  With
     ``None`` the memo lasts this call only.
     """
     n, size = config.batch_groups, config.group_size
@@ -466,7 +589,7 @@ def collect_batch(
             size,
             stage.max_response_len,
             config.temperature,
-            [np.random.default_rng([config.seed, 1, qid]) for qid in qids],
+            group_generators(config.seed, 1, qids),
         )
         for c in range(n_chunks):
             if len(valid) >= n:
@@ -529,10 +652,12 @@ def evaluate(
     seed-derived evaluation set.
 
     The tasks come from their own ``[seed, 2]`` generator and the attempts
-    at task ``i`` from a ``[seed, 4, i]`` generator, so the task set does
+    at task ``i`` from a ``[seed, 4, i]`` generator, all ``n_tasks`` of
+    them derived in one pass by ``group_generators``, so the task set does
     not depend on the policy, on k or on the sampling.  The attempts are
-    sampled ``EVAL_CHUNK`` tasks per lockstep call and scored as arrays,
-    each distinct ``(response, gold)`` pair verified once per call.
+    sampled ``EVAL_CHUNK`` tasks per lockstep call and scored as arrays by
+    ``_score``, each distinct ``(response, gold)`` pair verified once per
+    call.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -541,17 +666,17 @@ def evaluate(
     task_rng = np.random.default_rng([seed, 2])
     eval_set = [tasks.generate_task(spec, task_rng) for _ in range(n_tasks)]
     total = 0.0
-    reward_memo: dict = {}  # by (response, gold), for this call only
+    reward_memo: dict = {}  # by (row key, gold), for this call only
+    rngs = group_generators(seed, 4, range(n_tasks))
     for start in range(0, n_tasks, EVAL_CHUNK):
         chunk = eval_set[start : start + EVAL_CHUNK]
-        ids = range(start, start + len(chunk))
         tokens, _ = sample_groups(
             params,
             [query for query, _ in chunk],
             k,
             max_len,
             temperature,
-            [np.random.default_rng([seed, 4, i]) for i in ids],
+            rngs[start : start + EVAL_CHUNK],
         )
         rewards, _ = _score(tokens, [gold for _, gold in chunk], reward_memo)
         for hits in rewards.sum(axis=1).tolist():
@@ -575,7 +700,7 @@ def train(
     query_counter = 0
     drop_hint = 0.0  # the previous step's dropped-group fraction
     global_step = 0
-    # Rewards by (response, gold) for the whole run: a reward depends on
+    # Rewards by (row key, gold) for the whole run: a reward depends on
     # nothing else, so each distinct pair is verified once.
     reward_memo: dict = {}
     for stage_idx, stage in enumerate(config.stages):

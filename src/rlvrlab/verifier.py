@@ -15,6 +15,7 @@ everything else that cannot be decided is ``unverifiable``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -111,8 +112,17 @@ def _drop_thousands_separators(s: str) -> str:
     return "".join(parts)
 
 
+# Entries of the caches on normalize and parse_math.  A training step
+# verifies many distinct responses against the same few gold answers, so
+# each gold is normalized and parsed once, not once per response; the bound
+# keeps the memory of a long verify batch flat.
+CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def normalize(raw: str) -> str:
-    """Canonical form used for string comparison and as parser input."""
+    """Canonical form used for string comparison and as parser input.
+    Pure, so its results are cached."""
     s = raw.strip()
     # Outer math delimiters, possibly stacked.
     while True:
@@ -467,8 +477,10 @@ def _split_top_level(s: str) -> list[str]:
     return parts
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def parse_math(raw: str) -> ParsedAnswer:
-    """Parse a normalized answer string; opaque fallback, never an error."""
+    """Parse a normalized answer string; opaque fallback, never an error.
+    Pure, and its result immutable, so its results are cached."""
     s = raw
     try:
         if len(s) >= 2 and s[0] in "([{" and s[-1] == {"(": ")", "[": "]", "{": "}"}[s[0]]:

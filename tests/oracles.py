@@ -22,6 +22,7 @@ from rlvrlab.policy import (
     PolicyParams,
     Rollout,
     bucket_of,
+    response_of,
     rollouts_from,
     sample_groups,
     sample_response,
@@ -245,6 +246,57 @@ def score_group(query_id, rollouts, gold, config, reward_memo, score_memo):
         raw if config.repetition_penalty else np.zeros(len(rollouts)),
     )
     return group, raw
+
+
+def score_rows(tokens, golds, reward_memo, score_memo=None, config=None):
+    """``trainer._score`` with every row made a tuple: the oracle for its
+    byte row keys.  ``reward_memo`` is keyed by ``(response tuple, gold)``
+    and ``score_memo`` by content tuple; ``tuple_keyed`` maps the library's
+    byte-keyed memos to these keys."""
+    group_size = len(tokens) // len(golds)
+    pairs: dict = {}
+    slots = [
+        pairs.setdefault(pair, len(pairs))
+        for pair in zip(
+            map(tuple, tokens.tolist()),
+            (gold for gold in golds for _ in range(group_size)),
+        )
+    ]
+    rewards = np.empty(len(pairs))
+    scores = None if score_memo is None else np.empty(len(pairs))
+    for j, (row, gold) in enumerate(pairs):
+        response = response_of(row)
+        truncated = response[-1] != tasks.EOS
+        if truncated:
+            rewards[j] = 0.0
+        else:
+            key = (response, gold)
+            if key not in reward_memo:
+                reward_memo[key] = reward(tasks.decode_tokens(response), gold, False)
+            rewards[j] = reward_memo[key]
+        if scores is not None:
+            content = response if truncated else response[:-1]
+            if content and content not in score_memo:
+                score_memo[content] = repetition_score(
+                    content, config.min_period, config.min_repeats
+                )
+            scores[j] = score_memo[content] if content else 0.0
+    index = np.array(slots).reshape(len(golds), group_size)
+    return rewards[index], None if scores is None else scores[index]
+
+
+def tuple_keyed(memo: dict) -> dict:
+    """A memo of ``trainer._score``, keyed by byte row keys (each token plus
+    one), with the keys turned back into token tuples as ``score_rows``
+    keys its memos: ``(key, gold)`` pairs and content keys alike."""
+
+    def tokens_of(key: bytes) -> tuple[int, ...]:
+        return tuple(b - 1 for b in key)
+
+    return {
+        (tokens_of(k[0]), k[1]) if isinstance(k, tuple) else tokens_of(k): v
+        for k, v in memo.items()
+    }
 
 
 def absorb(stats, group, scores, penalty_on):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlvrlab import repetition, tasks, trainer, verifier
 from rlvrlab.policy import PolicyParams, bucket_of, context_buckets, rollouts_from
@@ -17,6 +19,7 @@ from rlvrlab.trainer import (
     TrainConfig,
     collect_batch,
     evaluate,
+    group_generators,
     init_policy,
     stage_saturated,
     train,
@@ -382,6 +385,120 @@ class TestScoringMemo:
         assert got == total / n_tasks
 
 
+def _padded(rows, width):
+    """Rows of token ids as the sampler's array: -1 past each row's end."""
+    out = np.full((len(rows), width), -1, dtype=np.int64)
+    for r, row in enumerate(rows):
+        out[r, : len(row)] = row
+    return out
+
+
+@st.composite
+def _token_arrays(draw):
+    """A token array of whole groups, each row a response of the sampler's
+    shape (tokens, then eos or nothing, then -1 padding) over a small
+    alphabet, so that rows repeat; and one gold answer per group."""
+    width = draw(st.integers(1, 6))
+    group_size = draw(st.integers(1, 4))
+    n_groups = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n_groups * group_size):
+        content = draw(st.lists(st.sampled_from([0, 1, 2, PLUS]), max_size=width))
+        if len(content) < width and (not content or draw(st.booleans())):
+            content.append(EOS)
+        rows.append(content)
+    golds = [draw(st.sampled_from(["0", "1", "2", "12"])) for _ in range(n_groups)]
+    return _padded(rows, width), golds
+
+
+class TestRowKeys:
+    """``_score`` keys rows by bytes and scores as the tuple-keyed oracle."""
+
+    @staticmethod
+    def _compare(arrays, config):
+        got_rewards, got_scores, want_rewards, want_scores = {}, {}, {}, {}
+        for tokens, golds in arrays:
+            got = trainer._score(tokens, golds, got_rewards, got_scores, config)
+            want = oracles.score_rows(tokens, golds, want_rewards, want_scores, config)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tolist() == want[1].tolist()
+            # Without a score memo only the rewards come back.
+            plain = trainer._score(tokens, golds, {})
+            assert plain[0].tolist() == want[0].tolist() and plain[1] is None
+        assert oracles.tuple_keyed(got_rewards) == want_rewards
+        assert oracles.tuple_keyed(got_scores) == want_scores
+
+    @given(st.lists(_token_arrays(), min_size=1, max_size=3), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_tuple_keyed_scoring(self, arrays, min_repeats):
+        self._compare(arrays, tiny_config(min_repeats=min_repeats))
+
+    def test_truncation_lone_eos_and_trailing_eos(self):
+        width = 4
+        rows = [
+            [1, 1, 1, 1],  # truncated at the cap: loops, scores 0 reward
+            [EOS],  # a lone eos: empty content
+            [1, EOS],  # correct answer for gold "1"
+            [1],  # the same but truncated before its eos
+            [1, 2, EOS],
+            [1, 2],  # differs from the row above only in its trailing eos
+            [1, EOS],
+            [EOS],
+        ]
+        tokens = _padded(rows, width)
+        golds = ["1", "3"]
+        self._compare([(tokens, golds), (tokens[::-1].copy(), golds[::-1])], tiny_config())
+        rewards, scores = trainer._score(tokens, golds, {}, {}, tiny_config())
+        assert rewards.tolist() == [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+        assert scores.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+
+    def test_token_ids_past_a_byte_are_rejected(self):
+        with pytest.raises(ValueError, match="below 255"):
+            trainer._score(_padded([[255, EOS]], 3), ["1"], {})
+
+
+class TestGroupGenerators:
+    """``group_generators`` derives ``default_rng([seed, tag, i])`` in bulk."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("tag", [1, 4])
+    def test_equals_default_rng(self, seed, tag):
+        ids = [*range(301), 2**32 - 1]
+        got = group_generators(seed, tag, ids)
+        assert len(got) == len(ids)
+        for rng, i in zip(got, ids):
+            want = np.random.default_rng([seed, tag, i])
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert rng.random(4).tolist() == want.random(4).tolist()
+
+    @pytest.mark.parametrize("bad", [2**32, 2**40, 2**64 + 1, -1])
+    def test_id_outside_one_word_raises(self, bad):
+        with pytest.raises(ValueError, match=str(bad)):
+            group_generators(0, 1, [0, bad, 2])
+
+
+_IMPORT_SCRIPT = """
+import sys
+import rlvrlab.trainer, rlvrlab.cli
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random takes tens of milliseconds to load; it waits for the
+    # first sampler call, so commands that never sample do not pay for it.
+    src = os.path.dirname(os.path.dirname(trainer.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert run.stdout.strip() == "False"
+
+
 class TestCollectionOracle:
     """``collect_batch``, scoring each chunk as arrays, equals the former
     group-at-a-time collection, floats compared by ``==``."""
@@ -411,7 +528,8 @@ class TestCollectionOracle:
             assert stats == want_stats
             assert got_counter == want_counter
         assert any(g.penalties.any() for g in groups) == penalty
-        assert got_memo == want_memo
+        # The memo is keyed by byte row keys; as token tuples it is the oracle's.
+        assert oracles.tuple_keyed(got_memo) == want_memo
         assert got_rng.random() == want_rng.random()
 
 

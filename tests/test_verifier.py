@@ -255,6 +255,35 @@ class TestTotality:
             assert verdict == first
 
 
+def _cold_and_warm(candidate, gold):
+    """``verify`` with both caches cleared, then again with them warm."""
+    normalize.cache_clear()
+    parse_math.cache_clear()
+    cold = verify(candidate, gold)
+    assert normalize.cache_info().currsize
+    return cold, verify(candidate, gold)
+
+
+class TestCaches:
+    def test_caches_are_bounded(self):
+        assert 0 < normalize.cache_info().maxsize < 10_000
+        assert 0 < parse_math.cache_info().maxsize < 10_000
+
+    @pytest.mark.parametrize("cand,gold", ALL_PAIRS)
+    def test_corpus_verdict_does_not_depend_on_the_caches(self, cand, gold):
+        cold, warm = _cold_and_warm(cand, gold)
+        assert cold == warm
+
+    @given(_ANSWERS, _ANSWERS)
+    @settings(max_examples=500, deadline=None)
+    def test_verdict_does_not_depend_on_the_caches(self, a, b):
+        cold, warm = _cold_and_warm(a, b)
+        assert cold == warm
+        # A cache filled by other calls changes nothing either.
+        verify(b, a)
+        assert verify(a, b) == cold
+
+
 _SMALL_LITERALS = st.one_of(
     st.integers(0, 12).map(str), st.sampled_from(["0.5", "1.25", "\\pi"])
 )
