@@ -23,7 +23,7 @@ import tempfile
 import time
 from datetime import datetime, timezone
 
-from . import curation, trainer, verifier
+from . import curation, tasks, trainer, verifier
 from .policy import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 
 JSONL_SCHEMA_VERSION = 1
@@ -268,6 +268,13 @@ def _cmd_eval(args, parser) -> int:
         params = load_checkpoint(args.ckpt)
     except ValueError as exc:
         parser.exit(2, f"error: {args.ckpt}: {exc}\n")
+    if params.vocab != tasks.VOCAB:
+        parser.exit(
+            2,
+            f"error: {args.ckpt}: vocabulary of {params.vocab.size} ids with eos "
+            f"{params.vocab.eos} is not the tasks' {tasks.VOCAB.size} ids with eos "
+            f"{tasks.VOCAB.eos}\n",
+        )
     if args.config:
         spec = _load_config(args.config, parser).task
     else:

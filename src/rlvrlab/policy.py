@@ -78,6 +78,8 @@ class PolicyParams:
                 f"logits must have shape (buckets, {self.vocab.size}), "
                 f"got {self.logits.shape}"
             )
+        if self.logits.shape[0] < 1:
+            raise ValueError("logits table must hold at least one bucket")
         if self.k < 1:
             raise ValueError("context order k must be positive")
         if not np.isfinite(self.logits).all():
@@ -182,6 +184,14 @@ def sample_groups(
     non-negative buckets, in row-major order, are ``context_buckets`` of
     the rollouts, so the objectives need not hash the contexts again.
 
+    The per-position work is kept to a few numpy calls on the live
+    rollouts: the histories hold every token plus one, so a window's
+    bucket is a dot product and a remainder with no conversion, and
+    the table is checked for non-finite entries once per call, over the
+    rows the call read.  A non-finite row no rollout reaches is never
+    rejected; one that is reached raises ``ValueError``, as it would have
+    at the position that read it.
+
     Temperature scales the sampling distribution only.  The sampler returns
     tokens, not log-probabilities: the surrogate objectives take the old
     log-probs at temperature 1, which is what their likelihood ratio is
@@ -198,14 +208,22 @@ def sample_groups(
 
     vocab, k = params.vocab, params.k
     n = len(queries) * group_size
-    # Row r holds rollout r's context history: the padded query tail, then
-    # its response, -1 past its end; the window before position t is
-    # columns t..t+k-1.
-    history = np.full((n, k + max_len), -1, dtype=np.int64)
-    for g, query in enumerate(queries):
-        block = slice(g * group_size, (g + 1) * group_size)
-        history[block, :k] = ((vocab.begin_marker,) * k + tuple(query))[-k:]
-    buckets = np.full((n, max_len), -1, dtype=np.int64)
+    # Column r holds rollout r's context history, every token plus one:
+    # the padded query tail, then its response, 0 past its end.  The
+    # window before position t is rows t..t+k-1, so its bucket is one dot
+    # product with the hash powers, (w + 1) . p = w . p + sum(p) mod 2**64,
+    # the hash of ``window_buckets``.  History and buckets are kept
+    # position-major, so that each position reads and writes one
+    # contiguous row by ``take`` and ``put``.
+    history = np.zeros((k + max_len, n), dtype=np.uint64)
+    begin = (vocab.begin_marker,) * k
+    tails = np.array([(begin + tuple(q))[-k:] for q in queries], dtype=np.uint64)
+    history[:k] = np.repeat(tails.reshape(-1, k).T + 1, group_size, axis=1)
+    powers, _ = _hash_terms(k)
+    n_buckets = np.uint64(params.buckets)
+    stop_tok = vocab.eos + 1
+    logits = params.logits
+    buckets = np.full((max_len, n), -1, dtype=np.int64)
     live = np.arange(n)
     start = 0
     while live.size and start < max_len:
@@ -213,8 +231,13 @@ def sample_groups(
         width = stop - start
         # One block of noise per live group, in the order of the groups;
         # rollout i of the j-th live group reads row (j * width + t) *
-        # group_size + i of it at position start + t.
-        groups, slot = np.unique(live // group_size, return_inverse=True)
+        # group_size + i of it at position start + t.  ``live`` only ever
+        # loses entries, so it stays ascending and its groups are runs.
+        group = live // group_size
+        first = np.empty(live.size, dtype=bool)
+        first[0] = True
+        np.not_equal(group[1:], group[:-1], out=first[1:])
+        groups = group[first]
         noise = np.empty((len(groups), width, group_size, vocab.size))
         for j, g in enumerate(groups.tolist()):
             rngs[g].random(out=noise[j])
@@ -224,24 +247,33 @@ def sample_groups(
         np.log(noise, out=noise)
         np.negative(noise, out=noise)
         gumbel = noise.reshape(-1, vocab.size)
+        slot = np.cumsum(first) - 1
         row = slot * (width * group_size) + live % group_size
         for t in range(start, stop):
-            live_buckets = window_buckets(history[live, t : t + k], params.buckets)
-            buckets[live, t] = live_buckets
-            rows = params.logits[live_buckets]
-            if not np.isfinite(rows).all():
-                raise ValueError("logits table contains non-finite entries")
+            live_buckets = powers @ history[t : t + k].take(live, axis=1)
+            live_buckets %= n_buckets
+            live_buckets = live_buckets.view(np.int64)
+            buckets[t].put(live, live_buckets)
             # Gumbel-max draw from softmax(row / temperature).
-            scores = gumbel[row]
-            scores += rows / temperature
+            scores = gumbel.take(row, axis=0)
+            rows = logits.take(live_buckets, axis=0)
+            rows /= temperature
+            scores += rows
             toks = scores.argmax(axis=1)
-            history[live, k + t] = toks
-            going = toks != vocab.eos
-            live, row = live[going], row[going] + group_size
+            toks += 1
+            history[k + t].put(live, toks)
+            going = toks != stop_tok
+            live, row = live[going], row[going]
             if not live.size:
                 break
+            row += group_size
         start = stop
-    return history[:, k:], buckets
+    buckets = np.ascontiguousarray(buckets.T)
+    # One finiteness check, over the rows the call read: a non-finite entry
+    # can change which rows are read after it, never hide its own row.
+    if not np.isfinite(logits.take(buckets[buckets >= 0], axis=0)).all():
+        raise ValueError("logits table contains non-finite entries")
+    return np.subtract(history[k:].T.view(np.int64), 1, order="C"), buckets
 
 
 def response_of(row: Sequence[int]) -> tuple[int, ...]:

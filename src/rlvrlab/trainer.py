@@ -12,8 +12,8 @@ Collection and evaluation work on the sampler's token arrays: each chunk
 of groups is scored as arrays of rewards and repetition scores, each row
 keyed by bytes and each distinct response looked up once, and ``Rollout``
 and ``Group`` objects are built only for the groups that enter a batch.
-The per-group generators of a sampler call are derived in one vectorized
-pass (``group_generators``).
+The per-group generators come from ``group_generators``, which hashes
+their seeds once per block of consecutive ids and caches the words.
 """
 
 from __future__ import annotations
@@ -327,31 +327,29 @@ def _state_words_type():
     return StateWords, Generator, PCG64
 
 
-def group_generators(
-    seed: int, tag: int, ids: Sequence[int]
-) -> list[np.random.Generator]:
-    """``np.random.default_rng([seed, tag, i])`` for every ``i`` in
-    ``ids``, each in the same state, derived for all ids in one pass.
+# Ids per block of ``group_generators``' cached seed words, and the most
+# blocks held: at most GENERATOR_BLOCKS * 32 KiB of words.
+GENERATOR_BLOCK = 1024
+GENERATOR_BLOCKS = 32
 
-    ``default_rng`` runs numpy's ``SeedSequence`` hash over the words of
-    ``[seed, tag, i]`` and seeds a ``PCG64`` with 4 uint64 words of its
-    state.  Here that hash runs over uint64 arrays masked to 32 bits, one
-    element per id, and each id's words reach ``PCG64`` through a small
-    ``ISeedSequence``, so PCG64's own seeding is unchanged.  Each id must
-    be one 32-bit word: an id outside ``[0, 2**32)`` is a ``ValueError``.
+
+@functools.lru_cache(maxsize=GENERATOR_BLOCKS)
+def _block_words(seed: int, tag: int, block: int) -> np.ndarray:
+    """The PCG64 seed words of ``default_rng([seed, tag, i])`` for the
+    ``GENERATOR_BLOCK`` ids from ``block * GENERATOR_BLOCK`` on, as a
+    read-only array with one row of 4 uint64 per id.
+
+    ``default_rng`` runs numpy's ``SeedSequence`` hash over the 32-bit
+    words of ``[seed, tag, i]`` and seeds a ``PCG64`` with 4 uint64 words
+    of its state; here that hash runs over uint64 arrays masked to 32
+    bits, one element per id.
     """
-    ids = np.asarray(ids)
-    bad = (ids < 0) | (ids > _MASK32)
-    if bad.any():
-        raise ValueError(f"generator id {ids[bad][0]} is outside [0, 2**32)")
-    if seed < 0 or tag < 0:
-        raise ValueError("seed and tag must be >= 0")
-    n = len(ids)
-    head = _uint32_words(int(seed)) + _uint32_words(int(tag))
+    n = GENERATOR_BLOCK
+    head = _uint32_words(seed) + _uint32_words(tag)
     width = len(head) + 1
     entropy = np.zeros((max(width, 4), n), dtype=np.uint64)
     entropy[: len(head)] = np.array(head, dtype=np.uint64)[:, None]
-    entropy[len(head)] = ids
+    entropy[len(head)] = np.arange(block * n, (block + 1) * n)
     consts_a = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * max(0, width - 4))
     # Hash the first 4 words into the pool, then mix every pool word into
     # every other one, then each further word into all 4, consuming hash
@@ -371,8 +369,37 @@ def group_generators(
     consts_b = _hash_consts(_INIT_B, _MULT_B, 9)
     state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], consts_b, 0)
     words = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+    words.setflags(write=False)
+    return words
+
+
+def group_generators(
+    seed: int, tag: int, ids: Sequence[int]
+) -> list[np.random.Generator]:
+    """``np.random.default_rng([seed, tag, i])`` for every ``i`` in
+    ``ids``, each in the same state.
+
+    The ``SeedSequence`` hash runs once per block of ``GENERATOR_BLOCK``
+    consecutive ids (``_block_words``), and its words are cached for the
+    last ``GENERATOR_BLOCKS`` blocks: query ids run consecutively through
+    a training run, so most calls hash nothing and only build each id's
+    ``PCG64``, whose words reach it through a small ``ISeedSequence`` so
+    that PCG64's own seeding is unchanged.  Each id must be one 32-bit
+    word: an id outside ``[0, 2**32)`` is a ``ValueError``.
+    """
+    ids = np.asarray(ids)
+    bad = (ids < 0) | (ids > _MASK32)
+    if bad.any():
+        raise ValueError(f"generator id {ids[bad][0]} is outside [0, 2**32)")
+    if seed < 0 or tag < 0:
+        raise ValueError("seed and tag must be >= 0")
+    seed, tag = int(seed), int(tag)
     state_words, generator, pcg64 = _state_words_type()
-    return [generator(pcg64(state_words(w))) for w in words]
+    out = []
+    for i in ids.tolist():
+        words = _block_words(seed, tag, i // GENERATOR_BLOCK)
+        out.append(generator(pcg64(state_words(words[i % GENERATOR_BLOCK]))))
+    return out
 
 
 def _enumerate_queries(spec: TaskSpec):
@@ -550,9 +577,9 @@ def collect_batch(
     so the returned groups, stats and query counter, and the task stream
     the next call sees, do not depend on the hint.  ``Rollout`` and
     ``Group`` objects are built for the returned groups only.  Every group
-    draws its noise from its own ``[seed, 1, query index]`` generator, all
-    of a call's derived in one pass by ``group_generators``, so a group's
-    rollouts do not depend on the call it lands in.  Aborts when
+    draws its noise from its own ``[seed, 1, query index]`` generator,
+    built by ``group_generators`` from words cached per block of ids, so a
+    group's rollouts do not depend on the call it lands in.  Aborts when
     100 * batch_groups consecutive queries yield no valid group, which
     signals a collapsed policy or a degenerate task.
 
@@ -653,7 +680,7 @@ def evaluate(
 
     The tasks come from their own ``[seed, 2]`` generator and the attempts
     at task ``i`` from a ``[seed, 4, i]`` generator, all ``n_tasks`` of
-    them derived in one pass by ``group_generators``, so the task set does
+    them built at once by ``group_generators``, so the task set does
     not depend on the policy, on k or on the sampling.  The attempts are
     sampled ``EVAL_CHUNK`` tasks per lockstep call and scored as arrays by
     ``_score``, each distinct ``(response, gold)`` pair verified once per

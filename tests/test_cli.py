@@ -1,11 +1,12 @@
 import json
 import os
+import struct
 
 import pytest
 
 from rlvrlab.cli import dispatch
 from rlvrlab.curation import ProblemRecord, write_records
-from rlvrlab.policy import load_checkpoint, save_checkpoint
+from rlvrlab.policy import PolicyParams, Vocab, load_checkpoint, save_checkpoint
 from rlvrlab.trainer import StagePlan, TaskSpec, TrainConfig, init_policy
 
 
@@ -367,8 +368,10 @@ class TestTrainEvalReport:
         [
             (b"not a checkpoint", "checkpoint too short"),
             (b"\x07" * 24, "unsupported checkpoint version"),
+            # A valid header over an empty table: no bucket to sample from.
+            (struct.pack("<5I", 1, 3, 0, 14, 13), "logits table must hold at least"),
         ],
-        ids=["too_short", "bad_version"],
+        ids=["too_short", "bad_version", "zero_buckets"],
     )
     def test_bad_checkpoint_exits_two(self, tmp_path, capsys, blob, reason):
         ckpt = tmp_path / "p.ckpt"
@@ -377,6 +380,24 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: {reason}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "vocab", [Vocab(20, 19), Vocab(14, 2)], ids=["20_ids", "eos_2"]
+    )
+    def test_checkpoint_of_another_vocabulary_exits_two(self, tmp_path, capsys, vocab):
+        # A well-formed checkpoint whose token ids are not the tasks': 20 ids
+        # cannot be decoded into answers, and with eos 2 every response
+        # would be scored as truncated.
+        ckpt = tmp_path / "p.ckpt"
+        save_checkpoint(PolicyParams.uniform(vocab, 4, 64), str(ckpt))
+        args = ["eval", "--ckpt", str(ckpt), "--k", "4", "--n-tasks", "5", "--max-len", "6"]
+        assert dispatch(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {ckpt}: vocabulary of {vocab.size} ids with eos {vocab.eos} "
+            "is not the tasks' 14 ids with eos 13\n"
+        )
 
 
 @pytest.fixture

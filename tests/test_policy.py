@@ -167,6 +167,11 @@ class TestTokenLogprob:
         with pytest.raises(ValueError):
             PolicyParams(Vocab(4, 3), 2, logits)
 
+    def test_table_rejects_zero_buckets(self):
+        # The sampler hashes every window modulo the number of buckets.
+        with pytest.raises(ValueError, match="at least one bucket"):
+            PolicyParams(Vocab(4, 3), 2, np.zeros((0, 4)))
+
 
 class TestTokenLogprobGrad:
     def test_uniform_gradient_is_centered_onehot(self):
@@ -269,6 +274,40 @@ class TestSampleResponse:
         params.logits[bucket(params, (4, 0)), 2] = -np.inf
         with pytest.raises(ValueError):
             sample_response(params, (0,), 5, 1.0, np.random.default_rng(0))
+
+    @staticmethod
+    def counting_params():
+        # After token w the policy all but surely emits w + 1, so the query
+        # (0,) reads the rows of contexts (0,) .. (6,) at positions 0 .. 6
+        # and stops at eos 7; the row of context (7,) is never read.
+        params = PolicyParams.uniform(Vocab(8, 7), 1, 64)
+        for w in range(7):
+            params.logits[bucket(params, (w,)), w + 1] = 50.0
+        return params
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    def test_nonfinite_row_past_first_block_rejected(self, bad):
+        params = self.counting_params()
+        rng = np.random.default_rng(0)
+        rollout = sample_response(params, (0,), 10, 1.0, rng)
+        assert rollout.response == tuple(range(1, 8))
+        # First read at position 5, in the second block of noise.
+        assert 5 >= FIRST_BLOCK
+        params.logits[bucket(params, (5,)), 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
+        rngs = [np.random.default_rng(i) for i in (1, 2)]
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_groups(params, [(3,), (0,)], 2, 10, 1.0, rngs)
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    def test_nonfinite_row_never_read_accepted(self, bad):
+        params = self.counting_params()
+        want = sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
+        params.logits[bucket(params, (7,)), :] = bad
+        params.logits[40:, 3] = bad  # rows of no context of this vocabulary
+        got = sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
+        assert got == want
 
     def test_matches_token_at_a_time_oracle(self):
         rng = np.random.default_rng(17)

@@ -458,23 +458,78 @@ class TestRowKeys:
 
 
 class TestGroupGenerators:
-    """``group_generators`` derives ``default_rng([seed, tag, i])`` in bulk."""
+    """``group_generators`` gives ``default_rng([seed, tag, i])`` from seed
+    words hashed and cached per block of ids."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
-    @pytest.mark.parametrize("tag", [1, 4])
-    def test_equals_default_rng(self, seed, tag):
-        ids = [*range(301), 2**32 - 1]
-        got = group_generators(seed, tag, ids)
+    @staticmethod
+    def assert_default_rng(got, seed, tag, ids):
         assert len(got) == len(ids)
         for rng, i in zip(got, ids):
             want = np.random.default_rng([seed, tag, i])
             assert rng.bit_generator.state == want.bit_generator.state
             assert rng.random(4).tolist() == want.random(4).tolist()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("tag", [1, 4])
+    def test_equals_default_rng(self, seed, tag):
+        ids = [*range(301), 2**32 - 1]
+        self.assert_default_rng(group_generators(seed, tag, ids), seed, tag, ids)
+
     @pytest.mark.parametrize("bad", [2**32, 2**40, 2**64 + 1, -1])
     def test_id_outside_one_word_raises(self, bad):
         with pytest.raises(ValueError, match=str(bad)):
             group_generators(0, 1, [0, bad, 2])
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [1023, 1024, 2047, 2048, 4095],
+            [2048, 5, 1030, 5, 4095, 1023, 2048, 0],  # unsorted, repeated
+            list(range(1000, 2100)),  # three blocks in one call
+            [2**32 - 1, 2**32 - 1025, 2**32 - 1024],
+        ],
+        ids=["boundaries", "unsorted_repeated", "three_blocks", "last_blocks"],
+    )
+    def test_ids_across_blocks(self, ids):
+        assert trainer.GENERATOR_BLOCK == 1024
+        for seed in (0, 3):
+            self.assert_default_rng(group_generators(seed, 1, ids), seed, 1, ids)
+            # Again from the cached words.
+            self.assert_default_rng(group_generators(seed, 1, ids), seed, 1, ids)
+
+    def test_seeds_and_tags_sharing_a_block_differ(self):
+        # Block 0 of (seed, tag) for three (seed, tag) pairs, each cached in
+        # turn: a cache that ignored the seed or the tag would hand one
+        # pair's words to the next.
+        firsts = []
+        for seed, tag in [(5, 1), (6, 1), (5, 4)]:
+            got = group_generators(seed, tag, [7, 8])
+            self.assert_default_rng(got, seed, tag, [7, 8])
+            firsts.append(got[0].random())
+        assert len(set(firsts)) == 3
+
+    def test_a_repeated_call_hashes_nothing(self):
+        group_generators(9, 1, range(1000, 1100))
+        misses = trainer._block_words.cache_info().misses
+        group_generators(9, 1, range(1050, 1074))
+        assert trainer._block_words.cache_info().misses == misses
+
+    def test_word_cache_is_bounded_and_read_only(self):
+        maxsize = trainer._block_words.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 64
+        words = trainer._block_words(0, 1, 0)
+        assert words.shape == (trainer.GENERATOR_BLOCK, 4)
+        with pytest.raises(ValueError):
+            words[0, 0] = 1
+        # Rows handed to PCG64 are views of the cached array, read-only too.
+        with pytest.raises(ValueError):
+            words[3][:] = 0
+
+    def test_negative_seed_or_tag_raises(self):
+        with pytest.raises(ValueError, match="seed and tag"):
+            group_generators(-1, 1, [0])
+        with pytest.raises(ValueError, match="seed and tag"):
+            group_generators(0, -4, [0])
 
 
 _IMPORT_SCRIPT = """
