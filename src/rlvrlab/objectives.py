@@ -90,6 +90,8 @@ class ClipSchedule:
                 for v in vals:
                     if not 0.0 < v < 1.0:
                         raise ValueError(f"clip value {v} outside (0, 1)")
+                if vals[0] > vals[1]:
+                    raise ValueError(f"clip interval {spec} has low end above high end")
 
 
 def shaped_advantages(

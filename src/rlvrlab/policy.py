@@ -20,9 +20,6 @@ import numpy as np
 
 CHECKPOINT_VERSION = 1
 
-DEFAULT_ORDER = 3
-DEFAULT_BUCKETS = 4096
-
 # Polynomial rolling hash over the window; 64-bit wraparound keeps it
 # platform independent.
 _HASH_MULT = 1000003
@@ -90,9 +87,7 @@ class PolicyParams:
         return self.logits.shape[0]
 
     @classmethod
-    def uniform(
-        cls, vocab: Vocab, k: int = DEFAULT_ORDER, buckets: int = DEFAULT_BUCKETS
-    ) -> "PolicyParams":
+    def uniform(cls, vocab: Vocab, k: int, buckets: int) -> "PolicyParams":
         return cls(vocab, k, np.zeros((buckets, vocab.size)))
 
     def copy(self) -> "PolicyParams":
@@ -106,12 +101,6 @@ class Rollout:
     query: tuple[int, ...]
     response: tuple[int, ...]
     truncated: bool  # hit the length cap without emitting eos
-
-    def content(self, eos: int) -> tuple[int, ...]:
-        """Response tokens without the trailing eos, if any."""
-        if self.response and self.response[-1] == eos:
-            return self.response[:-1]
-        return self.response
 
 
 def log_softmax_at(

@@ -19,6 +19,7 @@ their seeds once per block of consecutive ids and caches the words.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -151,6 +152,11 @@ class StagePlan:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A training run.  ``task`` names one of the two task families, the
+    initial policy is always ``init_policy``'s format scaffold, and
+    ``eval_every > 0`` records avg@``eval_k`` over ``eval_tasks`` tasks
+    every ``eval_every`` steps."""
+
     stages: tuple[StagePlan, ...] = ()
     task: TaskSpec = field(default_factory=TaskSpec)
     group_size: int = 16  # rollouts per query
@@ -164,9 +170,6 @@ class TrainConfig:
     repetition_penalty: bool = True
     min_period: int = 1
     min_repeats: int = 3
-    init: str = "format"  # "format" (answer-shaped scaffold) or "uniform"
-    format_bias: float = 5.0
-    eos_floor: float = 2.0  # global eos suppression outside scaffolded windows
     loop_boost: float = 0.0
     eval_every: int = 0
     eval_k: int = 32
@@ -192,12 +195,10 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 0, and eval_k and eval_tasks >= 1")
         if self.min_period < 1 or self.min_repeats < 1:
             raise ValueError("min_period and min_repeats must be >= 1")
-        if self.init not in ("format", "uniform"):
-            raise ValueError(f"unknown init mode {self.init!r}")
-        if self.context_order < self.task.query_length:
+        if self.context_order < tasks.QUERY_LENGTH:
             raise ValueError(
                 "context_order must cover the whole query "
-                f"({self.task.query_length} tokens) or the task is unlearnable"
+                f"({tasks.QUERY_LENGTH} tokens) or the task is unlearnable"
             )
         lengths = [s.max_response_len for s in self.stages]
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -402,45 +403,39 @@ def group_generators(
     return out
 
 
-def _enumerate_queries(spec: TaskSpec):
-    if spec.family in ("modular-add", "modular-mul"):
-        op = tasks.PLUS if spec.family == "modular-add" else tasks.TIMES
-        for a in DIGITS:
-            for b in DIGITS:
-                yield (a, op, b, tasks.EQUALS)
-    else:
-        for combo in np.ndindex(*(10,) * spec.num_digits):
-            yield tuple(int(d) for d in combo) + (tasks.EQUALS,)
+# The format scaffold of ``init_policy``: the logit bias toward answering
+# with one digit and stopping, and eos's suppression everywhere else.
+FORMAT_BIAS = 5.0
+EOS_FLOOR = 2.0
 
 
 def init_policy(config: TrainConfig) -> PolicyParams:
-    """Initial logits table, optionally scaffolded.
+    """Initial logits table: the format scaffold.
 
-    The "format" scaffold makes the policy guess a uniformly random digit
-    right after '=' and then stop, which puts initial accuracy at the
-    chance level for the task's residues.  Outside the scaffolded windows
-    eos is suppressed by ``eos_floor``, so rollouts that drift off the
-    answer format run long and press against the stage length cap.  A
-    positive ``loop_boost`` additionally makes repeating the previous digit
+    The scaffold makes the policy guess a uniformly random digit right
+    after '=' and then stop, which puts initial accuracy at the chance
+    level for the task's residues.  Outside the scaffolded windows eos is
+    suppressed by ``EOS_FLOOR``, so rollouts that drift off the answer
+    format run long and press against the stage length cap.  A positive
+    ``loop_boost`` additionally makes repeating the previous digit
     attractive, seeding the degenerate loops the repetition penalty is
     meant to suppress.
     """
     params = PolicyParams.uniform(tasks.VOCAB, config.context_order, config.buckets)
-    if config.init == "uniform":
-        return params
     logits = params.logits
-    logits[:, tasks.EOS] = -config.eos_floor
+    logits[:, tasks.EOS] = -EOS_FLOOR
     k = config.context_order
     begin = tasks.VOCAB.begin_marker
     non_digit = [t for t in range(tasks.VOCAB.size) if t not in DIGITS]
-    for query in _enumerate_queries(config.task):
-        padded = (begin,) * k + query
+    op = tasks.OPERATORS[config.task.family]
+    for a, b in itertools.product(DIGITS, DIGITS):
+        padded = (begin,) * k + (a, op, b, tasks.EQUALS)
         first = padded[-k:]
-        logits[bucket_of(first, config.buckets), non_digit] = -config.format_bias
+        logits[bucket_of(first, config.buckets), non_digit] = -FORMAT_BIAS
         for d in DIGITS:
             after = (padded + (d,))[-k:]
             row = bucket_of(after, config.buckets)
-            logits[row, tasks.EOS] = config.format_bias
+            logits[row, tasks.EOS] = FORMAT_BIAS
             if config.loop_boost > 0:
                 logits[row, d] = config.loop_boost
     if config.loop_boost > 0 and k >= 2:
@@ -499,7 +494,7 @@ def _score(
             reward = reward_memo.get(pair)
             if reward is None:
                 answer = tasks.decode_tokens([b - 1 for b in key])
-                reward = reward_memo[pair] = verifier.reward(answer, gold, False)
+                reward = reward_memo[pair] = verifier.reward(answer, gold)
             rewards[j] = reward
         if scores is not None:
             content = key if truncated else key[:-1]

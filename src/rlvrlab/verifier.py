@@ -574,8 +574,8 @@ def verify(candidate: str, gold: str, start_stage: int = 1) -> Verdict:
     return Verdict(UNVERIFIABLE, None)
 
 
-def reward(response_answer: str, gold: str, truncated: bool) -> float:
-    """Binary verifiable reward; over-length rollouts score zero outright."""
-    if truncated:
-        return 0.0
+def reward(response_answer: str, gold: str) -> float:
+    """Binary verifiable reward: 1 when the answer verifies as equivalent
+    to the gold, else 0.  The trainer scores an over-length rollout 0
+    without calling it."""
     return 1.0 if verify(response_answer, gold).outcome == EQUIVALENT else 0.0

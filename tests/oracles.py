@@ -230,9 +230,9 @@ def score_group(query_id, rollouts, gold, config, reward_memo, score_memo):
             rewards.append(0.0)
         else:
             if key not in reward_memo:
-                reward_memo[key] = reward(tasks.decode_tokens(ro.response), gold, False)
+                reward_memo[key] = reward(tasks.decode_tokens(ro.response), gold)
             rewards.append(reward_memo[key])
-        content = ro.content(tasks.EOS)
+        content = ro.response if ro.truncated else ro.response[:-1]
         if content and content not in score_memo:
             score_memo[content] = repetition_score(
                 content, config.min_period, config.min_repeats
@@ -272,7 +272,7 @@ def score_rows(tokens, golds, reward_memo, score_memo=None, config=None):
         else:
             key = (response, gold)
             if key not in reward_memo:
-                reward_memo[key] = reward(tasks.decode_tokens(response), gold, False)
+                reward_memo[key] = reward(tasks.decode_tokens(response), gold)
             rewards[j] = reward_memo[key]
         if scores is not None:
             content = response if truncated else response[:-1]
@@ -504,7 +504,8 @@ def policy_answerer(params, max_len: int, temperature: float = 1.0):
 
 def estimate_pass_rate(records, rollout_fn, attempts: int = 5, seed: int = 0):
     """``records`` with the pass rate of ``attempts`` answers from
-    ``rollout_fn(question, rng)`` each, graded by ``verifier.reward``."""
+    ``rollout_fn(question, rng)`` each, graded by ``verifier.reward``; a
+    truncated answer scores 0 unverified."""
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
     out = []
@@ -512,7 +513,7 @@ def estimate_pass_rate(records, rollout_fn, attempts: int = 5, seed: int = 0):
         hits = 0
         for attempt in range(attempts):
             answer, truncated = rollout_fn(rec.question, np.random.default_rng([seed, idx, attempt]))
-            hits += int(reward(answer, rec.answer, truncated))
+            hits += 0 if truncated else int(reward(answer, rec.answer))
         out.append(replace(rec, pass_rate=hits / attempts))
     return out
 

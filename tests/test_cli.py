@@ -182,7 +182,7 @@ class TestTrainEvalReport:
         # Pinned: a change to how configs serialize would change the
         # config_hash of every existing run.
         assert manifest["config_hash"] == (
-            "a8ceb612425e3c10a3b90f4d49e21ac1ba0dbfc8bf86c7854345a1865bbfe173"
+            "f830ea9ba469a1e2df8b530baa15ea5fd2b4c13f8eff02764f4d94732ea117df"
         )
 
         final = out_dir / "final.ckpt"
@@ -252,12 +252,20 @@ class TestTrainEvalReport:
             ('{"learning_rate": NaN}', "learning_rate must be a finite number, got nan"),
             ('{"learning_rate": Infinity}', "learning_rate must be a finite number, got inf"),
             ('{"learning_rate": 1%s}' % ("0" * 400), "int too large to convert to float"),
-            ('{"format_bias": NaN}', "format_bias must be a finite number, got nan"),
+            ('{"format_bias": NaN}', "unknown TrainConfig key(s): format_bias"),
+            ('{"format_bias": 5.0}', "unknown TrainConfig key(s): format_bias"),
+            ('{"eos_floor": 2.0}', "unknown TrainConfig key(s): eos_floor"),
+            ('{"init": "uniform"}', "unknown TrainConfig key(s): init"),
+            ('{"task": {"num_digits": 2}}', "unknown TaskSpec key(s): num_digits"),
+            ('{"task": {"family": "digit-sum"}}', "unknown task family 'digit-sum'"),
             ('{"buckets": -5}', "buckets must be >= 1"),
             ('{"buckets": 0}', "buckets must be >= 1"),
             ('{"stages": [{"max_response_len": 0}]}', "max_response_len must be >= 1"),
             ('{"stages": [{"max_response_len": 4, "clip_high": 1.5}]}',
              "clip value 1.5 outside (0, 1)"),
+            ('{"stages": [{"max_response_len": 4, "max_steps": 1, "clip_high": [0.3, 0.1]}],'
+             ' "group_size": 4, "batch_groups": 2}',
+             "clip interval (0.3, 0.1) has low end above high end"),
             ('{"stages": [{"max_response_len": 4, "saturation_window": 1}]}',
              "saturation_window must be 0 (off) or >= 2"),
             ('{"eval_every": 1, "eval_k": 0}',
@@ -274,8 +282,8 @@ class TestTrainEvalReport:
             ('{"task": {"modulus": 7.9}}', "modulus must be an integer, got 7.9"),
             ('{"stages": [{"max_response_len": 4, "max_steps": true}]}',
              "max_steps must be an integer, got True"),
-            ('{"task": {"family": "digit-sum", "num_digits": true}}',
-             "num_digits must be an integer, got True"),
+            ('{"task": {"num_digits": true}}', "unknown TaskSpec key(s): num_digits"),
+            ('{"task": {"modulus": true}}', "modulus must be an integer, got True"),
             ('{"stages": [{"max_response_len": 4, "saturation_threshold": true}]}',
              "saturation_threshold must be a finite number, got True"),
             ('{"stages": [{"max_response_len": "12"}]}',
@@ -296,10 +304,16 @@ class TestTrainEvalReport:
             "infinite_learning_rate",
             "huge_learning_rate",
             "nan_format_bias",
+            "default_format_bias",
+            "default_eos_floor",
+            "uniform_init",
+            "num_digits",
+            "digit_sum_family",
             "negative_buckets",
             "zero_buckets",
             "zero_max_response_len",
             "clip_high_above_one",
+            "reversed_clip_interval",
             "one_entry_saturation_window",
             "zero_eval_k",
             "zero_eval_tasks",
@@ -311,6 +325,7 @@ class TestTrainEvalReport:
             "fractional_modulus",
             "bool_max_steps",
             "bool_num_digits",
+            "bool_modulus",
             "bool_saturation_threshold",
             "string_max_response_len",
         ],

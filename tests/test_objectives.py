@@ -268,6 +268,11 @@ class TestClipSchedule:
         with pytest.raises(ValueError):
             ClipSchedule((((0.2, 1.0), 0.2),))
 
+    def test_reversed_interval_rejected(self):
+        for stage in (((0.28, 0.2), 0.2), (0.2, (0.3, 0.1))):
+            with pytest.raises(ValueError, match="low end above high end"):
+                ClipSchedule((stage,))
+
 
 class TestTokenMeanObjective:
     def test_empty_batch_rejected(self):

@@ -451,13 +451,6 @@ class TestSampleGroups:
             sample_groups(params, [(0,), (1,)], 2, 5, 1.0, [np.random.default_rng(0)])
 
 
-class TestRollout:
-    def test_content_strips_trailing_eos(self):
-        ro = Rollout((0,), (1, 2, 3), False)
-        assert ro.content(3) == (1, 2)
-        assert ro.content(9) == (1, 2, 3)
-
-
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

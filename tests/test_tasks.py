@@ -37,13 +37,6 @@ class TestGenerateTask:
                 _, gold = generate_task(TaskSpec(family, 7), rng)
                 assert 0 <= int(gold) < 7
 
-    def test_digit_sum(self):
-        rng = np.random.default_rng(2)
-        query, gold = generate_task(TaskSpec("digit-sum", num_digits=3), rng)
-        digits = query[:-1]
-        assert query[-1] == EQUALS
-        assert gold == str(sum(digits))
-
     def test_residue_distribution_is_uniform_for_modular_add(self):
         rng = np.random.default_rng(3)
         counts = np.zeros(10)
@@ -57,6 +50,8 @@ class TestGenerateTask:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             TaskSpec("division")
+        with pytest.raises(ValueError, match="unknown task family 'digit-sum'"):
+            TaskSpec("digit-sum")
         with pytest.raises(ValueError):
             TaskSpec("modular-add", modulus=11)
 

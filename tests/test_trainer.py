@@ -129,10 +129,6 @@ class TestConfig:
 
 
 class TestInitPolicy:
-    def test_uniform_mode_is_all_zeros(self):
-        cfg = tiny_config(init="uniform")
-        assert not init_policy(cfg).logits.any()
-
     def test_format_scaffold_chance_level(self):
         cfg = tiny_config()
         score = evaluate(init_policy(cfg), cfg.task, 32, 1.0, 24, seed=0)
@@ -152,7 +148,7 @@ class TestInitPolicy:
             for _ in range(300):
                 query, _ = tasks.generate_task(TaskSpec(), rng_local)
                 ro = sample_response(params, query, 24, 1.0, rng_local)
-                content = ro.content(EOS)
+                content = ro.response if ro.truncated else ro.response[:-1]
                 total += repetition_score(content) if content else 0.0
             return total / 300
 
@@ -304,12 +300,12 @@ class TestScoringMemo:
         for g in groups:
             gold = add_gold(g.rollouts[0].query)
             rewards = [
-                verifier.reward(tasks.decode_tokens(ro.response), gold, ro.truncated)
+                0.0 if ro.truncated else verifier.reward(tasks.decode_tokens(ro.response), gold)
                 for ro in g.rollouts
             ]
+            contents = [ro.response if ro.truncated else ro.response[:-1] for ro in g.rollouts]
             scores = [
-                repetition.repetition_score(ro.content(EOS)) if ro.content(EOS) else 0.0
-                for ro in g.rollouts
+                repetition.repetition_score(content) if content else 0.0 for content in contents
             ]
             assert g.rewards.tolist() == rewards
             assert g.penalties.tolist() == (scores if penalty else [0.0] * g.size)
@@ -318,9 +314,9 @@ class TestScoringMemo:
     def test_one_call_per_distinct_rollout(self, monkeypatch):
         reward_calls, score_calls = [], []
 
-        def spy_reward(answer, gold, truncated):
-            reward_calls.append((answer, gold, truncated))
-            return real_reward(answer, gold, truncated)
+        def spy_reward(answer, gold):
+            reward_calls.append((answer, gold))
+            return real_reward(answer, gold)
 
         def spy_score(tokens, *args):
             score_calls.append(tuple(tokens))
@@ -339,7 +335,6 @@ class TestScoringMemo:
                 params, cfg.stages[0], cfg, task_rng, counter
             )
             assert reward_calls and score_calls
-            assert not any(truncated for _, _, truncated in reward_calls)
             assert len(set(reward_calls)) == len(reward_calls)
             assert len(set(score_calls)) == len(score_calls)
             # The memo had work to save: rollouts repeat within the call.
@@ -348,15 +343,14 @@ class TestScoringMemo:
     def test_one_verification_per_distinct_answer_per_run(self, monkeypatch):
         calls = []
 
-        def spy_reward(answer, gold, truncated):
-            calls.append((answer, gold, truncated))
-            return real_reward(answer, gold, truncated)
+        def spy_reward(answer, gold):
+            calls.append((answer, gold))
+            return real_reward(answer, gold)
 
         real_reward = verifier.reward
         monkeypatch.setattr(verifier, "reward", spy_reward)
         cfg = tiny_config(stages=(StagePlan(max_response_len=12, max_steps=8),))
         assert len(train(cfg).metrics) == 8 and calls
-        assert not any(truncated for _, _, truncated in calls)
         assert len(set(calls)) == len(calls)
 
     def test_evaluate_equals_per_rollout_sum(self, monkeypatch):
@@ -378,8 +372,9 @@ class TestScoringMemo:
         total = 0.0
         for query, rollouts in sampled:
             hits = sum(
-                verifier.reward(tasks.decode_tokens(ro.response), add_gold(query), ro.truncated)
+                verifier.reward(tasks.decode_tokens(ro.response), add_gold(query))
                 for ro in rollouts
+                if not ro.truncated
             )
             total += hits / k
         assert got == total / n_tasks
@@ -684,6 +679,51 @@ class TestTrain:
         last = np.mean([m.mean_reward for m in result.metrics[-5:]])
         assert last > first + 0.05
 
+    def test_modular_mul_learns(self):
+        # The criterion-6 hyperparameters on the other family, 20 + 30
+        # steps.  Seeds 1-8 end between 0.240 and 0.266 avg@32.
+        cfg = TrainConfig(
+            stages=(StagePlan(24, max_steps=20), StagePlan(48, max_steps=30)),
+            task=TaskSpec("modular-mul", 10),
+            group_size=8,
+            batch_groups=16,
+            learning_rate=20.0,
+            seed=1,
+        )
+        initial = evaluate(init_policy(cfg), cfg.task, 32, 1.0, 24, seed=cfg.seed)
+        final = evaluate(train(cfg).policy, cfg.task, 32, 1.0, 48, seed=cfg.seed)
+        assert 0.07 <= initial <= 0.13, f"initial avg@32 {initial:.3f}"
+        assert final >= 0.18, f"final avg@32 {final:.3f}"
+
+    def test_in_training_evaluation(self):
+        cfg = tiny_config(
+            stages=(StagePlan(12, max_steps=5), StagePlan(16, max_steps=3)),
+            eval_every=2,
+            eval_k=8,
+            eval_tasks=40,
+        )
+        evaluated = train(cfg)
+        plain = train(replace(cfg, eval_every=0))
+        steps = [m.step for m in evaluated.metrics if m.avg_at_k is not None]
+        assert steps == [2, 4, 6, 8]
+        # Evaluation draws from its own generators: training is unmoved.
+        assert [json.dumps(replace(m, avg_at_k=None).to_dict()) for m in evaluated.metrics] == [
+            json.dumps(m.to_dict()) for m in plain.metrics
+        ]
+        assert evaluated.policy.logits.tobytes() == plain.policy.logits.tobytes()
+        for a, b in zip(evaluated.stage_checkpoints, plain.stage_checkpoints):
+            assert a.logits.tobytes() == b.logits.tobytes()
+        last = evaluate(
+            evaluated.policy,
+            cfg.task,
+            cfg.eval_k,
+            cfg.temperature,
+            cfg.stages[-1].max_response_len,
+            seed=cfg.seed,
+            n_tasks=cfg.eval_tasks,
+        )
+        assert evaluated.metrics[-1].avg_at_k == last
+
 
 _METRICS_SCRIPT = """
 import json
@@ -750,7 +790,7 @@ class TestEvaluate:
         for params, k in (
             (init_policy(cfg), 32),
             (init_policy(cfg), 16),
-            (init_policy(tiny_config(init="uniform")), 32),
+            (PolicyParams.uniform(tasks.VOCAB, cfg.context_order, cfg.buckets), 32),
         ):
             drawn.clear()
             evaluate(params, cfg.task, k, 1.0, 12, seed=1, n_tasks=60)

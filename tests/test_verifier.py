@@ -368,17 +368,14 @@ class TestVerifierTime:
 
 
 class TestReward:
-    def test_truncation_zeroes_any_answer(self):
-        assert reward("42", "42", truncated=True) == 0.0
-
     def test_verified_equivalence_pays_one(self):
-        assert reward("1/2", "0.5", truncated=False) == 1.0
+        assert reward("1/2", "0.5") == 1.0
 
     def test_wrong_answer_pays_zero(self):
-        assert reward("7", "8", truncated=False) == 0.0
+        assert reward("7", "8") == 0.0
 
     def test_unverifiable_pays_zero(self):
-        assert reward("no idea", "8", truncated=False) == 0.0
+        assert reward("no idea", "8") == 0.0
 
 
 class TestExtractFinalAnswer:
