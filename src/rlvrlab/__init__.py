@@ -14,8 +14,8 @@ from .curation import (
 )
 from .objectives import (
     AdvantageSet,
+    Batch,
     ClipSchedule,
-    Group,
     RefModel,
     filter_mixed_groups,
     reward_advantages,
@@ -26,12 +26,9 @@ from .objectives import (
 )
 from .policy import (
     PolicyParams,
-    Rollout,
     Vocab,
     load_checkpoint,
-    rollouts_from,
     sample_groups,
-    sample_response,
     save_checkpoint,
 )
 from .repetition import LoopSpan, detect_loop, repetition_score

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -80,9 +81,10 @@ def _require_file(path: str, parser: argparse.ArgumentParser) -> None:
 def _require_positive(args, parser: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
-        if not value > 0:  # also rejects nan
+        if not 0 < value < math.inf:  # also rejects nan
             flag = "--" + name.replace("_", "-")
-            parser.exit(2, f"error: {flag} must be positive, got {value}\n")
+            want = "finite" if value == math.inf else "positive"
+            parser.exit(2, f"error: {flag} must be {want}, got {value}\n")
 
 
 def _require_seed(args, parser: argparse.ArgumentParser) -> None:

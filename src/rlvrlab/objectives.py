@@ -1,4 +1,5 @@
-"""Group-normalized advantages and clipped policy-gradient surrogates.
+"""Advantages normalized within each group, and clipped policy-gradient
+surrogates.
 
 One clipped surrogate, evaluated over every token of a batch at once, with
 two weightings: a token-mean form that normalizes by the total token count
@@ -11,17 +12,20 @@ with its analytic gradient over the policy logits table, checked
 elsewhere against finite differences.  A batch touches a few hundred of
 the table's rows, so the gradient is row-sparse: those rows and their
 values alone (a ``SparseGrad``).
+
+A batch is a ``Batch``: the sampler's token and bucket rows of every kept
+rollout, with their queries, rewards and penalties, and the id and size
+of every group.  The objectives read it as arrays from end to end.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .policy import PolicyParams, Rollout, context_buckets, log_softmax_at
+from .policy import PolicyParams, context_buckets, log_softmax_at
 
 STD_FLOOR = 1e-6
 
@@ -35,23 +39,42 @@ SparseGrad = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
-class Group:
-    """The rollouts sampled for one query, with their rewards and penalties."""
+class Batch:
+    """Groups of rollouts as arrays: one row per rollout, each group's rows
+    consecutive and the groups in order.
 
-    query_id: int
-    rollouts: tuple[Rollout, ...]
-    rewards: np.ndarray  # {0, 1} per rollout
-    penalties: np.ndarray  # repetition scores in [0, 1] per rollout
+    ``tokens`` and ``buckets`` are rows as ``sample_groups`` returns them,
+    each response's tokens and the context bucket before each, -1 past its
+    end.  Every rollout carries its own query, reward and penalty; every
+    group its query id and its size, which may differ between groups.
+    """
+
+    queries: np.ndarray  # (n, query length) token ids
+    tokens: np.ndarray  # (n, width) response token ids, -1 past each end
+    buckets: np.ndarray  # (n, width) context buckets, -1 past each end
+    rewards: np.ndarray  # (n,) {0, 1}
+    penalties: np.ndarray  # (n,) repetition scores in [0, 1]
+    query_ids: np.ndarray  # (groups,)
+    sizes: np.ndarray  # (groups,) rollouts per group
 
     def __post_init__(self) -> None:
-        if not (len(self.rollouts) == len(self.rewards) == len(self.penalties)):
-            raise ValueError("rollouts, rewards and penalties must align")
-        if len(self.rollouts) < 2:
+        n = len(self.tokens)
+        if not (
+            len(self.queries) == len(self.rewards) == len(self.penalties) == n
+            and len(self.query_ids) == len(self.sizes)
+        ):
+            raise ValueError("per-rollout arrays, and per-group arrays, must align")
+        if self.tokens.ndim != 2 or self.buckets.shape != self.tokens.shape:
+            raise ValueError(
+                f"tokens {self.tokens.shape} and buckets {self.buckets.shape} "
+                "must be 2-D arrays of one shape"
+            )
+        if not np.array_equal(self.buckets < 0, self.tokens < 0):
+            raise ValueError("buckets must hold a bucket exactly where tokens hold a token")
+        if (self.sizes < 2).any():
             raise ValueError("a group needs at least 2 rollouts")
-
-    @property
-    def size(self) -> int:
-        return len(self.rollouts)
+        if self.sizes.sum() != n:
+            raise ValueError(f"group sizes sum to {self.sizes.sum()}, not {n} rollouts")
 
 
 @dataclass(frozen=True)
@@ -121,7 +144,8 @@ def shaped_advantages(
 
 
 def reward_advantages(rewards: np.ndarray | Sequence[float]) -> AdvantageSet:
-    """Group-normalized rewards: shaped_advantages with zero penalties."""
+    """Rewards normalized within each group: shaped_advantages with zero
+    penalties."""
     r = np.asarray(rewards, dtype=np.float64)
     return shaped_advantages(r, np.zeros_like(r))
 
@@ -150,65 +174,42 @@ def sample_clip_ratios(
     return out[0], out[1]
 
 
-def _packed_tokens(
-    params: PolicyParams, groups: Sequence[Group], buckets: np.ndarray | None
-) -> tuple[list[Rollout], np.ndarray, np.ndarray, np.ndarray]:
-    """Every rollout of ``groups`` in order, the length of each response,
-    and the buckets and tokens of all responses flattened in rollout order.
-    ``buckets`` are used as given, or hashed from ``params`` when None."""
-    rollouts = [ro for g in groups for ro in g.rollouts]
-    lengths = np.fromiter(
-        (len(ro.response) for ro in rollouts), dtype=np.int64, count=len(rollouts)
-    )
-    if buckets is None:
-        return (rollouts, lengths, *context_buckets(params, rollouts))
-    toks = np.fromiter(
-        itertools.chain.from_iterable(ro.response for ro in rollouts),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    if buckets.shape != toks.shape:
-        raise ValueError(f"{buckets.size} buckets for {toks.size} response tokens")
-    return rollouts, lengths, buckets, toks
+def _flat_tokens(batch: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The length of every response of ``batch``, and the buckets and
+    tokens of all of them, flattened in rollout order."""
+    filled = batch.tokens >= 0
+    return filled.sum(axis=1), batch.buckets[filled], batch.tokens[filled]
 
 
-def response_logprobs(
-    params: PolicyParams, groups: Sequence[Group], buckets: np.ndarray | None = None
-) -> np.ndarray:
+def response_logprobs(params: PolicyParams, batch: Batch) -> np.ndarray:
     """log pi(token | context) at temperature 1 of every response token of
-    ``groups``, flattened in rollout order.
+    ``batch``, flattened in rollout order.
 
-    Taken from the policy that sampled the groups, before any update, these
-    are the old log-probs ``lp_old`` the objectives take.  ``buckets`` are
-    the tokens' context buckets in the same order, as ``sample_groups``
-    returns them; when None they are hashed from ``params``.
+    Taken from the policy that sampled the batch, before any update, these
+    are the old log-probs ``lp_old`` the objectives take.
     """
-    _, _, buckets, toks = _packed_tokens(params, groups, buckets)
+    _, buckets, toks = _flat_tokens(batch)
     return log_softmax_at(params.logits[buckets], toks)[0]
 
 
-def _rollout_advantages(groups: Sequence[Group], penalized: bool) -> np.ndarray:
-    """Advantage of every rollout of ``groups``, in order: one row-wise
+def _rollout_advantages(batch: Batch, penalized: bool) -> np.ndarray:
+    """Advantage of every rollout of ``batch``, in order: one row-wise
     ``shaped_advantages`` call per distinct group size, over those groups'
     rewards minus (if ``penalized``) their penalties."""
-    by_size: dict[int, list[int]] = {}
-    for i, g in enumerate(groups):
-        by_size.setdefault(g.size, []).append(i)
-    out: list[np.ndarray] = [np.empty(0)] * len(groups)
-    for idx in by_size.values():
-        rewards = np.array([groups[i].rewards for i in idx], dtype=np.float64)
+    starts = np.cumsum(batch.sizes) - batch.sizes
+    out = np.empty(len(batch.rewards))
+    for size in np.unique(batch.sizes).tolist():
+        rows = starts[batch.sizes == size][:, None] + np.arange(size)
         if penalized:
-            penalties = np.array([groups[i].penalties for i in idx], dtype=np.float64)
-            adv = shaped_advantages(rewards, penalties)
+            adv = shaped_advantages(batch.rewards[rows], batch.penalties[rows])
         else:
-            adv = reward_advantages(rewards)
-        for i, values in zip(idx, adv.values):
-            out[i] = values
-    return np.concatenate(out)
+            adv = reward_advantages(batch.rewards[rows])
+        out[rows] = adv.values
+    return out
 
 
 def _clipped_surrogate(
-    packed: tuple[list[Rollout], np.ndarray, np.ndarray, np.ndarray],
+    batch: Batch,
     advantages: np.ndarray,
     weights: np.ndarray,
     params: PolicyParams,
@@ -219,14 +220,14 @@ def _clipped_surrogate(
     beta: float = 0.0,
 ) -> tuple[float, SparseGrad]:
     """J = sum_i w_i sum_t [min(r A_i, clip(r) A_i) - beta * K3] and dJ/dlogits
-    over the ``_packed_tokens`` of a batch, with advantage A_i and weight
+    over every response token of ``batch``, with advantage A_i and weight
     w_i per rollout i and the old log-prob of every token in ``lp_old``.
 
     K3 is rho - ln rho - 1 with rho = pi_ref / pi_theta, and is left out
     when ``ref`` is None.  The gradient treats old log-probs as constants,
     and comes as a ``SparseGrad`` over the rows the batch's contexts touch.
     """
-    rollouts, lengths, buckets, toks = packed
+    lengths, buckets, toks = _flat_tokens(batch)
     if np.shape(lp_old) != toks.shape:
         raise ValueError(f"{np.size(lp_old)} old log-probs for {toks.size} response tokens")
     adv = np.repeat(advantages, lengths)
@@ -241,7 +242,8 @@ def _clipped_surrogate(
     coef = np.where(unclipped <= clipped, adv * ratio, 0.0) * w
     pos = np.arange(len(toks))  # the token each gradient term belongs to
     if ref is not None:
-        ref_buckets, _ = context_buckets(ref.params, rollouts)
+        ref_buckets = context_buckets(ref.params, batch.queries, batch.tokens)
+        ref_buckets = ref_buckets[batch.tokens >= 0]
         lp_ref, _ = log_softmax_at(ref.params.logits[ref_buckets], toks)
         rho = np.exp(lp_ref - lp_new)
         terms = terms - beta * (rho - (lp_ref - lp_new) - 1.0)
@@ -249,7 +251,7 @@ def _clipped_surrogate(
         # rollout by rollout, each one's clipped terms before its K3 terms:
         # the order a per-rollout loop adds them in, so the sums do not
         # depend on how the batch is packed.
-        rollout_of = np.repeat(np.arange(len(rollouts)), lengths)
+        rollout_of = np.repeat(np.arange(len(lengths)), lengths)
         order = np.argsort(np.tile(rollout_of, 2), kind="stable")
         pos = np.tile(pos, 2)[order]
         coef = np.concatenate([coef, beta * (rho - 1.0) * w])[order]
@@ -265,12 +267,11 @@ def _clipped_surrogate(
 
 
 def token_mean_objective(
-    groups: Sequence[Group],
+    batch: Batch,
     params: PolicyParams,
     lp_old: np.ndarray,
     eps_low: float,
     eps_high: float,
-    buckets: np.ndarray | None = None,
 ) -> tuple[float, SparseGrad]:
     """Token-normalized clipped surrogate with penalty-shaped advantages.
 
@@ -278,26 +279,23 @@ def token_mean_objective(
     rollout of every group, so each token carries equal weight regardless
     of its rollout's length.  The ratio r is taken against ``lp_old``, the
     old log-probs from ``response_logprobs``, which the gradient treats as
-    constants.  ``buckets`` are the tokens' context buckets as
-    ``sample_groups`` returns them, hashed from ``params`` when None.
-    Maximize J (or equivalently minimize -J).  Returns J and dJ/dlogits as
-    ``(rows, values)`` over the touched rows.
+    constants.  Maximize J (or equivalently minimize -J).  Returns J and
+    dJ/dlogits as ``(rows, values)`` over the touched rows.
     """
-    if not groups:
+    if not len(batch.sizes):
         raise ValueError("empty batch")
-    packed = _packed_tokens(params, groups, buckets)
-    total_tokens = len(packed[3])
+    total_tokens = int(np.count_nonzero(batch.tokens >= 0))
     if total_tokens == 0:
         raise ValueError("batch contains no tokens")
-    advantages = _rollout_advantages(groups, penalized=True)
+    advantages = _rollout_advantages(batch, penalized=True)
     weights = np.full(len(advantages), 1.0 / total_tokens)
     return _clipped_surrogate(
-        packed, advantages, weights, params, lp_old, eps_low, eps_high
+        batch, advantages, weights, params, lp_old, eps_low, eps_high
     )
 
 
 def sequence_mean_objective(
-    groups: Sequence[Group],
+    batch: Batch,
     params: PolicyParams,
     lp_old: np.ndarray,
     ref: RefModel,
@@ -313,17 +311,13 @@ def sequence_mean_objective(
     is taken against ``lp_old``, as in ``token_mean_objective``.  Returns J
     and dJ/dlogits as ``(rows, values)`` over the touched rows.
     """
-    if not groups:
+    if not len(batch.sizes):
         raise ValueError("empty batch")
-    packed = _packed_tokens(params, groups, None)
-    weights = np.array(
-        [
-            1.0 / (len(groups) * g.size * len(ro.response)) if ro.response else 0.0
-            for g in groups
-            for ro in g.rollouts
-        ]
-    )
-    advantages = _rollout_advantages(groups, penalized=False)
+    lengths = np.count_nonzero(batch.tokens >= 0, axis=1)
+    counts = len(batch.sizes) * np.repeat(batch.sizes, batch.sizes) * lengths
+    weights = np.zeros(len(lengths))
+    np.divide(1.0, counts, out=weights, where=lengths > 0)
+    advantages = _rollout_advantages(batch, penalized=False)
     return _clipped_surrogate(
-        packed, advantages, weights, params, lp_old, eps, eps, ref, beta
+        batch, advantages, weights, params, lp_old, eps, eps, ref, beta
     )

@@ -5,13 +5,15 @@ prefixes padded with a reserved begin marker), hashes that window into a
 fixed number of buckets, and keeps one logit row per bucket.  Sampling and
 log-probabilities are explicit, and the softmax rows that come with the
 log-probabilities give every objective built on top an analytic gradient
-that can be checked against finite differences.
+that can be checked against finite differences.  Sampled rollouts stay
+arrays throughout: ``sample_groups`` returns one row of tokens and one of
+context buckets per rollout, -1 past its end, and ``context_buckets``
+hashes such rows again for another table.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -94,15 +96,6 @@ class PolicyParams:
         return PolicyParams(self.vocab, self.k, self.logits.copy())
 
 
-@dataclass(frozen=True)
-class Rollout:
-    """One sampled response to a query."""
-
-    query: tuple[int, ...]
-    response: tuple[int, ...]
-    truncated: bool  # hit the length cap without emitting eos
-
-
 def log_softmax_at(
     rows: np.ndarray, toks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +162,9 @@ def sample_groups(
     belongs to rollout ``i`` of query ``g``: column ``t`` holds its token
     ``t`` and the bucket of the context before it, and both hold -1 past
     its last token.  A rollout ends at its first eos or at ``max_len``
-    tokens; it is truncated when its last token is not eos.  The
-    non-negative buckets, in row-major order, are ``context_buckets`` of
-    the rollouts, so the objectives need not hash the contexts again.
+    tokens; it is truncated when its last token is not eos.  The buckets
+    are ``context_buckets`` of the queries and the tokens, so the
+    objectives need not hash the contexts again.
 
     The per-position work is kept to a few numpy calls on the live
     rollouts: the histories hold every token plus one, so a window's
@@ -265,66 +258,43 @@ def sample_groups(
     return np.subtract(history[k:].T.view(np.int64), 1, order="C"), buckets
 
 
-def response_of(row: Sequence[int]) -> tuple[int, ...]:
-    """The response in a row of the token array of ``sample_groups``, as a
-    list or tuple: its tokens before the first -1.  Sampling stops at eos,
-    so the response is truncated exactly when its last token is not eos."""
-    return tuple(row[: row.index(-1)] if row[-1] == -1 else row)
-
-
-def rollouts_from(
-    query: tuple[int, ...], tokens: np.ndarray, eos: int
-) -> tuple[Rollout, ...]:
-    """The rollouts of ``query`` whose rows of the token array of
-    ``sample_groups`` are ``tokens``."""
-    query = tuple(query)
-    out = []
-    for row in tokens.tolist():
-        response = response_of(row)
-        out.append(Rollout(query, response, truncated=response[-1] != eos))
-    return tuple(out)
-
-
 def sample_response(
     params: PolicyParams,
     query: tuple[int, ...],
     max_len: int,
     temperature: float,
     rng: np.random.Generator,
-) -> Rollout:
-    """Sample one rollout until eos or ``max_len`` tokens: the
-    one-query, one-rollout case of ``sample_groups``."""
+) -> tuple[int, ...]:
+    """Sample one response until eos or ``max_len`` tokens: the one-query,
+    one-rollout case of ``sample_groups``.  It is truncated exactly when
+    its last token is not eos."""
     tokens, _ = sample_groups(params, [query], 1, max_len, temperature, [rng])
-    return rollouts_from(query, tokens, params.vocab.eos)[0]
+    return tuple(tokens[0][tokens[0] >= 0].tolist())
 
 
 def context_buckets(
-    params: PolicyParams, rollouts: Sequence[Rollout]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket of the context before every response token of ``rollouts``,
-    and that token, both flattened in rollout order.
+    params: PolicyParams, queries: np.ndarray, tokens: np.ndarray
+) -> np.ndarray:
+    """Bucket of the context before every token of ``tokens``, rows as
+    ``sample_groups`` returns them (-1 past each end), with row ``r``'s
+    query in row ``r`` of ``queries``.  Shaped like ``tokens``, -1 past
+    each end: the buckets ``sample_groups`` returns with the tokens.
 
-    Row ``r`` of the history holds rollout ``r``'s padded query tail, then
-    its response, as in ``sample_groups``; the window before response
-    position ``t`` is columns ``t .. t + k - 1``.
+    Row ``r`` of the history holds the padded tail of query ``r``, then
+    its tokens, as in ``sample_groups``; the window before position ``t``
+    is columns ``t .. t + k - 1``.
     """
     k = params.k
-    lengths = np.array([len(ro.response) for ro in rollouts], dtype=np.int64)
-    width = int(lengths.max(initial=0))
-    filled = np.arange(width) < lengths[:, None]
-    toks = np.fromiter(
-        itertools.chain.from_iterable(ro.response for ro in rollouts),
-        dtype=np.int64,
-        count=int(lengths.sum()),
+    n, width = tokens.shape
+    begin = np.full((n, k), params.vocab.begin_marker, dtype=np.int64)
+    history = np.concatenate(
+        [np.concatenate([begin, queries], axis=1)[:, -k:], tokens], axis=1
     )
-    history = np.zeros((len(rollouts), k + width), dtype=np.int64)
-    begin = (params.vocab.begin_marker,) * k
-    history[:, :k] = np.array(
-        [(begin + tuple(ro.query))[-k:] for ro in rollouts], dtype=np.int64
-    ).reshape(-1, k)
-    history[:, k:][filled] = toks
     windows = np.lib.stride_tricks.sliding_window_view(history, k, axis=1)
-    return window_buckets(windows[:, :width][filled], params.buckets), toks
+    filled = tokens >= 0
+    out = np.full(tokens.shape, -1, dtype=np.int64)
+    out[filled] = window_buckets(windows[:, :width][filled], params.buckets)
+    return out
 
 
 def save_checkpoint(params: PolicyParams, path: str) -> None:

@@ -8,12 +8,13 @@ moves, and ascends the token-mean clipped surrogate against them.  A stage
 ends when its step budget runs out or when the mean response length
 saturates, and the cap then grows.
 
-Collection and evaluation work on the sampler's token arrays: each chunk
-of groups is scored as arrays of rewards and repetition scores, each row
-keyed by bytes and each distinct response looked up once, and ``Rollout``
-and ``Group`` objects are built only for the groups that enter a batch.
-The per-group generators come from ``group_generators``, which hashes
-their seeds once per block of consecutive ids and caches the words.
+Collection and evaluation work on the sampler's token arrays from end to
+end: each chunk of groups is scored as arrays of rewards and repetition
+scores, each row keyed by bytes and each distinct response looked up once,
+and the rows of the groups that enter a batch are gathered by index into
+one ``Batch``, which the objectives take as it is.  The per-group
+generators come from ``group_generators``, which hashes their seeds once
+per block of consecutive ids and caches the words.
 """
 
 from __future__ import annotations
@@ -28,18 +29,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import repetition, tasks, verifier
+from . import objectives, repetition, tasks, verifier
 from .objectives import (
+    Batch,
     ClipSchedule,
     ClipSpec,
-    Group,
     filter_mixed_groups,
     response_logprobs,
     sample_clip_ratios,
-    token_mean_objective,
 )
-from .policy import PolicyParams, bucket_of, rollouts_from, sample_groups
-from .policy import sample_response  # noqa: F401  perfbench's tracer looks it up here
+from .policy import PolicyParams, bucket_of, sample_groups
 from .tasks import TaskSpec
 
 DIGITS = tuple(range(10))
@@ -150,6 +149,14 @@ class StagePlan:
         return _from_dict(cls, d, _coercions(cls))
 
 
+# Caps on the policy table a config may ask for.  MAX_BUCKETS rows of
+# float64 logits over the 14-token vocabulary is a 117 MB table;
+# ``init_policy``'s loop_boost walk over context prefixes takes about 2 s at
+# MAX_CONTEXT_ORDER and grows about 15-fold per order above it.
+MAX_BUCKETS = 2**20
+MAX_CONTEXT_ORDER = 6
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """A training run.  ``task`` names one of the two task families, the
@@ -191,6 +198,12 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.buckets < 1:
             raise ValueError("buckets must be >= 1")
+        if self.buckets > MAX_BUCKETS:
+            raise ValueError(f"buckets must be <= {MAX_BUCKETS}, got {self.buckets}")
+        if self.context_order > MAX_CONTEXT_ORDER:
+            raise ValueError(
+                f"context_order must be <= {MAX_CONTEXT_ORDER}, got {self.context_order}"
+            )
         if self.eval_every < 0 or self.eval_k < 1 or self.eval_tasks < 1:
             raise ValueError("eval_every must be >= 0, and eval_k and eval_tasks >= 1")
         if self.min_period < 1 or self.min_repeats < 1:
@@ -556,10 +569,11 @@ def collect_batch(
     query_counter: int,
     reward_memo: Optional[dict] = None,
     drop_hint: float = 0.0,
-) -> tuple[list[Group], np.ndarray, BatchStats, int]:
+) -> tuple[Batch, BatchStats, int]:
     """Accumulate exactly ``batch_groups`` mixed-correctness groups, sampled
-    from ``params``, and the bucket of the context before every token of
-    their responses, flattened in rollout order as the objectives take it.
+    from ``params``, as one ``Batch``: the groups' rows of the sampler's
+    token and bucket arrays, gathered by index, with each row's query,
+    reward and penalty.
 
     Queries are consumed in chunks of ``batch_groups``.  ``drop_hint`` is
     the fraction of groups the filter is expected to drop (``train``
@@ -569,12 +583,11 @@ def collect_batch(
     each as arrays of rewards and repetition scores, and collection stops
     after the chunk that fills the batch: the chunks after it were sampled
     but are never scored, and ``task_rng`` is rewound to where they began,
-    so the returned groups, stats and query counter, and the task stream
-    the next call sees, do not depend on the hint.  ``Rollout`` and
-    ``Group`` objects are built for the returned groups only.  Every group
-    draws its noise from its own ``[seed, 1, query index]`` generator,
-    built by ``group_generators`` from words cached per block of ids, so a
-    group's rollouts do not depend on the call it lands in.  Aborts when
+    so the returned batch, stats and query counter, and the task stream
+    the next call sees, do not depend on the hint.  Every group draws its
+    noise from its own ``[seed, 1, query index]`` generator, built by
+    ``group_generators`` from words cached per block of ids, so a group's
+    rollouts do not depend on the call it lands in.  Aborts when
     100 * batch_groups consecutive queries yield no valid group, which
     signals a collapsed policy or a degenerate task.
 
@@ -585,8 +598,10 @@ def collect_batch(
     """
     n, size = config.batch_groups, config.group_size
     abort_after = 100 * n
-    valid: list[Group] = []
-    valid_buckets: list[np.ndarray] = []  # the sampler's rows of each valid group
+    n_valid = 0
+    # Per sampler call, the kept groups' rows: tokens, buckets, queries,
+    # query ids, rewards and penalties.
+    parts: list[tuple[np.ndarray, ...]] = []
     stats = BatchStats()
     if reward_memo is None:
         reward_memo = {}
@@ -594,17 +609,17 @@ def collect_batch(
     # would hold every distinct looping response of the run.
     score_memo: dict = {}
     consecutive_invalid = 0
-    while len(valid) < n:
+    while n_valid < n:
         expected_valid = n * (1.0 - drop_hint)
         if expected_valid > 0:
-            n_chunks = min(COLLECT_CHUNKS, math.ceil((n - len(valid)) / expected_valid))
+            n_chunks = min(COLLECT_CHUNKS, math.ceil((n - n_valid) / expected_valid))
         else:
             n_chunks = COLLECT_CHUNKS
         rng_states, drawn = [], []
         for _ in range(n_chunks):
             rng_states.append(task_rng.bit_generator.state)
             drawn += [tasks.generate_task(config.task, task_rng) for _ in range(n)]
-        qids = range(query_counter, query_counter + n_chunks * n)
+        qids = np.arange(query_counter, query_counter + n_chunks * n)
         tokens, buckets = sample_groups(
             params,
             [query for query, _ in drawn],
@@ -613,8 +628,10 @@ def collect_batch(
             config.temperature,
             group_generators(config.seed, 1, qids),
         )
+        picked: list[int] = []  # the kept groups, by index into ``drawn``
+        picked_rewards, picked_penalties = [], []
         for c in range(n_chunks):
-            if len(valid) >= n:
+            if n_valid >= n:
                 # Give the unscored chunks back to the task stream.
                 task_rng.bit_generator.state = rng_states[c]
                 break
@@ -623,27 +640,40 @@ def collect_batch(
             golds = [gold for _, gold in drawn[c * n : (c + 1) * n]]
             rewards, raw = _score(chunk, golds, reward_memo, score_memo, config)
             stats.absorb(chunk, rewards, raw, config.repetition_penalty)
-            kept = filter_mixed_groups(rewards).tolist()
+            kept = filter_mixed_groups(rewards)
             stats.invalid_groups += n - len(kept)
             # The longest run of invalid queries ends at the first kept group.
-            if consecutive_invalid + (kept[0] if kept else n) >= abort_after:
+            if consecutive_invalid + (kept[0] if len(kept) else n) >= abort_after:
                 raise CollectAbort(
                     f"no mixed-correctness group in {abort_after} consecutive "
                     "queries; the policy answers uniformly (all correct or all "
                     "incorrect) or the task is degenerate"
                 )
-            consecutive_invalid = n - 1 - kept[-1] if kept else consecutive_invalid + n
+            consecutive_invalid = n - 1 - kept[-1] if len(kept) else consecutive_invalid + n
+            kept = kept[: n - n_valid]
+            n_valid += len(kept)
+            picked += (c * n + kept).tolist()
+            picked_rewards.append(rewards[kept])
             penalties = raw if config.repetition_penalty else np.zeros_like(raw)
-            for i in kept[: n - len(valid)]:
-                g = c * n + i
-                rows = slice(g * size, (g + 1) * size)
-                rollouts = rollouts_from(drawn[g][0], tokens[rows], tasks.EOS)
-                valid.append(Group(qids[g], rollouts, rewards[i], penalties[i]))
-                valid_buckets.append(buckets[rows])
-    # Unfilled positions hold -1, so the filled ones, row by row, are the
-    # buckets of every response token in rollout order.
-    buckets = np.concatenate(valid_buckets)
-    return valid, buckets[buckets >= 0], stats, query_counter
+            picked_penalties.append(penalties[kept])
+        if picked:
+            rows = (np.array(picked)[:, None] * size + np.arange(size)).ravel()
+            queries = np.array([drawn[g][0] for g in picked], dtype=np.int64)
+            parts.append((
+                tokens[rows],
+                buckets[rows],
+                np.repeat(queries, size, axis=0),
+                qids[picked],
+                np.concatenate(picked_rewards).ravel(),
+                np.concatenate(picked_penalties).ravel(),
+            ))
+    tokens, buckets, queries, query_ids, rewards, penalties = (
+        np.concatenate(arrays) for arrays in zip(*parts)
+    )
+    batch = Batch(
+        queries, tokens, buckets, rewards, penalties, query_ids, np.full(n, size)
+    )
+    return batch, stats, query_counter
 
 
 def stage_saturated(lengths: Sequence[float], threshold: float = 0.01) -> bool:
@@ -730,18 +760,18 @@ def train(
         eps_low, eps_high = sample_clip_ratios(schedule, stage_idx, clip_rng)
         window: list[float] = []
         for _ in range(stage.max_steps):
-            groups, buckets, stats, query_counter = collect_batch(
+            batch, stats, query_counter = collect_batch(
                 policy, stage, config, task_rng, query_counter, reward_memo, drop_hint
             )
             drop_hint = stats.invalid_groups / stats.attempted_groups
-            for group in groups:
-                assert 0 < int((group.rewards > 0.5).sum()) < group.size
+            correct = (batch.rewards > 0.5).reshape(-1, config.group_size).sum(axis=1)
+            assert ((0 < correct) & (correct < config.group_size)).all()
             # Every iteration's ratio is against the policy that sampled the
             # batch, so its log-probs are taken once, before any update.
-            lp_old = response_logprobs(policy, groups, buckets)
+            lp_old = response_logprobs(policy, batch)
             for _ in range(config.inner_iterations):
-                objective, (rows, values) = token_mean_objective(
-                    groups, policy, lp_old, eps_low, eps_high, buckets
+                objective, (rows, values) = objectives.token_mean_objective(
+                    batch, policy, lp_old, eps_low, eps_high
                 )
                 policy.logits[rows] += config.learning_rate * values
             global_step += 1

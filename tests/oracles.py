@@ -17,19 +17,106 @@ import numpy as np
 
 from rlvrlab import tasks
 from rlvrlab.curation import ProblemRecord
-from rlvrlab.objectives import Group, RefModel, reward_advantages, shaped_advantages
-from rlvrlab.policy import (
-    PolicyParams,
-    Rollout,
-    bucket_of,
-    response_of,
-    rollouts_from,
-    sample_groups,
-    sample_response,
-)
+from rlvrlab.objectives import Batch, RefModel, reward_advantages, shaped_advantages
+from rlvrlab.policy import PolicyParams, bucket_of, sample_groups, sample_response
 from rlvrlab.repetition import LoopSpan, repetition_score
 from rlvrlab.trainer import BatchStats
 from rlvrlab.verifier import reward
+
+
+@dataclass(frozen=True)
+class Rollout:
+    """One sampled response to a query."""
+
+    query: tuple[int, ...]
+    response: tuple[int, ...]
+    truncated: bool  # hit the length cap without emitting eos
+
+
+@dataclass(frozen=True)
+class Group:
+    """The rollouts sampled for one query, with their rewards and penalties."""
+
+    query_id: int
+    rollouts: tuple[Rollout, ...]
+    rewards: np.ndarray  # {0, 1} per rollout
+    penalties: np.ndarray  # repetition scores in [0, 1] per rollout
+
+    def __post_init__(self) -> None:
+        if not (len(self.rollouts) == len(self.rewards) == len(self.penalties)):
+            raise ValueError("rollouts, rewards and penalties must align")
+        if len(self.rollouts) < 2:
+            raise ValueError("a group needs at least 2 rollouts")
+
+    @property
+    def size(self) -> int:
+        return len(self.rollouts)
+
+
+def response_of(row) -> tuple[int, ...]:
+    """The response in a row of the token array of ``sample_groups``, as a
+    list or tuple: its tokens before the first -1.  Sampling stops at eos,
+    so the response is truncated exactly when its last token is not eos."""
+    return tuple(row[: row.index(-1)] if row[-1] == -1 else row)
+
+
+def rollouts_from(query, tokens: np.ndarray, eos: int) -> tuple[Rollout, ...]:
+    """The rollouts of ``query`` whose rows of the token array of
+    ``sample_groups`` are ``tokens``."""
+    out = []
+    for row in tokens.tolist():
+        response = response_of(row)
+        out.append(Rollout(tuple(query), response, truncated=response[-1] != eos))
+    return tuple(out)
+
+
+def padded_queries(queries, begin_marker: int) -> np.ndarray:
+    """Queries of any lengths as the rows of one array, each left-padded
+    with the begin marker to the longest.  The policy pads every context
+    with that marker, so the padding changes no context."""
+    width = max(map(len, queries), default=0)
+    rows = [(begin_marker,) * (width - len(q)) + tuple(q) for q in queries]
+    return np.array(rows, dtype=np.int64).reshape(len(queries), width)
+
+
+def batch_of(groups, params: PolicyParams) -> Batch:
+    """``groups`` packed into the ``Batch`` the objectives take: one row
+    per rollout, responses padded with -1 to the longest, and each token's
+    bucket hashed from ``params`` one context at a time."""
+    rollouts = [ro for g in groups for ro in g.rollouts]
+    width = max((len(ro.response) for ro in rollouts), default=0)
+    tokens = np.full((len(rollouts), width), -1, dtype=np.int64)
+    buckets = np.full((len(rollouts), width), -1, dtype=np.int64)
+    for r, ro in enumerate(rollouts):
+        tokens[r, : len(ro.response)] = ro.response
+        buckets[r, : len(ro.response)] = response_buckets(params, ro.query, ro.response)
+    return Batch(
+        queries=padded_queries([ro.query for ro in rollouts], params.vocab.begin_marker),
+        tokens=tokens,
+        buckets=buckets,
+        rewards=np.array([x for g in groups for x in g.rewards], dtype=np.float64),
+        penalties=np.array([x for g in groups for x in g.penalties], dtype=np.float64),
+        query_ids=np.array([g.query_id for g in groups], dtype=np.int64),
+        sizes=np.array([g.size for g in groups], dtype=np.int64),
+    )
+
+
+def groups_of(batch: Batch, eos: int = tasks.EOS) -> list[Group]:
+    """The groups of ``batch`` unpacked into ``Group`` and ``Rollout``
+    objects, one row at a time: the inverse of ``batch_of``."""
+    rollouts = []
+    for query, row in zip(batch.queries.tolist(), batch.tokens.tolist()):
+        response = response_of(row)
+        truncated = not response or response[-1] != eos
+        rollouts.append(Rollout(tuple(query), response, truncated))
+    groups, start = [], 0
+    for query_id, size in zip(batch.query_ids.tolist(), batch.sizes.tolist()):
+        rows = slice(start, start + size)
+        groups.append(
+            Group(query_id, tuple(rollouts[rows]), batch.rewards[rows], batch.penalties[rows])
+        )
+        start += size
+    return groups
 
 
 @dataclass(frozen=True)
@@ -496,8 +583,8 @@ def policy_answerer(params, max_len: int, temperature: float = 1.0):
     tokenized, rolled out by the policy, and the response decoded."""
 
     def answer(question: str, rng) -> tuple[str, bool]:
-        rollout = sample_response(params, encode_text(question), max_len, temperature, rng)
-        return tasks.decode_tokens(rollout.response), rollout.truncated
+        response = sample_response(params, encode_text(question), max_len, temperature, rng)
+        return tasks.decode_tokens(response), response[-1] != params.vocab.eos
 
     return answer
 

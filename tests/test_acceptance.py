@@ -64,20 +64,21 @@ def test_c01_gradient_correctness():
             groups = [make_group(rng, old, i) for i in range(int(rng.integers(1, 3)))]
             if not ratios_clear_of_clip_edges(groups, params, old, 0.2, 0.3):
                 continue
-            lp_old = response_logprobs(old, groups)
+            batch = oracles.batch_of(groups, old)
+            lp_old = response_logprobs(old, batch)
             if objective == "token_mean":
-                _, grad = token_mean_objective(groups, params, lp_old, 0.2, 0.3)
+                _, grad = token_mean_objective(batch, params, lp_old, 0.2, 0.3)
                 grad = oracles.dense(grad, params)
                 fd = fd_table_gradient(
-                    lambda p: token_mean_objective(groups, p, lp_old, 0.2, 0.3)[0],
+                    lambda p: token_mean_objective(batch, p, lp_old, 0.2, 0.3)[0],
                     params,
                 )
             else:
                 ref = RefModel.capture(make_params(rng, scale=0.8))
-                _, grad = sequence_mean_objective(groups, params, lp_old, ref, 0.04, 0.2)
+                _, grad = sequence_mean_objective(batch, params, lp_old, ref, 0.04, 0.2)
                 grad = oracles.dense(grad, params)
                 fd = fd_table_gradient(
-                    lambda p: sequence_mean_objective(groups, p, lp_old, ref, 0.04, 0.2)[0],
+                    lambda p: sequence_mean_objective(batch, p, lp_old, ref, 0.04, 0.2)[0],
                     params,
                 )
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)

@@ -260,6 +260,11 @@ class TestTrainEvalReport:
             ('{"task": {"family": "digit-sum"}}', "unknown task family 'digit-sum'"),
             ('{"buckets": -5}', "buckets must be >= 1"),
             ('{"buckets": 0}', "buckets must be >= 1"),
+            ('{"buckets": 100000000000000, "stages": [{"max_response_len": 4, "max_steps": 1}],'
+             ' "group_size": 4, "batch_groups": 2}',
+             "buckets must be <= 1048576, got 100000000000000"),
+            ('{"buckets": 1048577}', "buckets must be <= 1048576, got 1048577"),
+            ('{"context_order": 7, "loop_boost": 1}', "context_order must be <= 6, got 7"),
             ('{"stages": [{"max_response_len": 0}]}', "max_response_len must be >= 1"),
             ('{"stages": [{"max_response_len": 4, "clip_high": 1.5}]}',
              "clip value 1.5 outside (0, 1)"),
@@ -311,6 +316,9 @@ class TestTrainEvalReport:
             "digit_sum_family",
             "negative_buckets",
             "zero_buckets",
+            "huge_buckets",
+            "buckets_past_cap",
+            "context_order_past_cap",
             "zero_max_response_len",
             "clip_high_above_one",
             "reversed_clip_interval",
@@ -481,6 +489,7 @@ class TestOutputsAndNumbers:
             ("eval --ckpt {ckpt} --k 0", "--k must be positive, got 0"),
             ("eval --ckpt {ckpt} --temperature 0", "--temperature must be positive, got 0.0"),
             ("eval --ckpt {ckpt} --temperature nan", "--temperature must be positive, got nan"),
+            ("eval --ckpt {ckpt} --temperature inf", "--temperature must be finite, got inf"),
             ("eval --ckpt {ckpt} --max-len 0", "--max-len must be positive, got 0"),
             ("eval --ckpt {ckpt} --n-tasks 0", "--n-tasks must be positive, got 0"),
             ("eval --ckpt {ckpt} --seed -1", "--seed must be >= 0, got -1"),
@@ -491,6 +500,7 @@ class TestOutputsAndNumbers:
             "k",
             "temperature",
             "temperature_nan",
+            "temperature_inf",
             "max_len",
             "n_tasks",
             "eval_negative_seed",

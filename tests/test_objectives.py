@@ -1,4 +1,7 @@
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,8 @@ from hypothesis import strategies as st
 
 from rlvrlab.objectives import (
     AdvantageSet,
+    Batch,
     ClipSchedule,
-    Group,
     RefModel,
     filter_mixed_groups,
     response_logprobs,
@@ -17,11 +20,14 @@ from rlvrlab.objectives import (
     shaped_advantages,
     token_mean_objective,
 )
-from rlvrlab.policy import PolicyParams, Rollout, Vocab, context_buckets
+from rlvrlab.policy import PolicyParams, Vocab
 
 import oracles
 from oracles import (
     Context,
+    Group,
+    Rollout,
+    batch_of,
     clipped_term,
     k3_divergence,
     response_buckets,
@@ -279,7 +285,7 @@ class TestTokenMeanObjective:
         rng = np.random.default_rng(0)
         params = make_params(rng)
         with pytest.raises(ValueError):
-            token_mean_objective([], params, np.empty(0), 0.2, 0.2)
+            token_mean_objective(batch_of([], params), params, np.empty(0), 0.2, 0.2)
 
     def test_on_policy_identity(self):
         # With params == old_params every ratio is 1: J is the
@@ -288,8 +294,9 @@ class TestTokenMeanObjective:
         rng = np.random.default_rng(5)
         params = make_params(rng)
         groups = [make_group(rng, params, i) for i in range(2)]
-        lp_old = response_logprobs(params, groups)
-        j, grad = token_mean_objective(groups, params, lp_old, 0.2, 0.2)
+        batch = batch_of(groups, params)
+        lp_old = response_logprobs(params, batch)
+        j, grad = token_mean_objective(batch, params, lp_old, 0.2, 0.2)
         grad = oracles.dense(grad, params)
 
         total = sum(len(r.response) for g in groups for r in g.rollouts)
@@ -316,8 +323,9 @@ class TestTokenMeanObjective:
         params = make_params(rng)
         rollouts = tuple(make_rollout(rng, params, 3) for _ in range(3))
         g = Group(0, rollouts, np.ones(3), np.ones(3))  # zero variance
-        lp_old = response_logprobs(params, [g])
-        j, grad = token_mean_objective([g], params, lp_old, 0.2, 0.2)
+        batch = batch_of([g], params)
+        lp_old = response_logprobs(params, batch)
+        j, grad = token_mean_objective(batch, params, lp_old, 0.2, 0.2)
         grad = oracles.dense(grad, params)
         assert j == 0.0
         np.testing.assert_array_equal(grad, np.zeros_like(grad))
@@ -333,11 +341,12 @@ class TestTokenMeanObjective:
             groups = [make_group(rng, old, i) for i in range(int(rng.integers(1, 3)))]
             if not ratios_clear_of_clip_edges(groups, params, old, 0.2, 0.3):
                 continue
-            lp_old = response_logprobs(old, groups)
-            j, grad = token_mean_objective(groups, params, lp_old, 0.2, 0.3)
+            batch = batch_of(groups, old)
+            lp_old = response_logprobs(old, batch)
+            j, grad = token_mean_objective(batch, params, lp_old, 0.2, 0.3)
             grad = oracles.dense(grad, params)
             fd = fd_table_gradient(
-                lambda p: token_mean_objective(groups, p, lp_old, 0.2, 0.3)[0], params
+                lambda p: token_mean_objective(batch, p, lp_old, 0.2, 0.3)[0], params
             )
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4, f"seed {seed}: rel err {rel}"
@@ -355,10 +364,11 @@ class TestSequenceMeanObjective:
             rollouts = tuple(make_rollout(rng, old, 4) for _ in range(3))
             rewards = np.array([1.0, 0.0, 0.0])
             groups.append(Group(i, rollouts, rewards, np.zeros(3)))
-        lp_old = response_logprobs(old, groups)
-        j_seq, g_seq = sequence_mean_objective(groups, params, lp_old, ref, 0.0, 0.2)
+        batch = batch_of(groups, old)
+        lp_old = response_logprobs(old, batch)
+        j_seq, g_seq = sequence_mean_objective(batch, params, lp_old, ref, 0.0, 0.2)
         g_seq = oracles.dense(g_seq, params)
-        j_tok, g_tok = token_mean_objective(groups, params, lp_old, 0.2, 0.2)
+        j_tok, g_tok = token_mean_objective(batch, params, lp_old, 0.2, 0.2)
         g_tok = oracles.dense(g_tok, params)
         assert j_seq == pytest.approx(j_tok, rel=1e-12)
         np.testing.assert_allclose(g_seq, g_tok, atol=1e-12)
@@ -369,10 +379,11 @@ class TestSequenceMeanObjective:
         params = make_params(rng)
         groups = [make_group(rng, old, 0)]
         ref = RefModel.capture(params)
-        lp_old = response_logprobs(old, groups)
-        j0, g0 = sequence_mean_objective(groups, params, lp_old, ref, 0.0, 0.2)
+        batch = batch_of(groups, old)
+        lp_old = response_logprobs(old, batch)
+        j0, g0 = sequence_mean_objective(batch, params, lp_old, ref, 0.0, 0.2)
         g0 = oracles.dense(g0, params)
-        j1, g1 = sequence_mean_objective(groups, params, lp_old, ref, 0.7, 0.2)
+        j1, g1 = sequence_mean_objective(batch, params, lp_old, ref, 0.7, 0.2)
         g1 = oracles.dense(g1, params)
         assert j0 == pytest.approx(j1, abs=1e-12)
         np.testing.assert_allclose(g0, g1, atol=1e-12)
@@ -387,9 +398,10 @@ class TestSequenceMeanObjective:
         long = make_rollout(rng, params, 20)
         g = Group(0, (short, long), np.array([1.0, 0.0]), np.zeros(2))
         ref = RefModel.capture(params)
-        lp_old = response_logprobs(params, [g])
-        j_tok, _ = token_mean_objective([g], params, lp_old, 0.2, 0.2)
-        j_seq, _ = sequence_mean_objective([g], params, lp_old, ref, 0.0, 0.2)
+        batch = batch_of([g], params)
+        lp_old = response_logprobs(params, batch)
+        j_tok, _ = token_mean_objective(batch, params, lp_old, 0.2, 0.2)
+        j_seq, _ = sequence_mean_objective(batch, params, lp_old, ref, 0.0, 0.2)
         assert j_tok == pytest.approx((2 * 1.0 + 20 * -1.0) / 22)
         assert j_seq == pytest.approx(0.0, abs=1e-12)
         assert abs(j_tok - j_seq) > 0.5
@@ -406,16 +418,72 @@ class TestSequenceMeanObjective:
             groups = [make_group(rng, old, i) for i in range(int(rng.integers(1, 3)))]
             if not ratios_clear_of_clip_edges(groups, params, old, 0.2, 0.2):
                 continue
-            lp_old = response_logprobs(old, groups)
-            j, grad = sequence_mean_objective(groups, params, lp_old, ref, 0.04, 0.2)
+            batch = batch_of(groups, old)
+            lp_old = response_logprobs(old, batch)
+            j, grad = sequence_mean_objective(batch, params, lp_old, ref, 0.04, 0.2)
             grad = oracles.dense(grad, params)
             fd = fd_table_gradient(
-                lambda p: sequence_mean_objective(groups, p, lp_old, ref, 0.04, 0.2)[0],
+                lambda p: sequence_mean_objective(batch, p, lp_old, ref, 0.04, 0.2)[0],
                 params,
             )
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4, f"seed {seed}: rel err {rel}"
             checked += 1
+
+
+def unfilled(buckets):
+    """``buckets`` with the first position of the first row emptied: every
+    response ``make_group`` draws holds at least one token."""
+    out = buckets.copy()
+    out[0, 0] = -1
+    return out
+
+
+class TestBatch:
+    """Groups of 2, 4 and 3 rollouts, and every check of ``Batch`` rejecting
+    one malformed field."""
+
+    @staticmethod
+    def fields():
+        rng = np.random.default_rng(3)
+        params = make_params(rng)
+        groups = [make_group(rng, params, i, size) for i, size in enumerate((2, 4, 3))]
+        batch = batch_of(groups, params)
+        return {f.name: getattr(batch, f.name) for f in dataclasses.fields(batch)}
+
+    def test_ragged_groups_accepted(self):
+        batch = Batch(**self.fields())
+        assert batch.sizes.tolist() == [2, 4, 3]
+        assert batch.tokens.shape[0] == len(batch.queries) == 9
+
+    @pytest.mark.parametrize(
+        "name,change,message",
+        [
+            ("rewards", lambda a: a[:-1], "per-rollout arrays, and per-group arrays, must align"),
+            ("penalties", lambda a: a[:-1], "per-rollout arrays, and per-group arrays, must align"),
+            ("queries", lambda a: a[1:], "per-rollout arrays, and per-group arrays, must align"),
+            ("query_ids", lambda a: a[:-1], "per-rollout arrays, and per-group arrays, must align"),
+            ("buckets", lambda a: a[:, :-1], "must be 2-D arrays of one shape"),
+            ("buckets", unfilled, "buckets must hold a bucket exactly where tokens hold a token"),
+            ("sizes", lambda a: np.array([2, 1, 6]), "a group needs at least 2 rollouts"),
+            ("sizes", lambda a: np.array([2, 4, 4]), "group sizes sum to 10, not 9 rollouts"),
+        ],
+        ids=[
+            "short_rewards",
+            "short_penalties",
+            "short_queries",
+            "short_query_ids",
+            "narrow_buckets",
+            "unfilled_bucket",
+            "one_rollout_group",
+            "sizes_past_rows",
+        ],
+    )
+    def test_malformed_batch_rejected(self, name, change, message):
+        fields = self.fields()
+        fields[name] = change(fields[name])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Batch(**fields)
 
 
 class TestRefModel:
@@ -468,12 +536,13 @@ class TestPackedObjectiveMatchesOracle:
             params = current_params(rng, old, seed % 3)
             groups = oracle_batch(rng, old)
             eps_low, eps_high = (float(e) for e in rng.uniform(0.05, 0.5, 2))
-            lp_old = response_logprobs(old, groups)
+            batch = batch_of(groups, old)
+            lp_old = response_logprobs(old, batch)
             if not any(ro.response for g in groups for ro in g.rollouts):
                 with pytest.raises(ValueError):
-                    token_mean_objective(groups, params, lp_old, eps_low, eps_high)
+                    token_mean_objective(batch, params, lp_old, eps_low, eps_high)
                 continue
-            j, grad = token_mean_objective(groups, params, lp_old, eps_low, eps_high)
+            j, grad = token_mean_objective(batch, params, lp_old, eps_low, eps_high)
             grad = oracles.dense(grad, params)
             want_j, want_grad = oracles.token_mean_objective(
                 groups, params, old, eps_low, eps_high
@@ -494,8 +563,9 @@ class TestPackedObjectiveMatchesOracle:
             else:
                 ref = RefModel.capture(make_params(rng))
             beta, eps = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.05, 0.5))
-            lp_old = response_logprobs(old, groups)
-            j, grad = sequence_mean_objective(groups, params, lp_old, ref, beta, eps)
+            batch = batch_of(groups, old)
+            lp_old = response_logprobs(old, batch)
+            j, grad = sequence_mean_objective(batch, params, lp_old, ref, beta, eps)
             grad = oracles.dense(grad, params)
             want_j, want_grad = oracles.sequence_mean_objective(
                 groups, params, old, ref, beta, eps
@@ -514,12 +584,17 @@ class TestPackedObjectiveMatchesOracle:
             nonempty = [ro for g in groups for ro in g.rollouts if ro.response]
             if not nonempty:
                 continue
-            want = np.unique(context_buckets(params, nonempty)[0])
+            want = np.unique(
+                np.concatenate(
+                    [response_buckets(params, ro.query, ro.response) for ro in nonempty]
+                )
+            )
             ref = RefModel.capture(make_params(rng, k=3, buckets=23))
-            lp_old = response_logprobs(old, groups)
+            batch = batch_of(groups, old)
+            lp_old = response_logprobs(old, batch)
             for _, (rows, values) in (
-                token_mean_objective(groups, params, lp_old, 0.2, 0.28),
-                sequence_mean_objective(groups, params, lp_old, ref, 0.1, 0.2),
+                token_mean_objective(batch, params, lp_old, 0.2, 0.28),
+                sequence_mean_objective(batch, params, lp_old, ref, 0.1, 0.2),
             ):
                 assert np.array_equal(rows, want), f"seed {seed}"
                 assert values.shape == (len(want), params.vocab.size)
@@ -530,10 +605,11 @@ class TestPackedObjectiveMatchesOracle:
         rollouts = tuple(make_rollout(rng, params, 0) for _ in range(3))
         groups = [Group(0, rollouts, np.array([1.0, 0.0, 0.0]), np.zeros(3))]
         ref = RefModel.capture(make_params(rng))
-        lp_old = response_logprobs(params, groups)
-        j, grad = sequence_mean_objective(groups, params, lp_old, ref, 0.5, 0.2)
+        batch = batch_of(groups, params)
+        lp_old = response_logprobs(params, batch)
+        j, grad = sequence_mean_objective(batch, params, lp_old, ref, 0.5, 0.2)
         grad = oracles.dense(grad, params)
         assert j == 0.0
         assert not grad.any()
         with pytest.raises(ValueError):
-            token_mean_objective(groups, params, lp_old, 0.2, 0.2)
+            token_mean_objective(batch, params, lp_old, 0.2, 0.2)

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlvrlab.objectives import Group, response_logprobs, token_mean_objective
+from rlvrlab.objectives import response_logprobs, token_mean_objective
 from rlvrlab.policy import (
     FIRST_BLOCK,
     PolicyParams,
-    Rollout,
     Vocab,
     bucket_of,
     context_buckets,
     load_checkpoint,
-    rollouts_from,
     sample_groups,
     sample_response,
     save_checkpoint,
@@ -24,7 +22,9 @@ from rlvrlab.policy import (
 import oracles
 from oracles import (
     Context,
+    Group,
     bucket,
+    padded_queries,
     reference_sample,
     response_buckets,
     token_logprob,
@@ -114,14 +114,17 @@ class TestContextBuckets:
         shapes = st.tuples(
             st.lists(tokens, max_size=6), st.lists(tokens, max_size=10)
         )
-        rollouts = [
-            Rollout(tuple(q), tuple(r), False)
-            for q, r in data.draw(st.lists(shapes, max_size=6))
-        ]
-        got_buckets, got_toks = context_buckets(params, rollouts)
-        want = [response_buckets(params, ro.query, ro.response) for ro in rollouts]
-        assert got_buckets.tolist() == [b for w in want for b in w.tolist()]
-        assert got_toks.tolist() == [t for ro in rollouts for t in ro.response]
+        drawn = data.draw(st.lists(shapes, max_size=6))
+        # Queries of any lengths, left-padded with the begin marker, and
+        # responses padded with -1, as the sampler returns them.
+        queries = padded_queries([q for q, _ in drawn], params.vocab.begin_marker)
+        width = max((len(r) for _, r in drawn), default=0)
+        tokens = np.full((len(drawn), width), -1, dtype=np.int64)
+        want = np.full((len(drawn), width), -1, dtype=np.int64)
+        for i, (q, r) in enumerate(drawn):
+            tokens[i, : len(r)] = r
+            want[i, : len(r)] = response_buckets(params, tuple(q), tuple(r))
+        assert np.array_equal(context_buckets(params, queries, tokens), want)
 
 
 class TestTokenLogprob:
@@ -206,9 +209,9 @@ class TestSampleResponse:
         params = PolicyParams.uniform(Vocab(6, 5), 3, 16)
         params.logits[:, 5] = -20.0  # eos effectively never sampled
         for seed in range(5):
-            ro = sample_response(params, (0,), 5, 1.0, np.random.default_rng(seed))
-            assert len(ro.response) <= 5
-            assert ro.truncated == (5 not in ro.response)
+            response = sample_response(params, (0,), 5, 1.0, np.random.default_rng(seed))
+            assert len(response) <= 5
+            assert (response[-1] != 5) == (5 not in response)
 
     def test_same_seed_same_rollout(self):
         rng_a = np.random.default_rng(42)
@@ -216,18 +219,17 @@ class TestSampleResponse:
         params = PolicyParams.uniform(Vocab(6, 5), 3, 16)
         a = sample_response(params, (1, 2), 12, 1.0, rng_a)
         b = sample_response(params, (1, 2), 12, 1.0, rng_b)
-        assert a.response == b.response
-        assert a.truncated == b.truncated
+        assert a == b
 
     def test_truncated_iff_no_eos(self):
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
         rng = np.random.default_rng(5)
         for trial in range(50):
-            ro = sample_response(params, (0,), 4, 1.0, rng)
-            assert ro.truncated == (3 not in ro.response)
-            if not ro.truncated:
-                assert ro.response[-1] == 3
-                assert 3 not in ro.response[:-1]
+            response = sample_response(params, (0,), 4, 1.0, rng)
+            truncated = response[-1] != 3
+            assert truncated == (3 not in response)
+            if not truncated:
+                assert 3 not in response[:-1]
 
     def test_objective_takes_old_logprobs_at_temperature_one(self):
         # Rollouts sampled at temperature 0.25 with the old table equal to
@@ -243,14 +245,15 @@ class TestSampleResponse:
         groups = [
             Group(
                 g,
-                rollouts_from(query, tokens[4 * g : 4 * g + 4], params.vocab.eos),
+                oracles.rollouts_from(query, tokens[4 * g : 4 * g + 4], params.vocab.eos),
                 np.array([1.0, 0.0, 1.0, 0.0]),
                 rng.uniform(0, 1, 4),
             )
             for g, query in enumerate(queries)
         ]
-        lp_old = response_logprobs(params, groups)
-        got_j, got_grad = token_mean_objective(groups, params, lp_old, 0.2, 0.28)
+        batch = oracles.batch_of(groups, params)
+        lp_old = response_logprobs(params, batch)
+        got_j, got_grad = token_mean_objective(batch, params, lp_old, 0.2, 0.28)
         got_grad = oracles.dense(got_grad, params)
         want_j, want_grad = oracles.token_mean_objective(
             groups, params, params.copy(), 0.2, 0.28
@@ -289,8 +292,7 @@ class TestSampleResponse:
     def test_nonfinite_row_past_first_block_rejected(self, bad):
         params = self.counting_params()
         rng = np.random.default_rng(0)
-        rollout = sample_response(params, (0,), 10, 1.0, rng)
-        assert rollout.response == tuple(range(1, 8))
+        assert sample_response(params, (0,), 10, 1.0, rng) == tuple(range(1, 8))
         # First read at position 5, in the second block of noise.
         assert 5 >= FIRST_BLOCK
         params.logits[bucket(params, (5,)), 0] = bad
@@ -330,10 +332,12 @@ class TestSampleResponse:
             tokens, _ = sample_groups(
                 params, [query], 1, max_len, temperature, [np.random.default_rng(seed)]
             )
-            (got,) = rollouts_from(query, tokens, params.vocab.eos)
-            assert got.query == want.query
-            assert got.response == want.response
-            assert got.truncated == want.truncated
+            (got,) = oracles.rollouts_from(query, tokens, params.vocab.eos)
+            assert got == want
+            response = sample_response(
+                params, query, max_len, temperature, np.random.default_rng(seed)
+            )
+            assert response == want.response
 
 
 class TestSampleGroups:
@@ -344,7 +348,7 @@ class TestSampleGroups:
         tokens, buckets = sample_groups(params, [(0, 1), (2,)], 3, 7, 0.7, rngs)
         assert tokens.shape == buckets.shape == (6, 7)
         for g, query in enumerate([(0, 1), (2,)]):
-            group = rollouts_from(query, tokens[3 * g : 3 * g + 3], 4)
+            group = oracles.rollouts_from(query, tokens[3 * g : 3 * g + 3], 4)
             assert len(group) == 3
             for ro in group:
                 assert ro.query == query and 1 <= len(ro.response) <= 7
@@ -363,10 +367,9 @@ class TestSampleGroups:
     def test_buckets_are_the_context_buckets(
         self, order, vocab_size, buckets, group_size, max_len, seed, data
     ):
-        # The bucket array read at each rollout's filled positions, in
-        # rollout order, is context_buckets of the returned rollouts, and
-        # every position past a rollout's last token holds -1 in both
-        # arrays.
+        # The bucket array is context_buckets of the queries and the
+        # returned tokens, and both arrays hold -1 exactly past each
+        # rollout's last token.
         rng = np.random.default_rng(seed)
         params = random_params(rng, vocab_size, order, buckets, scale=2.0)
         queries = data.draw(
@@ -378,20 +381,14 @@ class TestSampleGroups:
         )
         rngs = [np.random.default_rng([seed, i]) for i in range(len(queries))]
         tokens, got = sample_groups(params, queries, group_size, max_len, 1.0, rngs)
-        rollouts = [
-            ro
-            for g, query in enumerate(queries)
-            for ro in rollouts_from(
-                query, tokens[g * group_size : (g + 1) * group_size], params.vocab.eos
-            )
-        ]
-        assert got.shape == (len(rollouts), max_len)
-        lengths = np.array([len(ro.response) for ro in rollouts])
-        filled = np.arange(max_len) < lengths[:, None]
-        want, want_toks = context_buckets(params, rollouts)
-        assert np.array_equal(got[filled], want)
-        assert np.array_equal(tokens[filled], want_toks)
-        assert (got[~filled] == -1).all() and (tokens[~filled] == -1).all()
+        rows = np.repeat(
+            padded_queries(queries, params.vocab.begin_marker), group_size, axis=0
+        )
+        assert got.shape == tokens.shape == (len(rows), max_len)
+        assert np.array_equal(got, context_buckets(params, rows, tokens))
+        lengths = (tokens >= 0).sum(axis=1)
+        assert (lengths >= 1).all()
+        assert np.array_equal(tokens >= 0, np.arange(max_len) < lengths[:, None])
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlvrlab import repetition, tasks, trainer, verifier
-from rlvrlab.policy import PolicyParams, bucket_of, context_buckets, rollouts_from
+from rlvrlab.policy import PolicyParams, bucket_of, context_buckets
 from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_task
 from rlvrlab.trainer import (
     CollectAbort,
@@ -123,6 +124,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(context_order=3)
 
+    def test_table_caps(self):
+        # Each cap is accepted and one past it rejected, by a check that
+        # allocates no table.
+        tracemalloc.start()
+        try:
+            cfg = tiny_config(
+                buckets=trainer.MAX_BUCKETS, context_order=trainer.MAX_CONTEXT_ORDER
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cfg.buckets == 2**20 and cfg.context_order == 6
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match="buckets must be <= 1048576, got 1048577"):
+            tiny_config(buckets=trainer.MAX_BUCKETS + 1)
+        with pytest.raises(ValueError, match="context_order must be <= 6, got 7"):
+            tiny_config(context_order=trainer.MAX_CONTEXT_ORDER + 1)
+
     def test_group_size_lower_bound(self):
         with pytest.raises(ValueError):
             tiny_config(group_size=1)
@@ -147,8 +166,8 @@ class TestInitPolicy:
             total = 0.0
             for _ in range(300):
                 query, _ = tasks.generate_task(TaskSpec(), rng_local)
-                ro = sample_response(params, query, 24, 1.0, rng_local)
-                content = ro.response if ro.truncated else ro.response[:-1]
+                response = sample_response(params, query, 24, 1.0, rng_local)
+                content = response[:-1] if response[-1] == EOS else response
                 total += repetition_score(content) if content else 0.0
             return total / 300
 
@@ -160,12 +179,14 @@ class TestCollectBatch:
         cfg = tiny_config()
         params = init_policy(cfg)
         rng = np.random.default_rng([cfg.seed, 0])
-        groups, buckets, stats, counter = collect_batch(
+        batch, stats, counter = collect_batch(
             params, cfg.stages[0], cfg, rng, query_counter=0
         )
+        groups = oracles.groups_of(batch)
         assert len(groups) == cfg.batch_groups
-        rollouts = [ro for g in groups for ro in g.rollouts]
-        assert np.array_equal(buckets, context_buckets(params, rollouts)[0])
+        assert np.array_equal(
+            batch.buckets, context_buckets(params, batch.queries, batch.tokens)
+        )
         for g in groups:
             correct = int((g.rewards > 0.5).sum())
             assert 0 < correct < g.size
@@ -183,7 +204,7 @@ class TestCollectBatch:
         )
         params = init_policy(cfg)
         rng = np.random.default_rng([cfg.seed, 0])
-        groups, _, _, _ = collect_batch(params, cfg.stages[0], cfg, rng, 0)
+        groups = oracles.groups_of(collect_batch(params, cfg.stages[0], cfg, rng, 0)[0])
         seen_truncated = 0
         for g in groups:
             for ro, rew in zip(g.rollouts, g.rewards):
@@ -196,7 +217,7 @@ class TestCollectBatch:
         cfg = tiny_config()
         params = init_policy(cfg)
         rng = np.random.default_rng([cfg.seed, 0])
-        groups, _, _, _ = collect_batch(params, cfg.stages[0], cfg, rng, 0)
+        groups = oracles.groups_of(collect_batch(params, cfg.stages[0], cfg, rng, 0)[0])
         cap = cfg.stages[0].max_response_len
         assert all(len(ro.response) <= cap for g in groups for ro in g.rollouts)
 
@@ -212,16 +233,16 @@ class TestCollectBatch:
         # One 16-query chunk against the same queries consumed one at a time.
         chunked = tiny_config(batch_groups=16)
         params = init_policy(chunked)
-        groups, _, _, counter = collect_batch(
+        batch, _, counter = collect_batch(
             params, chunked.stages[0], chunked, np.random.default_rng([7, 0]), 0
         )
+        groups = oracles.groups_of(batch)
         alone = tiny_config(batch_groups=1)
         task_rng = np.random.default_rng([7, 0])
         singles, qid = {}, 0
         while qid < counter:
-            (group,), _, _, qid = collect_batch(
-                params, alone.stages[0], alone, task_rng, qid
-            )
+            one, _, qid = collect_batch(params, alone.stages[0], alone, task_rng, qid)
+            (group,) = oracles.groups_of(one)
             singles[group.query_id] = group
         assert len(groups) == 16
         for a in groups:
@@ -244,15 +265,17 @@ class TestOneLockstepCallPerStep:
         for hint in (0.0, 0.5, 0.95):
             task_rng, counter, steps = np.random.default_rng([7, 0]), 0, []
             for _ in range(3):
-                groups, buckets, stats, counter = collect_batch(
+                batch, stats, counter = collect_batch(
                     params, cfg.stages[0], cfg, task_rng, counter, drop_hint=hint
                 )
                 steps.append(
                     (
-                        [[r.response for r in g.rollouts] for g in groups],
-                        buckets.tolist(),
-                        [g.rewards.tolist() for g in groups],
-                        [g.penalties.tolist() for g in groups],
+                        batch.queries.tolist(),
+                        batch.tokens.tolist(),
+                        batch.buckets.tolist(),
+                        batch.rewards.tolist(),
+                        batch.penalties.tolist(),
+                        batch.query_ids.tolist(),
                         stats,
                         counter,
                     )
@@ -270,7 +293,7 @@ class TestOneLockstepCallPerStep:
 
         def spy_collect(*args):
             out = real_collect(*args)
-            counters.append(out[3])
+            counters.append(out[2])
             return out
 
         real_sample, real_collect = trainer.sample_groups, trainer.collect_batch
@@ -294,10 +317,10 @@ class TestScoringMemo:
     @pytest.mark.parametrize("penalty", [True, False])
     def test_scores_equal_direct_calls(self, penalty):
         cfg = tiny_config(loop_boost=6.0, repetition_penalty=penalty, batch_groups=8)
-        groups, _, stats, _ = collect_batch(
+        batch, stats, _ = collect_batch(
             init_policy(cfg), cfg.stages[0], cfg, np.random.default_rng([7, 0]), 0
         )
-        for g in groups:
+        for g in oracles.groups_of(batch):
             gold = add_gold(g.rollouts[0].query)
             rewards = [
                 0.0 if ro.truncated else verifier.reward(tasks.decode_tokens(ro.response), gold)
@@ -331,9 +354,7 @@ class TestScoringMemo:
         for _ in range(3):
             reward_calls.clear()
             score_calls.clear()
-            groups, _, stats, counter = collect_batch(
-                params, cfg.stages[0], cfg, task_rng, counter
-            )
+            _, stats, counter = collect_batch(params, cfg.stages[0], cfg, task_rng, counter)
             assert reward_calls and score_calls
             assert len(set(reward_calls)) == len(reward_calls)
             assert len(set(score_calls)) == len(score_calls)
@@ -360,7 +381,7 @@ class TestScoringMemo:
             out = sample_groups(params, queries, group_size, *args)
             for g, query in enumerate(queries):
                 rows = out[0][g * group_size : (g + 1) * group_size]
-                sampled.append((query, rollouts_from(query, rows, EOS)))
+                sampled.append((query, oracles.rollouts_from(query, rows, EOS)))
             return out
 
         sample_groups = trainer.sample_groups
@@ -567,14 +588,15 @@ class TestCollectionOracle:
             want = oracles.collect_batch(
                 params, cfg.stages[0], cfg, want_rng, want_counter, want_memo
             )
-            groups, buckets, stats, got_counter = got
+            batch, stats, got_counter = got
             want_groups, want_buckets, want_stats, want_counter = want
+            groups = oracles.groups_of(batch)
             assert [g.query_id for g in groups] == [g.query_id for g in want_groups]
             for a, b in zip(groups, want_groups):
                 assert a.rollouts == b.rollouts
                 assert a.rewards.tolist() == b.rewards.tolist()
                 assert a.penalties.tolist() == b.penalties.tolist()
-            assert np.array_equal(buckets, want_buckets)
+            assert np.array_equal(batch.buckets[batch.buckets >= 0], want_buckets)
             assert stats == want_stats
             assert got_counter == want_counter
         assert any(g.penalties.any() for g in groups) == penalty
@@ -643,9 +665,10 @@ class TestTrain:
         result = train(cfg)
         snapshot = init_policy(cfg)
         policy = init_policy(cfg)
-        groups, _, _, _ = collect_batch(
+        batch, _, _ = collect_batch(
             snapshot, cfg.stages[0], cfg, np.random.default_rng([cfg.seed, 0]), 0, {}
         )
+        groups = oracles.groups_of(batch)
         for _ in range(cfg.inner_iterations):
             j, grad = oracles.token_mean_objective(groups, policy, snapshot, 0.2, 0.2)
             policy.logits += cfg.learning_rate * grad
