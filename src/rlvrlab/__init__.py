@@ -32,7 +32,7 @@ from .policy import (
     save_checkpoint,
 )
 from .repetition import LoopSpan, detect_loop, repetition_score
-from .tasks import TaskSpec, generate_task
+from .tasks import TaskSpec, generate_tasks
 from .trainer import (
     MetricsRecord,
     StagePlan,

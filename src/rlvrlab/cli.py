@@ -264,6 +264,10 @@ def _cmd_train(args, parser) -> int:
 def _cmd_eval(args, parser) -> int:
     started = _utc_now()
     _require_positive(args, parser, "k", "temperature", "max_len", "n_tasks")
+    try:
+        trainer.check_eval_sizes(args.k, args.max_len, args.n_tasks)
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")
     _require_seed(args, parser)
     _require_file(args.ckpt, parser)
     try:

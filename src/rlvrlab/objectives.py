@@ -7,7 +7,8 @@ of the batch (so long rollouts are not down-weighted) with decoupled clip
 bounds, and a sequence-mean form that averages per rollout and per group
 and adds a K3 KL penalty against a frozen reference.  Both take the old
 log-probs of the batch's tokens as an array (``response_logprobs`` of the
-policy that sampled it), and both return the objective value together
+policy that sampled it), or None when that policy is the one they are
+evaluated at, and both return the objective value together
 with its analytic gradient over the policy logits table, checked
 elsewhere against finite differences.  A batch touches a few hundred of
 the table's rows, so the gradient is row-sparse: those rows and their
@@ -21,7 +22,7 @@ of every group.  The objectives read it as arrays from end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -213,7 +214,7 @@ def _clipped_surrogate(
     advantages: np.ndarray,
     weights: np.ndarray,
     params: PolicyParams,
-    lp_old: np.ndarray,
+    lp_old: Optional[np.ndarray],
     eps_low: float,
     eps_high: float,
     ref: RefModel | None = None,
@@ -222,18 +223,21 @@ def _clipped_surrogate(
     """J = sum_i w_i sum_t [min(r A_i, clip(r) A_i) - beta * K3] and dJ/dlogits
     over every response token of ``batch``, with advantage A_i and weight
     w_i per rollout i and the old log-prob of every token in ``lp_old``.
+    ``lp_old`` None stands for the log-probs of ``params`` itself: the
+    policy has not moved since it sampled the batch, the one log-softmax
+    serves as both, and every ratio is exactly 1.
 
     K3 is rho - ln rho - 1 with rho = pi_ref / pi_theta, and is left out
     when ``ref`` is None.  The gradient treats old log-probs as constants,
     and comes as a ``SparseGrad`` over the rows the batch's contexts touch.
     """
     lengths, buckets, toks = _flat_tokens(batch)
-    if np.shape(lp_old) != toks.shape:
+    if lp_old is not None and np.shape(lp_old) != toks.shape:
         raise ValueError(f"{np.size(lp_old)} old log-probs for {toks.size} response tokens")
     adv = np.repeat(advantages, lengths)
     w = np.repeat(weights, lengths)
     lp_new, probs = log_softmax_at(params.logits[buckets], toks)
-    ratio = np.exp(lp_new - lp_old)
+    ratio = np.exp(lp_new - (lp_new if lp_old is None else lp_old))
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high) * adv
     terms = np.minimum(unclipped, clipped)
@@ -255,21 +259,25 @@ def _clipped_surrogate(
         order = np.argsort(np.tile(rollout_of, 2), kind="stable")
         pos = np.tile(pos, 2)[order]
         coef = np.concatenate([coef, beta * (rho - 1.0) * w])[order]
+    vocab = params.vocab.size
     contrib = -probs[pos] * coef[:, None]
     contrib[np.arange(len(pos)), toks[pos]] += coef
-    # Accumulate over the touched rows only, with the same additions in the
-    # same order as into a dense table, so each touched entry is equal to
-    # its dense value bit for bit.
+    # Accumulate over the touched rows only, one bincount over the flattened
+    # (row, token) cells: each cell gets the same additions in the same
+    # order from +0.0 as in a dense table, so each touched entry is equal
+    # to its dense value bit for bit.
     rows, row_of = np.unique(buckets, return_inverse=True)
-    values = np.zeros((len(rows), params.vocab.size))
-    np.add.at(values, row_of[pos], contrib)
+    cells = (row_of[pos] * vocab)[:, None] + np.arange(vocab)
+    values = np.bincount(
+        cells.ravel(), weights=contrib.ravel(), minlength=len(rows) * vocab
+    ).reshape(len(rows), vocab)
     return float((w * terms).sum()), (rows, values)
 
 
 def token_mean_objective(
     batch: Batch,
     params: PolicyParams,
-    lp_old: np.ndarray,
+    lp_old: Optional[np.ndarray],
     eps_low: float,
     eps_high: float,
 ) -> tuple[float, SparseGrad]:
@@ -279,8 +287,9 @@ def token_mean_objective(
     rollout of every group, so each token carries equal weight regardless
     of its rollout's length.  The ratio r is taken against ``lp_old``, the
     old log-probs from ``response_logprobs``, which the gradient treats as
-    constants.  Maximize J (or equivalently minimize -J).  Returns J and
-    dJ/dlogits as ``(rows, values)`` over the touched rows.
+    constants; with ``lp_old`` None, ``params`` is the policy that sampled
+    the batch and r is 1.  Maximize J (or equivalently minimize -J).
+    Returns J and dJ/dlogits as ``(rows, values)`` over the touched rows.
     """
     if not len(batch.sizes):
         raise ValueError("empty batch")
@@ -297,7 +306,7 @@ def token_mean_objective(
 def sequence_mean_objective(
     batch: Batch,
     params: PolicyParams,
-    lp_old: np.ndarray,
+    lp_old: Optional[np.ndarray],
     ref: RefModel,
     beta: float,
     eps: float,

@@ -135,13 +135,15 @@ def window_buckets(windows: np.ndarray, buckets: int) -> np.ndarray:
 
 def sample_groups(
     params: PolicyParams,
-    queries: Sequence[tuple[int, ...]],
+    queries: np.ndarray,
     group_size: int,
     max_len: int,
     temperature: float,
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ``group_size`` rollouts of every query, all in lockstep.
+    """Sample ``group_size`` rollouts of every row of the ``(m, q)`` query
+    array ``queries``, all in lockstep.  A query shorter than the array is
+    left-padded with the begin marker, which changes no context.
 
     Each iteration advances every live rollout by one token position.  The
     Gumbel noise is drawn in blocks of positions: the first block covers
@@ -185,6 +187,8 @@ def sample_groups(
         raise ValueError("temperature must be positive")
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
+    if queries.ndim != 2:
+        raise ValueError(f"queries must be a 2-D array, got shape {queries.shape}")
     if len(rngs) != len(queries):
         raise ValueError(f"{len(queries)} queries but {len(rngs)} generators")
 
@@ -198,9 +202,9 @@ def sample_groups(
     # position-major, so that each position reads and writes one
     # contiguous row by ``take`` and ``put``.
     history = np.zeros((k + max_len, n), dtype=np.uint64)
-    begin = (vocab.begin_marker,) * k
-    tails = np.array([(begin + tuple(q))[-k:] for q in queries], dtype=np.uint64)
-    history[:k] = np.repeat(tails.reshape(-1, k).T + 1, group_size, axis=1)
+    begin = np.full((len(queries), k), vocab.begin_marker, dtype=np.int64)
+    tails = np.concatenate([begin, queries], axis=1)[:, -k:] + 1
+    history[:k] = np.repeat(tails.T, group_size, axis=1)
     powers, _ = _hash_terms(k)
     n_buckets = np.uint64(params.buckets)
     stop_tok = vocab.eos + 1
@@ -268,7 +272,8 @@ def sample_response(
     """Sample one response until eos or ``max_len`` tokens: the one-query,
     one-rollout case of ``sample_groups``.  It is truncated exactly when
     its last token is not eos."""
-    tokens, _ = sample_groups(params, [query], 1, max_len, temperature, [rng])
+    queries = np.array([query], dtype=np.int64)
+    tokens, _ = sample_groups(params, queries, 1, max_len, temperature, [rng])
     return tuple(tokens[0][tokens[0] >= 0].tolist())
 
 

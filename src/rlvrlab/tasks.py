@@ -21,7 +21,8 @@ EOS = 13
 
 VOCAB = Vocab(size=14, eos=EOS)
 
-_CHARS = "0123456789+*="
+# Token i is the character CHARS[i]; eos has none.
+CHARS = "0123456789+*="
 
 # Each task family's operator token: its queries are "a+b=" or "a*b=".
 OPERATORS = {"modular-add": PLUS, "modular-mul": TIMES}
@@ -42,15 +43,37 @@ class TaskSpec:
             raise ValueError("modulus must be in [2, 10] for single-token answers")
 
 
+def generate_tasks(
+    spec: TaskSpec, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, list[str]]:
+    """``n`` tasks as an ``(n, QUERY_LENGTH)`` int64 array of queries and a
+    list of gold answer strings.  Query ``i`` is two digits a and b joined
+    by the family's operator, "a+b=" or "a*b=", and its gold is (a + b) or
+    (a * b) mod the modulus.
+
+    The operands come from one ``rng.integers(0, 10, size=(n, 2))`` draw:
+    bounded 32-bit draws take the halves of PCG64's 64-bit outputs in turn
+    either way, so the values and the generator's state afterwards are
+    those of 2n scalar draws, a then b for each task in order.
+    """
+    digits = rng.integers(0, 10, size=(n, 2))
+    a, b = digits[:, 0], digits[:, 1]
+    answers = a + b if spec.family == "modular-add" else a * b
+    queries = np.empty((n, QUERY_LENGTH), dtype=np.int64)
+    queries[:, 0] = a
+    queries[:, 1] = OPERATORS[spec.family]
+    queries[:, 2] = b
+    queries[:, 3] = EQUALS
+    return queries, [str(x) for x in (answers % spec.modulus).tolist()]
+
+
 def generate_task(
     spec: TaskSpec, rng: np.random.Generator
 ) -> tuple[tuple[int, ...], str]:
-    """One (query tokens, gold answer string) pair: two digits a and b
-    joined by the family's operator, with (a + b) or (a * b) mod the
-    modulus as the gold."""
-    a, b = int(rng.integers(0, 10)), int(rng.integers(0, 10))
-    answer = a + b if spec.family == "modular-add" else a * b
-    return (a, OPERATORS[spec.family], b, EQUALS), str(answer % spec.modulus)
+    """One task as a (query tokens, gold answer string) pair: the
+    one-task case of ``generate_tasks``."""
+    queries, golds = generate_tasks(spec, rng, 1)
+    return tuple(queries[0].tolist()), golds[0]
 
 
 def decode_tokens(tokens) -> str:
@@ -59,5 +82,5 @@ def decode_tokens(tokens) -> str:
     for tok in tokens:
         if tok == EOS:
             break
-        chars.append(_CHARS[tok])
+        chars.append(CHARS[tok])
     return "".join(chars)

@@ -156,6 +156,32 @@ class StagePlan:
 MAX_BUCKETS = 2**20
 MAX_CONTEXT_ORDER = 6
 
+# Caps on what one ``evaluate`` call may ask for.  Each of its lockstep
+# calls samples EVAL_CHUNK * k rollouts of up to max_len positions and
+# peaks at about 150 bytes per position when no rollout stops early
+# (history, token and bucket arrays, and the logit rows of the finiteness
+# check), so at MAX_EVAL_K and MAX_EVAL_LEN a call peaks near 310 MB.  The
+# task set takes about 130 bytes per task at its peak, 13 MB at
+# MAX_EVAL_TASKS (tracemalloc, numpy 2.4).
+MAX_EVAL_K = 512
+MAX_EVAL_LEN = 256
+MAX_EVAL_TASKS = 100_000
+
+
+def check_eval_sizes(k: int, max_len: int, n_tasks: int) -> None:
+    """Raise ``ValueError`` unless ``evaluate``'s k, max_len and n_tasks
+    are each at least 1 and at most their cap, before anything is
+    allocated."""
+    for name, value, cap in (
+        ("k", k, MAX_EVAL_K),
+        ("max_len", max_len, MAX_EVAL_LEN),
+        ("n_tasks", n_tasks, MAX_EVAL_TASKS),
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+        if value > cap:
+            raise ValueError(f"{name} must be <= {cap}, got {value}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -216,6 +242,16 @@ class TrainConfig:
         lengths = [s.max_response_len for s in self.stages]
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("stage max_response_len must strictly increase")
+        # Each stage evaluates at its own length cap.
+        if self.eval_every and (
+            self.eval_k > MAX_EVAL_K
+            or max(lengths, default=1) > MAX_EVAL_LEN
+            or self.eval_tasks > MAX_EVAL_TASKS
+        ):
+            raise ValueError(
+                f"eval_every needs eval_k <= {MAX_EVAL_K}, eval_tasks <= "
+                f"{MAX_EVAL_TASKS} and every max_response_len <= {MAX_EVAL_LEN}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -462,6 +498,11 @@ def init_policy(config: TrainConfig) -> PolicyParams:
 
 # A row key's byte for eos: keys hold each token plus one (see ``_score``).
 _EOS_BYTE = tasks.EOS + 1
+# A row key's bytes to the characters of their tokens, as
+# ``tasks.decode_tokens`` writes them.
+_KEY_CHARS = bytes.maketrans(
+    bytes(range(1, len(tasks.CHARS) + 1)), tasks.CHARS.encode()
+)
 
 
 def _score(
@@ -486,8 +527,9 @@ def _score(
     memos: ``reward_memo`` maps ``(key, gold)`` to the pair's reward and
     ``score_memo`` a key's content (without its eos) to its repetition
     score.  A truncated response scores 0 unverified, an empty content 0
-    unscored.  The repetition score only compares tokens for equality, so
-    it is taken on the shifted bytes as they are.
+    unscored.  An answer is decoded from its content with one
+    ``bytes.translate``.  The repetition score only compares tokens for
+    equality, so it is taken on the shifted bytes as they are.
     """
     if tokens.max(initial=0) >= 255:
         raise ValueError("row keys hold token ids below 255 only")
@@ -498,28 +540,33 @@ def _score(
         pairs.setdefault(pair, len(pairs))
         for pair in zip(keys, (gold for gold in golds for _ in range(group_size)))
     ]
-    rewards = np.zeros(len(pairs))
-    scores = None if score_memo is None else np.zeros(len(pairs))
-    for j, pair in enumerate(pairs):
+    rewards, scores = [], []
+    for pair in pairs:
         key, gold = pair
         truncated = key[-1] != _EOS_BYTE
-        if not truncated:
+        content = key if truncated else key[:-1]
+        if truncated:
+            rewards.append(0.0)
+        else:
             reward = reward_memo.get(pair)
             if reward is None:
-                answer = tasks.decode_tokens([b - 1 for b in key])
+                answer = content.translate(_KEY_CHARS).decode("latin-1")
                 reward = reward_memo[pair] = verifier.reward(answer, gold)
-            rewards[j] = reward
-        if scores is not None:
-            content = key if truncated else key[:-1]
+            rewards.append(reward)
+        if score_memo is not None:
+            score = 0.0
             if content:
                 score = score_memo.get(content)
                 if score is None:
                     score = score_memo[content] = repetition.repetition_score(
                         content, config.min_period, config.min_repeats
                     )
-                scores[j] = score
+            scores.append(score)
     index = np.array(slots).reshape(len(golds), group_size)
-    return rewards[index], None if scores is None else scores[index]
+    return (
+        np.array(rewards, dtype=np.float64)[index],
+        None if score_memo is None else np.array(scores, dtype=np.float64)[index],
+    )
 
 
 @dataclass
@@ -615,20 +662,23 @@ def collect_batch(
             n_chunks = min(COLLECT_CHUNKS, math.ceil((n - n_valid) / expected_valid))
         else:
             n_chunks = COLLECT_CHUNKS
-        rng_states, drawn = [], []
+        rng_states, drawn, golds = [], [], []
         for _ in range(n_chunks):
             rng_states.append(task_rng.bit_generator.state)
-            drawn += [tasks.generate_task(config.task, task_rng) for _ in range(n)]
+            chunk_queries, chunk_golds = tasks.generate_tasks(config.task, task_rng, n)
+            drawn.append(chunk_queries)
+            golds += chunk_golds
+        queries = np.concatenate(drawn)
         qids = np.arange(query_counter, query_counter + n_chunks * n)
         tokens, buckets = sample_groups(
             params,
-            [query for query, _ in drawn],
+            queries,
             size,
             stage.max_response_len,
             config.temperature,
             group_generators(config.seed, 1, qids),
         )
-        picked: list[int] = []  # the kept groups, by index into ``drawn``
+        picked: list[int] = []  # the kept groups, by index into ``queries``
         picked_rewards, picked_penalties = [], []
         for c in range(n_chunks):
             if n_valid >= n:
@@ -637,8 +687,9 @@ def collect_batch(
                 break
             query_counter += n
             chunk = tokens[c * n * size : (c + 1) * n * size]
-            golds = [gold for _, gold in drawn[c * n : (c + 1) * n]]
-            rewards, raw = _score(chunk, golds, reward_memo, score_memo, config)
+            rewards, raw = _score(
+                chunk, golds[c * n : (c + 1) * n], reward_memo, score_memo, config
+            )
             stats.absorb(chunk, rewards, raw, config.repetition_penalty)
             kept = filter_mixed_groups(rewards)
             stats.invalid_groups += n - len(kept)
@@ -658,11 +709,10 @@ def collect_batch(
             picked_penalties.append(penalties[kept])
         if picked:
             rows = (np.array(picked)[:, None] * size + np.arange(size)).ravel()
-            queries = np.array([drawn[g][0] for g in picked], dtype=np.int64)
             parts.append((
                 tokens[rows],
                 buckets[rows],
-                np.repeat(queries, size, axis=0),
+                np.repeat(queries[picked], size, axis=0),
                 qids[picked],
                 np.concatenate(picked_rewards).ravel(),
                 np.concatenate(picked_penalties).ravel(),
@@ -703,34 +753,31 @@ def evaluate(
     """avg@k: mean reward over k sampled attempts per task, over a fixed
     seed-derived evaluation set.
 
-    The tasks come from their own ``[seed, 2]`` generator and the attempts
-    at task ``i`` from a ``[seed, 4, i]`` generator, all ``n_tasks`` of
-    them built at once by ``group_generators``, so the task set does
-    not depend on the policy, on k or on the sampling.  The attempts are
-    sampled ``EVAL_CHUNK`` tasks per lockstep call and scored as arrays by
-    ``_score``, each distinct ``(response, gold)`` pair verified once per
-    call.
+    The tasks come from their own ``[seed, 2]`` generator, drawn at once
+    by ``generate_tasks``, and the attempts at task ``i`` from a ``[seed,
+    4, i]`` generator, so the task set does not depend on the policy, on k
+    or on the sampling.  The attempts are sampled ``EVAL_CHUNK`` tasks per
+    lockstep call, with that chunk's generators from ``group_generators``,
+    and scored as arrays by ``_score``, each distinct ``(response, gold)``
+    pair verified once per call.  Sizes past ``check_eval_sizes``' caps
+    are a ``ValueError``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n_tasks < 1:
-        raise ValueError("n_tasks must be >= 1")
+    check_eval_sizes(k, max_len, n_tasks)
     task_rng = np.random.default_rng([seed, 2])
-    eval_set = [tasks.generate_task(spec, task_rng) for _ in range(n_tasks)]
+    queries, golds = tasks.generate_tasks(spec, task_rng, n_tasks)
     total = 0.0
     reward_memo: dict = {}  # by (row key, gold), for this call only
-    rngs = group_generators(seed, 4, range(n_tasks))
     for start in range(0, n_tasks, EVAL_CHUNK):
-        chunk = eval_set[start : start + EVAL_CHUNK]
+        chunk = slice(start, start + EVAL_CHUNK)
         tokens, _ = sample_groups(
             params,
-            [query for query, _ in chunk],
+            queries[chunk],
             k,
             max_len,
             temperature,
-            rngs[start : start + EVAL_CHUNK],
+            group_generators(seed, 4, range(n_tasks)[chunk]),
         )
-        rewards, _ = _score(tokens, [gold for _, gold in chunk], reward_memo)
+        rewards, _ = _score(tokens, golds[chunk], reward_memo)
         for hits in rewards.sum(axis=1).tolist():
             total += hits / k
     return total / n_tasks
@@ -767,8 +814,12 @@ def train(
             correct = (batch.rewards > 0.5).reshape(-1, config.group_size).sum(axis=1)
             assert ((0 < correct) & (correct < config.group_size)).all()
             # Every iteration's ratio is against the policy that sampled the
-            # batch, so its log-probs are taken once, before any update.
-            lp_old = response_logprobs(policy, batch)
+            # batch.  With one iteration that is the policy the objective
+            # reads (``lp_old`` None); with more, its log-probs are taken
+            # once, before any update.
+            lp_old = None
+            if config.inner_iterations > 1:
+                lp_old = response_logprobs(policy, batch)
             for _ in range(config.inner_iterations):
                 objective, (rows, values) = objectives.token_mean_objective(
                     batch, policy, lp_old, eps_low, eps_high

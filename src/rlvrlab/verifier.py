@@ -477,11 +477,26 @@ def _split_top_level(s: str) -> list[str]:
     return parts
 
 
+# A character no token, modifier or container of the parser accepts: not a
+# Unicode decimal digit (``\d``, as the tokens read them), an ASCII letter,
+# one of ``.\()[]{}+-*/^,π·%°``, or one of the four non-ASCII letters that
+# match a unit letter under ``re.IGNORECASE`` (İ, ı, ſ and the Kelvin sign).
+_FOREIGN_RE = re.compile(
+    r"[^\da-zA-Z.\\()\[\]{}+\-*/^,π·%°\u0130\u0131\u017f\u212a]"
+)
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def parse_math(raw: str) -> ParsedAnswer:
     """Parse a normalized answer string; opaque fallback, never an error.
-    Pure, and its result immutable, so its results are cached."""
+    Pure, and its result immutable, so its results are cached.
+
+    A string holding a character of ``_FOREIGN_RE`` (an ``=``, a space or a
+    ``$``, say) cannot parse, so it is opaque at once, before any
+    modifier is stripped or any token read."""
     s = raw
+    if _FOREIGN_RE.search(s):
+        return ParsedAnswer(kind="opaque", raw=raw)
     try:
         if len(s) >= 2 and s[0] in "([{" and s[-1] == {"(": ")", "[": "]", "{": "}"}[s[0]]:
             inner = s[1:-1]

@@ -70,6 +70,16 @@ def rollouts_from(query, tokens: np.ndarray, eos: int) -> tuple[Rollout, ...]:
     return tuple(out)
 
 
+def generate_task(
+    spec: tasks.TaskSpec, rng: np.random.Generator
+) -> tuple[tuple[int, ...], str]:
+    """One task from two scalar draws, a then b: the per-task form of
+    ``tasks.generate_tasks``."""
+    a, b = int(rng.integers(0, 10)), int(rng.integers(0, 10))
+    answer = a + b if spec.family == "modular-add" else a * b
+    return (a, tasks.OPERATORS[spec.family], b, tasks.EQUALS), str(answer % spec.modulus)
+
+
 def padded_queries(queries, begin_marker: int) -> np.ndarray:
     """Queries of any lengths as the rows of one array, each left-padded
     with the begin marker to the longest.  The policy pads every context
@@ -408,12 +418,12 @@ def collect_batch(params, stage, config, task_rng, query_counter, reward_memo):
     n, size = config.batch_groups, config.group_size
     valid, valid_buckets, stats, score_memo = [], [], BatchStats(), {}
     while len(valid) < n:
-        drawn = [tasks.generate_task(config.task, task_rng) for _ in range(n)]
+        drawn = [generate_task(config.task, task_rng) for _ in range(n)]
         qids = range(query_counter, query_counter + n)
         query_counter += n
         tokens, buckets = sample_groups(
             params,
-            [query for query, _ in drawn],
+            np.array([query for query, _ in drawn], dtype=np.int64),
             size,
             stage.max_response_len,
             config.temperature,

@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from rlvrlab import trainer
 from rlvrlab.cli import dispatch
 from rlvrlab.curation import ProblemRecord, write_records
 from rlvrlab.policy import PolicyParams, Vocab, load_checkpoint, save_checkpoint
@@ -510,4 +511,24 @@ class TestOutputsAndNumbers:
     def test_nonpositive_number_exits_two(self, capsys, inputs, template, message):
         assert dispatch(command(template, **inputs)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(inputs["out"])
+
+    @pytest.mark.parametrize(
+        "flag,name,cap",
+        [
+            ("--k", "k", trainer.MAX_EVAL_K),
+            ("--max-len", "max_len", trainer.MAX_EVAL_LEN),
+            ("--n-tasks", "n_tasks", trainer.MAX_EVAL_TASKS),
+        ],
+    )
+    def test_eval_size_past_cap_exits_two(
+        self, monkeypatch, capsys, inputs, flag, name, cap
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated sizes past a cap")
+
+        monkeypatch.setattr(trainer, "evaluate", refuse)
+        template = f"eval --ckpt {{ckpt}} --manifest {{out}} {flag} {cap + 1}"
+        assert dispatch(command(template, **inputs)) == 2
+        assert capsys.readouterr().err == f"error: {name} must be <= {cap}, got {cap + 1}\n"
         assert not os.path.exists(inputs["out"])

@@ -297,6 +297,11 @@ class TestTokenMeanObjective:
         batch = batch_of(groups, params)
         lp_old = response_logprobs(params, batch)
         j, grad = token_mean_objective(batch, params, lp_old, 0.2, 0.2)
+        # Without lp_old the objective's own log-probs serve as the old
+        # ones: the same value and gradient, bit for bit.
+        j_own, (rows_own, values_own) = token_mean_objective(batch, params, None, 0.2, 0.2)
+        assert j_own == j
+        assert np.array_equal(rows_own, grad[0]) and np.array_equal(values_own, grad[1])
         grad = oracles.dense(grad, params)
 
         total = sum(len(r.response) for g in groups for r in g.rollouts)

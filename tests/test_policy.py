@@ -240,7 +240,12 @@ class TestSampleResponse:
         params = random_params(rng, vocab_size=6, scale=1.5)
         queries = [(0, 1), (2,), (3, 4), ()]
         tokens, _ = sample_groups(
-            params, queries, 4, 8, 0.25, [np.random.default_rng(i) for i in range(4)]
+            params,
+            padded_queries(queries, params.vocab.begin_marker),
+            4,
+            8,
+            0.25,
+            [np.random.default_rng(i) for i in range(4)],
         )
         groups = [
             Group(
@@ -300,7 +305,7 @@ class TestSampleResponse:
             sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
         rngs = [np.random.default_rng(i) for i in (1, 2)]
         with pytest.raises(ValueError, match="non-finite"):
-            sample_groups(params, [(3,), (0,)], 2, 10, 1.0, rngs)
+            sample_groups(params, np.array([[3], [0]]), 2, 10, 1.0, rngs)
 
     @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
     def test_nonfinite_row_never_read_accepted(self, bad):
@@ -330,7 +335,12 @@ class TestSampleResponse:
                 params, query, max_len, temperature, np.random.default_rng(seed)
             )
             tokens, _ = sample_groups(
-                params, [query], 1, max_len, temperature, [np.random.default_rng(seed)]
+                params,
+                padded_queries([query], params.vocab.begin_marker),
+                1,
+                max_len,
+                temperature,
+                [np.random.default_rng(seed)],
             )
             (got,) = oracles.rollouts_from(query, tokens, params.vocab.eos)
             assert got == want
@@ -345,7 +355,8 @@ class TestSampleGroups:
         rng = np.random.default_rng(8)
         params = random_params(rng, vocab_size=5, scale=1.0)
         rngs = [np.random.default_rng(i) for i in range(2)]
-        tokens, buckets = sample_groups(params, [(0, 1), (2,)], 3, 7, 0.7, rngs)
+        queries = padded_queries([(0, 1), (2,)], params.vocab.begin_marker)
+        tokens, buckets = sample_groups(params, queries, 3, 7, 0.7, rngs)
         assert tokens.shape == buckets.shape == (6, 7)
         for g, query in enumerate([(0, 1), (2,)]):
             group = oracles.rollouts_from(query, tokens[3 * g : 3 * g + 3], 4)
@@ -380,10 +391,9 @@ class TestSampleGroups:
             )
         )
         rngs = [np.random.default_rng([seed, i]) for i in range(len(queries))]
-        tokens, got = sample_groups(params, queries, group_size, max_len, 1.0, rngs)
-        rows = np.repeat(
-            padded_queries(queries, params.vocab.begin_marker), group_size, axis=0
-        )
+        padded = padded_queries(queries, params.vocab.begin_marker)
+        tokens, got = sample_groups(params, padded, group_size, max_len, 1.0, rngs)
+        rows = np.repeat(padded, group_size, axis=0)
         assert got.shape == tokens.shape == (len(rows), max_len)
         assert np.array_equal(got, context_buckets(params, rows, tokens))
         lengths = (tokens >= 0).sum(axis=1)
@@ -423,7 +433,8 @@ class TestSampleGroups:
         def rngs():
             return [np.random.default_rng([seed, i]) for i in range(len(queries))]
 
-        got = sample_groups(params, queries, group_size, max_len, temperature, rngs())
+        padded = padded_queries(queries, params.vocab.begin_marker)
+        got = sample_groups(params, padded, group_size, max_len, temperature, rngs())
         want = oracles.reference_lockstep(
             params, queries, group_size, max_len, temperature, rngs()
         )
@@ -436,7 +447,7 @@ class TestSampleGroups:
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
         params.logits[:, 3] = 50.0
         rng = np.random.default_rng(0)
-        tokens, _ = sample_groups(params, [(0,)], 2, 10, 1.0, [rng])
+        tokens, _ = sample_groups(params, np.array([[0]]), 2, 10, 1.0, [rng])
         assert tokens[:, 0].tolist() == [3, 3] and (tokens[:, 1:] == -1).all()
         skipped = np.random.default_rng(0)
         skipped.random((FIRST_BLOCK, 2, 4))
@@ -445,7 +456,14 @@ class TestSampleGroups:
     def test_generator_count_must_match(self):
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
         with pytest.raises(ValueError):
-            sample_groups(params, [(0,), (1,)], 2, 5, 1.0, [np.random.default_rng(0)])
+            sample_groups(
+                params, np.array([[0], [1]]), 2, 5, 1.0, [np.random.default_rng(0)]
+            )
+
+    def test_queries_must_be_rows_of_an_array(self):
+        params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
+        with pytest.raises(ValueError, match="2-D"):
+            sample_groups(params, np.array([0, 1]), 2, 5, 1.0, [np.random.default_rng(0)])
 
 
 class TestCheckpoint:

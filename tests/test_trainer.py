@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlvrlab import repetition, tasks, trainer, verifier
+from rlvrlab import objectives, repetition, tasks, trainer, verifier
 from rlvrlab.policy import PolicyParams, bucket_of, context_buckets
-from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_task
+from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_tasks
 from rlvrlab.trainer import (
     CollectAbort,
     MetricsRecord,
@@ -676,6 +676,24 @@ class TestTrain:
         assert result.metrics[0].objective == pytest.approx(j, abs=1e-12)
         assert not np.array_equal(policy.logits, snapshot.logits)
 
+    @pytest.mark.parametrize("inner_iterations,per_step", [(1, 1), (2, 3)])
+    def test_log_softmaxes_per_step(self, monkeypatch, inner_iterations, per_step):
+        # On policy, the objective's one log-softmax gives both the new and
+        # the old log-probs; more iterations take the old ones once more,
+        # before the first update.
+        calls = []
+
+        def counting(rows, toks):
+            calls.append(len(toks))
+            return real(rows, toks)
+
+        real = objectives.log_softmax_at
+        monkeypatch.setattr(objectives, "log_softmax_at", counting)
+        cfg = tiny_config(inner_iterations=inner_iterations)
+        steps = cfg.stages[0].max_steps
+        assert len(train(cfg).metrics) == steps
+        assert len(calls) == per_step * steps
+
     def test_one_policy_copy_per_stage(self, monkeypatch):
         calls = []
 
@@ -802,12 +820,12 @@ class TestEvaluate:
     def test_task_set_is_fixed(self, monkeypatch):
         drawn = []
 
-        def recording(spec, rng):
-            task = generate_task(spec, rng)
-            drawn.append(task)
-            return task
+        def recording(spec, rng, n):
+            queries, golds = generate_tasks(spec, rng, n)
+            drawn.extend(zip(map(tuple, queries.tolist()), golds))
+            return queries, golds
 
-        monkeypatch.setattr(tasks, "generate_task", recording)
+        monkeypatch.setattr(tasks, "generate_tasks", recording)
         cfg = tiny_config()
         sets = []
         for params, k in (
@@ -830,3 +848,41 @@ class TestEvaluate:
         cfg = tiny_config()
         with pytest.raises(ValueError, match="n_tasks must be >= 1"):
             evaluate(init_policy(cfg), cfg.task, 4, 1.0, 12, seed=0, n_tasks=0)
+
+    CAPS = [
+        ("k", trainer.MAX_EVAL_K),
+        ("max_len", trainer.MAX_EVAL_LEN),
+        ("n_tasks", trainer.MAX_EVAL_TASKS),
+    ]
+
+    @pytest.mark.parametrize("name,cap", CAPS)
+    def test_size_caps(self, name, cap):
+        sizes = dict(k=1, max_len=1, n_tasks=1)
+        trainer.check_eval_sizes(**{**sizes, name: cap})
+        with pytest.raises(ValueError, match=f"{name} must be <= {cap}, got {cap + 1}"):
+            trainer.check_eval_sizes(**{**sizes, name: cap + 1})
+
+    @pytest.mark.parametrize("name,cap", CAPS)
+    def test_size_past_cap_rejected_before_drawing(self, monkeypatch, name, cap):
+        def refuse(*args):
+            raise AssertionError("drew tasks for sizes past a cap")
+
+        monkeypatch.setattr(tasks, "generate_tasks", refuse)
+        cfg = tiny_config()
+        sizes = {"k": 1, "max_len": 1, "n_tasks": 1, name: cap + 1}
+        with pytest.raises(ValueError, match=f"{name} must be <= {cap}"):
+            evaluate(init_policy(cfg), cfg.task, temperature=1.0, seed=0, **sizes)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(eval_k=trainer.MAX_EVAL_K + 1),
+            dict(eval_tasks=trainer.MAX_EVAL_TASKS + 1),
+            dict(stages=(StagePlan(max_response_len=trainer.MAX_EVAL_LEN + 1),)),
+        ],
+        ids=["eval_k", "eval_tasks", "max_response_len"],
+    )
+    def test_config_past_a_cap_rejected_only_with_evaluation(self, overrides):
+        tiny_config(**overrides)  # no in-training evaluation: accepted
+        with pytest.raises(ValueError, match="eval_every needs eval_k <="):
+            tiny_config(eval_every=1, **overrides)

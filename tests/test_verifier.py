@@ -1,3 +1,5 @@
+import re
+import sys
 import time
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlvrlab import verifier
 from rlvrlab.verifier import (
     EQUIVALENT,
     MAX_EXACT_POWER,
@@ -282,6 +285,72 @@ class TestCaches:
         # A cache filled by other calls changes nothing either.
         verify(b, a)
         assert verify(a, b) == cold
+
+
+def _with_and_without_gate(pairs):
+    """The parse of each side's normal form and the verdict of every pair,
+    from cold caches, with the parser's alphabet gate and with a gate that
+    never matches."""
+
+    def run():
+        normalize.cache_clear()
+        parse_math.cache_clear()
+        return [
+            (parse_math(normalize(a)), parse_math(normalize(b)), verify(a, b))
+            for a, b in pairs
+        ]
+
+    gated = run()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verifier, "_FOREIGN_RE", re.compile(r"(?!)"))
+        ungated = run()
+    normalize.cache_clear()
+    parse_math.cache_clear()
+    return gated, ungated
+
+
+# The characters at the gate's edge: every Unicode decimal digit, whatever
+# matches an ASCII letter ignoring case, the gate's other characters, and a
+# few it stops.
+_GATE_EDGE_CHARS = [
+    c
+    for c in map(chr, range(sys.maxunicode + 1))
+    if c.isdecimal() or re.fullmatch(r"[a-z]", c, re.IGNORECASE)
+] + list(".\\()[]{}+-*/^,π·%°=$ _")
+_GATE_TEMPLATES = ["5{c}", "5{c}m", "5m{c}n", "(1,{c})", "\\frac{{1}}{{{c}}}"]
+
+
+class TestAlphabetGate:
+    """``parse_math`` returns opaque at once on a character no part of the
+    parser accepts; every parse and verdict is what it would be without."""
+
+    def test_gate_decides_only_what_the_parser_rejects(self):
+        assert verifier._FOREIGN_RE.search("1=2")
+        assert parse_math("1=2").kind == "opaque"
+        assert parse_math("\u0663").exact == 3  # an Arabic-Indic digit
+        assert parse_math("5\u212am").unit == "km"  # the Kelvin sign
+        assert verify("\u0663", "3") == Verdict(EQUIVALENT, 2)
+
+    def test_edge_characters_in_templates(self):
+        assert len(_GATE_EDGE_CHARS) > 600
+        pairs = [
+            (template.format(c=c), gold)
+            for c in _GATE_EDGE_CHARS
+            for template in _GATE_TEMPLATES
+            for gold in ("5", "5m")
+        ]
+        gated, ungated = _with_and_without_gate(pairs)
+        assert gated == ungated
+
+    def test_corpus(self):
+        gated, ungated = _with_and_without_gate(ALL_PAIRS)
+        assert gated == ungated
+
+    @given(st.lists(st.tuples(st.text(), st.one_of(st.text(), _ANSWERS)), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text(self, pairs):
+        gated, ungated = _with_and_without_gate(pairs)
+        assert gated == ungated
 
 
 _SMALL_LITERALS = st.one_of(
