@@ -18,7 +18,6 @@ from .objectives import (
     ClipSchedule,
     RefModel,
     filter_mixed_groups,
-    reward_advantages,
     sample_clip_ratios,
     sequence_mean_objective,
     shaped_advantages,

@@ -5,7 +5,8 @@ One clipped surrogate, evaluated over every token of a batch at once, with
 two weightings: a token-mean form that normalizes by the total token count
 of the batch (so long rollouts are not down-weighted) with decoupled clip
 bounds, and a sequence-mean form that averages per rollout and per group
-and adds a K3 KL penalty against a frozen reference.  Both take the old
+and adds a K3 KL penalty against a frozen reference, a snapshot of the
+policy's own table read at the batch's own buckets.  Both take the old
 log-probs of the batch's tokens as an array (``response_logprobs`` of the
 policy that sampled it), or None when that policy is the one they are
 evaluated at, and both return the objective value together
@@ -26,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .policy import PolicyParams, context_buckets, log_softmax_at
+from .policy import PolicyParams, log_softmax_at
 
 STD_FLOOR = 1e-6
 
@@ -90,7 +91,9 @@ class AdvantageSet:
 
 @dataclass(frozen=True)
 class RefModel:
-    """Frozen snapshot of policy parameters used as the KL reference."""
+    """Frozen snapshot of policy parameters used as the KL reference.  It
+    shares the policy's vocabulary, context order and table size, so the
+    policy's context buckets index it too."""
 
     params: PolicyParams
 
@@ -144,13 +147,6 @@ def shaped_advantages(
     return AdvantageSet(values, degenerate[..., 0])
 
 
-def reward_advantages(rewards: np.ndarray | Sequence[float]) -> AdvantageSet:
-    """Rewards normalized within each group: shaped_advantages with zero
-    penalties."""
-    r = np.asarray(rewards, dtype=np.float64)
-    return shaped_advantages(r, np.zeros_like(r))
-
-
 def filter_mixed_groups(rewards: np.ndarray) -> np.ndarray:
     """Indices of the rows of a ``(groups, G)`` reward array, one group per
     row, whose rollouts are neither all correct nor all wrong."""
@@ -201,11 +197,9 @@ def _rollout_advantages(batch: Batch, penalized: bool) -> np.ndarray:
     out = np.empty(len(batch.rewards))
     for size in np.unique(batch.sizes).tolist():
         rows = starts[batch.sizes == size][:, None] + np.arange(size)
-        if penalized:
-            adv = shaped_advantages(batch.rewards[rows], batch.penalties[rows])
-        else:
-            adv = reward_advantages(batch.rewards[rows])
-        out[rows] = adv.values
+        rewards = batch.rewards[rows]
+        penalties = batch.penalties[rows] if penalized else np.zeros_like(rewards)
+        out[rows] = shaped_advantages(rewards, penalties).values
     return out
 
 
@@ -227,9 +221,10 @@ def _clipped_surrogate(
     policy has not moved since it sampled the batch, the one log-softmax
     serves as both, and every ratio is exactly 1.
 
-    K3 is rho - ln rho - 1 with rho = pi_ref / pi_theta, and is left out
-    when ``ref`` is None.  The gradient treats old log-probs as constants,
-    and comes as a ``SparseGrad`` over the rows the batch's contexts touch.
+    K3 is rho - ln rho - 1 with rho = pi_ref / pi_theta, read at the
+    batch's buckets, and is left out when ``ref`` is None.  The gradient
+    treats old log-probs as constants, and comes as a ``SparseGrad`` over
+    the rows the batch's contexts touch.
     """
     lengths, buckets, toks = _flat_tokens(batch)
     if lp_old is not None and np.shape(lp_old) != toks.shape:
@@ -246,9 +241,7 @@ def _clipped_surrogate(
     coef = np.where(unclipped <= clipped, adv * ratio, 0.0) * w
     pos = np.arange(len(toks))  # the token each gradient term belongs to
     if ref is not None:
-        ref_buckets = context_buckets(ref.params, batch.queries, batch.tokens)
-        ref_buckets = ref_buckets[batch.tokens >= 0]
-        lp_ref, _ = log_softmax_at(ref.params.logits[ref_buckets], toks)
+        lp_ref, _ = log_softmax_at(ref.params.logits[buckets], toks)
         rho = np.exp(lp_ref - lp_new)
         terms = terms - beta * (rho - (lp_ref - lp_new) - 1.0)
         # d/dtheta of -beta*K3 contributes beta*(rho - 1) per token.  Scatter
@@ -317,9 +310,17 @@ def sequence_mean_objective(
     the group (1/G), then across groups; each token additionally pays
     beta * (rho - ln rho - 1) with rho = pi_ref / pi_theta, whose
     dependence on the current policy is part of the gradient.  The ratio
-    is taken against ``lp_old``, as in ``token_mean_objective``.  Returns J
-    and dJ/dlogits as ``(rows, values)`` over the touched rows.
+    is taken against ``lp_old``, as in ``token_mean_objective``.  A ``ref``
+    of another vocabulary, context order or table size than ``params`` is
+    a ``ValueError``.  Returns J and dJ/dlogits as ``(rows, values)`` over
+    the touched rows.
     """
+    ref_shape = (ref.params.vocab, ref.params.k, ref.params.buckets)
+    if ref_shape != (params.vocab, params.k, params.buckets):
+        raise ValueError(
+            f"reference (vocab, k, buckets) {ref_shape} differs from the "
+            f"policy's {(params.vocab, params.k, params.buckets)}"
+        )
     if not len(batch.sizes):
         raise ValueError("empty batch")
     lengths = np.count_nonzero(batch.tokens >= 0, axis=1)

@@ -7,8 +7,8 @@ log-probabilities are explicit, and the softmax rows that come with the
 log-probabilities give every objective built on top an analytic gradient
 that can be checked against finite differences.  Sampled rollouts stay
 arrays throughout: ``sample_groups`` returns one row of tokens and one of
-context buckets per rollout, -1 past its end, and ``context_buckets``
-hashes such rows again for another table.
+context buckets per rollout, -1 past its end, and every later reader of
+the rollouts takes those buckets rather than hashing a context again.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ _HASH_MASK = (1 << 64) - 1
 # capped to bound the noise array for the long stragglers.
 FIRST_BLOCK = 4
 BLOCK = 8
+# Filled positions whose logit rows ``sample_groups`` gathers at once for
+# its finiteness check: one gather for any training call, and a bounded
+# copy for a long evaluation call.
+FINITE_CHECK_SLICE = 65_536
 
 
 @dataclass(frozen=True)
@@ -109,28 +113,15 @@ def log_softmax_at(
 
 
 @functools.lru_cache(maxsize=8)
-def _hash_terms(order: int) -> tuple[np.ndarray, np.uint64]:
+def _hash_terms(order: int) -> np.ndarray:
     """Read-only powers of the hash multiplier, mod 2**64, for a window of
-    ``order`` tokens, highest first, and their sum."""
+    ``order`` tokens, highest first."""
     powers = np.array(
         [pow(_HASH_MULT, order - 1 - j, 1 << 64) for j in range(order)],
         dtype=np.uint64,
     )
     powers.setflags(write=False)
-    return powers, powers.sum(dtype=np.uint64)
-
-
-def window_buckets(windows: np.ndarray, buckets: int) -> np.ndarray:
-    """``bucket_of`` of every row of an ``(n, order)`` array of windows.
-
-    The same polynomial hash, expanded into a dot product with the powers
-    of the multiplier, plus their sum for the +1 on every token; uint64
-    arithmetic wraps like the 64-bit mask.
-    """
-    windows = np.asarray(windows, dtype=np.uint64)
-    powers, offset = _hash_terms(windows.shape[1])
-    h = windows @ powers + offset
-    return (h % np.uint64(buckets)).astype(np.int64)
+    return powers
 
 
 def sample_groups(
@@ -164,17 +155,18 @@ def sample_groups(
     belongs to rollout ``i`` of query ``g``: column ``t`` holds its token
     ``t`` and the bucket of the context before it, and both hold -1 past
     its last token.  A rollout ends at its first eos or at ``max_len``
-    tokens; it is truncated when its last token is not eos.  The buckets
-    are ``context_buckets`` of the queries and the tokens, so the
-    objectives need not hash the contexts again.
+    tokens; it is truncated when its last token is not eos.  Each bucket
+    is ``bucket_of`` of the ``k`` tokens before its position, padded
+    query included, so the objectives need not hash the contexts again.
 
     The per-position work is kept to a few numpy calls on the live
     rollouts: the histories hold every token plus one, so a window's
     bucket is a dot product and a remainder with no conversion, and
     the table is checked for non-finite entries once per call, over the
-    rows the call read.  A non-finite row no rollout reaches is never
-    rejected; one that is reached raises ``ValueError``, as it would have
-    at the position that read it.
+    rows the call read, gathered ``FINITE_CHECK_SLICE`` positions at a
+    time.  A non-finite row no rollout reaches is never rejected; one
+    that is reached raises ``ValueError``, as it would have at the
+    position that read it.
 
     Temperature scales the sampling distribution only.  The sampler returns
     tokens, not log-probabilities: the surrogate objectives take the old
@@ -197,15 +189,15 @@ def sample_groups(
     # Column r holds rollout r's context history, every token plus one:
     # the padded query tail, then its response, 0 past its end.  The
     # window before position t is rows t..t+k-1, so its bucket is one dot
-    # product with the hash powers, (w + 1) . p = w . p + sum(p) mod 2**64,
-    # the hash of ``window_buckets``.  History and buckets are kept
-    # position-major, so that each position reads and writes one
-    # contiguous row by ``take`` and ``put``.
+    # product with the hash powers: ``bucket_of``'s hash, whose +1 on every
+    # token the history holds and whose 64-bit mask is uint64 wraparound.
+    # History and buckets are kept position-major, so that each position
+    # reads and writes one contiguous row by ``take`` and ``put``.
     history = np.zeros((k + max_len, n), dtype=np.uint64)
     begin = np.full((len(queries), k), vocab.begin_marker, dtype=np.int64)
     tails = np.concatenate([begin, queries], axis=1)[:, -k:] + 1
     history[:k] = np.repeat(tails.T, group_size, axis=1)
-    powers, _ = _hash_terms(k)
+    powers = _hash_terms(k)
     n_buckets = np.uint64(params.buckets)
     stop_tok = vocab.eos + 1
     logits = params.logits
@@ -257,8 +249,11 @@ def sample_groups(
     buckets = np.ascontiguousarray(buckets.T)
     # One finiteness check, over the rows the call read: a non-finite entry
     # can change which rows are read after it, never hide its own row.
-    if not np.isfinite(logits.take(buckets[buckets >= 0], axis=0)).all():
-        raise ValueError("logits table contains non-finite entries")
+    read = buckets[buckets >= 0]
+    for lo in range(0, read.size, FINITE_CHECK_SLICE):
+        chunk = read[lo : lo + FINITE_CHECK_SLICE]
+        if not np.isfinite(logits.take(chunk, axis=0)).all():
+            raise ValueError("logits table contains non-finite entries")
     return np.subtract(history[k:].T.view(np.int64), 1, order="C"), buckets
 
 
@@ -275,31 +270,6 @@ def sample_response(
     queries = np.array([query], dtype=np.int64)
     tokens, _ = sample_groups(params, queries, 1, max_len, temperature, [rng])
     return tuple(tokens[0][tokens[0] >= 0].tolist())
-
-
-def context_buckets(
-    params: PolicyParams, queries: np.ndarray, tokens: np.ndarray
-) -> np.ndarray:
-    """Bucket of the context before every token of ``tokens``, rows as
-    ``sample_groups`` returns them (-1 past each end), with row ``r``'s
-    query in row ``r`` of ``queries``.  Shaped like ``tokens``, -1 past
-    each end: the buckets ``sample_groups`` returns with the tokens.
-
-    Row ``r`` of the history holds the padded tail of query ``r``, then
-    its tokens, as in ``sample_groups``; the window before position ``t``
-    is columns ``t .. t + k - 1``.
-    """
-    k = params.k
-    n, width = tokens.shape
-    begin = np.full((n, k), params.vocab.begin_marker, dtype=np.int64)
-    history = np.concatenate(
-        [np.concatenate([begin, queries], axis=1)[:, -k:], tokens], axis=1
-    )
-    windows = np.lib.stride_tricks.sliding_window_view(history, k, axis=1)
-    filled = tokens >= 0
-    out = np.full(tokens.shape, -1, dtype=np.int64)
-    out[filled] = window_buckets(windows[:, :width][filled], params.buckets)
-    return out
 
 
 def save_checkpoint(params: PolicyParams, path: str) -> None:

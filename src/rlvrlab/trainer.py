@@ -157,15 +157,27 @@ MAX_BUCKETS = 2**20
 MAX_CONTEXT_ORDER = 6
 
 # Caps on what one ``evaluate`` call may ask for.  Each of its lockstep
-# calls samples EVAL_CHUNK * k rollouts of up to max_len positions and
-# peaks at about 150 bytes per position when no rollout stops early
-# (history, token and bucket arrays, and the logit rows of the finiteness
-# check), so at MAX_EVAL_K and MAX_EVAL_LEN a call peaks near 310 MB.  The
-# task set takes about 130 bytes per task at its peak, 13 MB at
-# MAX_EVAL_TASKS (tracemalloc, numpy 2.4).
+# calls samples EVAL_CHUNK * k rollouts of up to max_len positions and,
+# when no rollout stops early, peaks at about 32 bytes per position
+# (history, token and bucket arrays) plus about 6 MB, most of it one slice
+# of the finiteness check: 23 MB at k 128 and max_len 256, and near 75 MB
+# at MAX_EVAL_K and MAX_EVAL_LEN.  The task set takes about 130 bytes per
+# task at its peak, 13 MB at MAX_EVAL_TASKS (tracemalloc, numpy 2.4).
 MAX_EVAL_K = 512
 MAX_EVAL_LEN = 256
 MAX_EVAL_TASKS = 100_000
+
+# Tasks per lockstep call in ``evaluate``: bounds its arrays at
+# EVAL_CHUNK * k rollouts instead of all n_tasks * k.
+EVAL_CHUNK = 16
+# Most chunks of batch_groups queries per lockstep call in
+# ``collect_batch``: bounds its arrays, however many groups the filter drops.
+COLLECT_CHUNKS = 8
+# Rollout positions one lockstep call may hold, training or evaluating:
+# what an ``evaluate`` call at both size caps holds.  A training config
+# may ask for COLLECT_CHUNKS * batch_groups * group_size * its longest
+# max_response_len positions at most.
+MAX_SAMPLER_POSITIONS = EVAL_CHUNK * MAX_EVAL_K * MAX_EVAL_LEN
 
 
 def check_eval_sizes(k: int, max_len: int, n_tasks: int) -> None:
@@ -242,6 +254,14 @@ class TrainConfig:
         lengths = [s.max_response_len for s in self.stages]
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("stage max_response_len must strictly increase")
+        positions = (
+            COLLECT_CHUNKS * self.batch_groups * self.group_size * max(lengths, default=0)
+        )
+        if positions > MAX_SAMPLER_POSITIONS:
+            raise ValueError(
+                f"{COLLECT_CHUNKS} * batch_groups * group_size * max_response_len "
+                f"must be <= {MAX_SAMPLER_POSITIONS} sampler positions, got {positions}"
+            )
         # Each stage evaluates at its own length cap.
         if self.eval_every and (
             self.eval_k > MAX_EVAL_K
@@ -268,14 +288,6 @@ class TrainConfig:
                 "task": lambda v: _from_dict(TaskSpec, v, _coercions(TaskSpec)),
             },
         )
-
-
-# Toy-scale default curriculum: the 1:2:3 cap progression at desk scale.
-DEFAULT_STAGES = (
-    StagePlan(max_response_len=24),
-    StagePlan(max_response_len=48),
-    StagePlan(max_response_len=72),
-)
 
 
 @dataclass(frozen=True)
@@ -598,14 +610,6 @@ class BatchStats:
         # reproduces earlier runs bit for bit.
         for x in (scores.sum(axis=1) if penalty_on else scores.ravel()).tolist():
             self.repetition_sum += x
-
-
-# Tasks per lockstep call in ``evaluate``: bounds its arrays at
-# EVAL_CHUNK * k rollouts instead of all n_tasks * k.
-EVAL_CHUNK = 16
-# Most chunks of batch_groups queries per lockstep call in
-# ``collect_batch``: bounds its arrays, however many groups the filter drops.
-COLLECT_CHUNKS = 8
 
 
 def collect_batch(

@@ -59,14 +59,13 @@ class Verdict:
 class ParsedAnswer:
     """Outcome of parsing one answer string.
 
-    ``exact`` carries the value as a Fraction whenever the expression
-    evaluates exactly; ``approx`` is the float view.  Containers keep their
-    elements and no scalar value.  Unparseable input degrades to kind
-    "opaque" rather than raising.
+    A scalar is kind "number": ``exact`` carries its value as a Fraction
+    whenever the expression evaluates exactly, and ``approx`` is the float
+    view.  Containers keep their elements and no scalar value.
+    Unparseable input degrades to kind "opaque" rather than raising.
     """
 
-    kind: str  # integer | rational | real | symbolic | tuple | set | opaque
-    raw: str  # the normalized source string
+    kind: str  # number | tuple | set | opaque
     exact: Optional[Fraction] = None
     approx: Optional[float] = None
     elements: tuple["ParsedAnswer", ...] = field(default_factory=tuple)
@@ -282,11 +281,7 @@ _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE]([+-]?\d+))?$")
 
 
 class _Parser:
-    """Recursive-descent evaluator over the token list.
-
-    Besides the value, it tracks a coarse surface shape (int literal, plain
-    fraction, decimal, or anything richer) so the caller can label kind.
-    """
+    """Recursive-descent evaluator over the token list."""
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
@@ -308,67 +303,57 @@ class _Parser:
         if got != tok:
             raise _ParseError(f"expected {tok!r}, got {got!r}")
 
-    def parse_expr(self) -> tuple[_Num, str]:
-        value, shape = self.parse_term()
+    def parse_expr(self) -> _Num:
+        value = self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.next()
-            rhs, _ = self.parse_term()
-            value = _num_op(value, rhs, op)
-            shape = "expr"
-        return value, shape
+            value = _num_op(value, self.parse_term(), op)
+        return value
 
-    def parse_term(self) -> tuple[_Num, str]:
-        value, shape = self.parse_power()
+    def parse_term(self) -> _Num:
+        value = self.parse_power()
         while True:
             tok = self.peek()
             if tok in ("*", "/", "\\cdot", "\\times", "·"):
                 op = self.next()
-                rhs, rshape = self.parse_power()
-                value = _num_op(value, rhs, "/" if op == "/" else "*")
-                if op == "/" and shape == "int" and rshape == "int":
-                    shape = "fraction"
-                else:
-                    shape = "expr"
+                value = _num_op(value, self.parse_power(), "/" if op == "/" else "*")
             elif tok is not None and (
                 _NUMBER_RE.match(tok)
                 or tok in ("\\pi", "π", "\\frac", "\\sqrt", "(", "e")
             ):
                 # implicit multiplication: 2\pi, 3(4), 2e
-                rhs, _ = self.parse_power()
-                value = _num_op(value, rhs, "*")
-                shape = "expr"
+                value = _num_op(value, self.parse_power(), "*")
             else:
-                return value, shape
+                return value
 
-    def parse_power(self) -> tuple[_Num, str]:
+    def parse_power(self) -> _Num:
         # Every level of nesting passes through here.
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise _ParseError("nesting too deep")
-        value, shape = self.parse_atom()
+        value = self.parse_atom()
         if self.peek() == "^":
             self.next()
             if self.peek() == "{":
                 self.next()
-                exp, _ = self.parse_expr()
+                exp = self.parse_expr()
                 self.expect("}")
             else:
-                exp, _ = self.parse_power()  # right-associative
-            value, shape = _num_pow(value, exp), "expr"
+                exp = self.parse_power()  # right-associative
+            value = _num_pow(value, exp)
         self.depth -= 1
-        return value, shape
+        return value
 
     def parse_braced(self) -> _Num:
         self.expect("{")
-        value, _ = self.parse_expr()
+        value = self.parse_expr()
         self.expect("}")
         return value
 
-    def parse_atom(self) -> tuple[_Num, str]:
+    def parse_atom(self) -> _Num:
         tok = self.next()
         if tok == "-":
-            value, shape = self.parse_power()
-            return _num_op(_Num.from_fraction(Fraction(0)), value, "-"), shape
+            return _num_op(_Num.from_fraction(Fraction(0)), self.parse_power(), "-")
         if tok == "+":
             return self.parse_power()
         number = _NUMBER_RE.match(tok)
@@ -377,31 +362,29 @@ class _Parser:
                 raise _ParseError("number literal too long")
             if number[1] and abs(int(number[1])) > MAX_EXPONENT:
                 raise _ParseError("exponent too large")
-            frac = Fraction(tok.replace("E", "e"))
-            shape = "int" if re.fullmatch(r"\d+", tok) else "decimal"
-            return _Num.from_fraction(frac), shape
+            return _Num.from_fraction(Fraction(tok.replace("E", "e")))
         if tok in ("\\pi", "π", "pi"):
-            return _Num(None, math.pi), "expr"
+            return _Num(None, math.pi)
         if tok == "e":
-            return _Num(None, math.e), "expr"
+            return _Num(None, math.e)
         if tok == "\\frac":
             num = self.parse_braced()
             den = self.parse_braced()
-            return _num_op(num, den, "/"), "fraction"
+            return _num_op(num, den, "/")
         if tok == "\\sqrt":
             n = 2
             if self.peek() == "[":
                 self.next()
-                idx, _ = self.parse_expr()
+                idx = self.parse_expr()
                 self.expect("]")
                 if not (idx.is_exact and idx.exact.denominator == 1 and idx.exact > 0):
                     raise _ParseError("root index must be a positive integer")
                 n = int(idx.exact)
-            return _num_root(self.parse_braced(), n), "expr"
+            return _num_root(self.parse_braced(), n)
         if tok == "(":
-            value, _ = self.parse_expr()
+            value = self.parse_expr()
             self.expect(")")
-            return value, "expr"
+            return value
         raise _ParseError(f"unexpected token {tok!r}")
 
 
@@ -426,24 +409,12 @@ def _strip_modifiers(s: str) -> tuple[str, bool, bool, Optional[str]]:
     return s, percent, degree, unit
 
 
-def _scalar_kind(shape: str, value: _Num, percent: bool) -> str:
-    if percent:
-        return "real"
-    if shape == "int" and value.is_exact and value.exact.denominator == 1:
-        return "integer"
-    if shape == "fraction" and value.is_exact:
-        return "rational"
-    if shape == "decimal":
-        return "real"
-    return "symbolic"
-
-
-def _parse_scalar(s: str, raw: str) -> ParsedAnswer:
+def _parse_scalar(s: str) -> ParsedAnswer:
     core, percent, degree, unit = _strip_modifiers(s)
     if not core:
         raise _ParseError("empty value")
     parser = _Parser(_tokenize(core))
-    value, shape = parser.parse_expr()
+    value = parser.parse_expr()
     if parser.peek() is not None:
         raise _ParseError(f"trailing input {parser.peek()!r}")
     if percent:
@@ -451,8 +422,7 @@ def _parse_scalar(s: str, raw: str) -> ParsedAnswer:
     if not math.isfinite(value.approx):
         raise _ParseError("non-finite value")
     return ParsedAnswer(
-        kind=_scalar_kind(shape, value, percent),
-        raw=raw,
+        kind="number",
         exact=value.exact,
         approx=value.approx,
         percent=percent,
@@ -496,21 +466,19 @@ def parse_math(raw: str) -> ParsedAnswer:
     modifier is stripped or any token read."""
     s = raw
     if _FOREIGN_RE.search(s):
-        return ParsedAnswer(kind="opaque", raw=raw)
+        return ParsedAnswer(kind="opaque")
     try:
         if len(s) >= 2 and s[0] in "([{" and s[-1] == {"(": ")", "[": "]", "{": "}"}[s[0]]:
             inner = s[1:-1]
             parts = _split_top_level(inner)
             if s[0] == "{" or len(parts) > 1:
-                elements = tuple(_parse_scalar(p, p) for p in parts)
                 return ParsedAnswer(
                     kind="set" if s[0] == "{" else "tuple",
-                    raw=raw,
-                    elements=elements,
+                    elements=tuple(_parse_scalar(p) for p in parts),
                 )
-        return _parse_scalar(s, raw)
+        return _parse_scalar(s)
     except _ParseError:
-        return ParsedAnswer(kind="opaque", raw=raw)
+        return ParsedAnswer(kind="opaque")
 
 
 def _close(x: float, y: float) -> bool:

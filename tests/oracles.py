@@ -17,7 +17,7 @@ import numpy as np
 
 from rlvrlab import tasks
 from rlvrlab.curation import ProblemRecord
-from rlvrlab.objectives import Batch, RefModel, reward_advantages, shaped_advantages
+from rlvrlab.objectives import Batch, RefModel, shaped_advantages
 from rlvrlab.policy import PolicyParams, bucket_of, sample_groups, sample_response
 from rlvrlab.repetition import LoopSpan, repetition_score
 from rlvrlab.trainer import BatchStats
@@ -210,6 +210,19 @@ def response_buckets(
     for t, tok in enumerate(response):
         out[t] = bucket_of(window, params.buckets)
         window = window[1:] + (tok,)
+    return out
+
+
+def row_buckets(
+    params: PolicyParams, queries: np.ndarray, tokens: np.ndarray
+) -> np.ndarray:
+    """``response_buckets`` of every row of ``tokens``, rows as
+    ``sample_groups`` returns them with row ``r``'s query in row ``r`` of
+    ``queries``, and -1 past each end: the buckets the sampler returns."""
+    out = np.full(tokens.shape, -1, dtype=np.int64)
+    for r, (query, row) in enumerate(zip(queries.tolist(), tokens.tolist())):
+        response = response_of(row)
+        out[r, : len(response)] = response_buckets(params, tuple(query), response)
     return out
 
 
@@ -506,7 +519,7 @@ def sequence_mean_objective(
     n_groups = len(groups)
     j = 0.0
     for g in groups:
-        adv = reward_advantages(g.rewards)
+        adv = shaped_advantages(g.rewards, np.zeros(g.size))
         for a, rollout in zip(adv.values, g.rollouts):
             t_len = len(rollout.response)
             if t_len == 0:

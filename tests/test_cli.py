@@ -266,6 +266,9 @@ class TestTrainEvalReport:
              "buckets must be <= 1048576, got 100000000000000"),
             ('{"buckets": 1048577}', "buckets must be <= 1048576, got 1048577"),
             ('{"context_order": 7, "loop_boost": 1}', "context_order must be <= 6, got 7"),
+            ('{"stages": [{"max_response_len": 257}], "group_size": 32, "batch_groups": 32}',
+             "8 * batch_groups * group_size * max_response_len must be <= 2097152 "
+             "sampler positions, got 2105344"),
             ('{"stages": [{"max_response_len": 0}]}', "max_response_len must be >= 1"),
             ('{"stages": [{"max_response_len": 4, "clip_high": 1.5}]}',
              "clip value 1.5 outside (0, 1)"),
@@ -320,6 +323,7 @@ class TestTrainEvalReport:
             "huge_buckets",
             "buckets_past_cap",
             "context_order_past_cap",
+            "sampler_positions_past_cap",
             "zero_max_response_len",
             "clip_high_above_one",
             "reversed_clip_interval",

@@ -14,7 +14,6 @@ from rlvrlab.objectives import (
     RefModel,
     filter_mixed_groups,
     response_logprobs,
-    reward_advantages,
     sample_clip_ratios,
     sequence_mean_objective,
     shaped_advantages,
@@ -108,18 +107,6 @@ class TestShapedAdvantages:
             shaped_advantages([1, 0], [0])
         with pytest.raises(ValueError):
             shaped_advantages([1], [0])
-
-    def test_reward_advantages_match_zero_penalty(self):
-        rewards = [1.0, 0.0, 0.0, 0.0]
-        np.testing.assert_array_equal(
-            reward_advantages(rewards).values,
-            shaped_advantages(rewards, [0, 0, 0, 0]).values,
-        )
-        np.testing.assert_allclose(
-            reward_advantages(rewards).values,
-            [1.73205081, -0.57735027, -0.57735027, -0.57735027],
-            atol=1e-6,
-        )
 
     @given(
         st.integers(1, 12),
@@ -501,6 +488,21 @@ class TestRefModel:
         with pytest.raises(ValueError):
             ref.params.logits[0, 0] = 5.0
 
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(k=3), dict(buckets=23), dict(vocab_size=9)],
+        ids=["k", "buckets", "vocab"],
+    )
+    def test_reference_of_another_shape_rejected(self, shape):
+        # The K3 term reads the reference at the policy's own buckets, so a
+        # reference must share the policy's vocabulary, order and table size.
+        rng = np.random.default_rng(3)
+        params = make_params(rng)
+        batch = batch_of([make_group(rng, params)], params)
+        ref = RefModel.capture(make_params(rng, **shape))
+        with pytest.raises(ValueError, match="reference .* differs from the policy's"):
+            sequence_mean_objective(batch, params, None, ref, 0.1, 0.2)
+
 
 def oracle_batch(rng, old):
     """Groups of random size and response length (empty responses
@@ -561,12 +563,7 @@ class TestPackedObjectiveMatchesOracle:
             old = make_params(rng)
             params = current_params(rng, old, seed % 3)
             groups = oracle_batch(rng, old)
-            # A distinct reference, with its own context order and table
-            # size in every fourth batch.
-            if seed % 4 == 0:
-                ref = RefModel.capture(make_params(rng, k=3, buckets=23))
-            else:
-                ref = RefModel.capture(make_params(rng))
+            ref = RefModel.capture(make_params(rng))  # a distinct reference
             beta, eps = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.05, 0.5))
             batch = batch_of(groups, old)
             lp_old = response_logprobs(old, batch)
@@ -594,7 +591,7 @@ class TestPackedObjectiveMatchesOracle:
                     [response_buckets(params, ro.query, ro.response) for ro in nonempty]
                 )
             )
-            ref = RefModel.capture(make_params(rng, k=3, buckets=23))
+            ref = RefModel.capture(make_params(rng))
             batch = batch_of(groups, old)
             lp_old = response_logprobs(old, batch)
             for _, (rows, values) in (

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlvrlab import policy
 from rlvrlab.objectives import response_logprobs, token_mean_objective
 from rlvrlab.policy import (
     FIRST_BLOCK,
     PolicyParams,
     Vocab,
     bucket_of,
-    context_buckets,
     load_checkpoint,
     sample_groups,
     sample_response,
     save_checkpoint,
-    window_buckets,
 )
 
 import oracles
@@ -26,7 +25,6 @@ from oracles import (
     bucket,
     padded_queries,
     reference_sample,
-    response_buckets,
     token_logprob,
     token_logprob_grad,
 )
@@ -69,62 +67,6 @@ class TestVocabAndContext:
             b = bucket_of((1, 2, 3), buckets)
             assert 0 <= b < buckets
             assert b == bucket_of((1, 2, 3), buckets)
-
-
-class TestWindowBuckets:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        order=st.integers(1, 6),
-        vocab_size=st.integers(2, 40),
-        buckets=st.sampled_from([1, 7, 64, 1000, 4096, 16383, 16384]),
-        data=st.data(),
-    )
-    def test_matches_bucket_of(self, order, vocab_size, buckets, data):
-        # Token ids up to vocab_size: the begin marker is included.
-        windows = data.draw(
-            st.lists(
-                st.lists(
-                    st.integers(0, vocab_size), min_size=order, max_size=order
-                ),
-                min_size=1,
-                max_size=20,
-            )
-        )
-        got = window_buckets(np.array(windows), buckets)
-        assert got.tolist() == [bucket_of(tuple(w), buckets) for w in windows]
-
-    def test_all_begin_markers(self):
-        marker = Vocab(14, 13).begin_marker
-        for buckets in (5, 4096, 16384):
-            got = window_buckets(np.full((1, 4), marker), buckets)
-            assert got.tolist() == [bucket_of((marker,) * 4, buckets)]
-
-
-class TestContextBuckets:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        order=st.integers(1, 5),
-        vocab_size=st.integers(2, 12),
-        buckets=st.sampled_from([1, 7, 64, 16384]),
-        data=st.data(),
-    )
-    def test_matches_per_rollout_oracle(self, order, vocab_size, buckets, data):
-        params = PolicyParams.uniform(Vocab(vocab_size, vocab_size - 1), order, buckets)
-        tokens = st.integers(0, vocab_size - 1)
-        shapes = st.tuples(
-            st.lists(tokens, max_size=6), st.lists(tokens, max_size=10)
-        )
-        drawn = data.draw(st.lists(shapes, max_size=6))
-        # Queries of any lengths, left-padded with the begin marker, and
-        # responses padded with -1, as the sampler returns them.
-        queries = padded_queries([q for q, _ in drawn], params.vocab.begin_marker)
-        width = max((len(r) for _, r in drawn), default=0)
-        tokens = np.full((len(drawn), width), -1, dtype=np.int64)
-        want = np.full((len(drawn), width), -1, dtype=np.int64)
-        for i, (q, r) in enumerate(drawn):
-            tokens[i, : len(r)] = r
-            want[i, : len(r)] = response_buckets(params, tuple(q), tuple(r))
-        assert np.array_equal(context_buckets(params, queries, tokens), want)
 
 
 class TestTokenLogprob:
@@ -316,6 +258,20 @@ class TestSampleResponse:
         got = sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
         assert got == want
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 7])
+    def test_every_slice_of_the_finiteness_check_is_read(self, monkeypatch, width):
+        # The check gathers the rows read FINITE_CHECK_SLICE positions at a
+        # time.  Query (0,) reads 7 positions; the row of context (6,) is
+        # read at the last of them, so it lies in the last slice.
+        monkeypatch.setattr(policy, "FINITE_CHECK_SLICE", width)
+        params = self.counting_params()
+        want = sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
+        params.logits[bucket(params, (7,)), :] = np.nan  # never read
+        assert sample_response(params, (0,), 10, 1.0, np.random.default_rng(0)) == want
+        params.logits[bucket(params, (6,)), 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
+
     def test_matches_token_at_a_time_oracle(self):
         rng = np.random.default_rng(17)
         for trial in range(300):
@@ -378,9 +334,9 @@ class TestSampleGroups:
     def test_buckets_are_the_context_buckets(
         self, order, vocab_size, buckets, group_size, max_len, seed, data
     ):
-        # The bucket array is context_buckets of the queries and the
-        # returned tokens, and both arrays hold -1 exactly past each
-        # rollout's last token.
+        # The bucket array holds the bucket of every context of the queries
+        # and the returned tokens, hashed one context at a time, and both
+        # arrays hold -1 exactly past each rollout's last token.
         rng = np.random.default_rng(seed)
         params = random_params(rng, vocab_size, order, buckets, scale=2.0)
         queries = data.draw(
@@ -395,7 +351,7 @@ class TestSampleGroups:
         tokens, got = sample_groups(params, padded, group_size, max_len, 1.0, rngs)
         rows = np.repeat(padded, group_size, axis=0)
         assert got.shape == tokens.shape == (len(rows), max_len)
-        assert np.array_equal(got, context_buckets(params, rows, tokens))
+        assert np.array_equal(got, oracles.row_buckets(params, rows, tokens))
         lengths = (tokens >= 0).sum(axis=1)
         assert (lengths >= 1).all()
         assert np.array_equal(tokens >= 0, np.arange(max_len) < lengths[:, None])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlvrlab import objectives, repetition, tasks, trainer, verifier
-from rlvrlab.policy import PolicyParams, bucket_of, context_buckets
+from rlvrlab.policy import PolicyParams, bucket_of
 from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_tasks
 from rlvrlab.trainer import (
     CollectAbort,
@@ -142,6 +143,35 @@ class TestConfig:
         with pytest.raises(ValueError, match="context_order must be <= 6, got 7"):
             tiny_config(context_order=trainer.MAX_CONTEXT_ORDER + 1)
 
+    @pytest.mark.parametrize("name", ["batch_groups", "group_size", "max_response_len"])
+    def test_sampler_positions_cap(self, name):
+        # 8 chunks of 32 groups of 32 rollouts at 256 tokens hold exactly
+        # the cap; one more of any factor, in the longest stage, is past it.
+        # Validation only: no sampler array is allocated.
+        sizes = dict(batch_groups=32, group_size=32, max_response_len=256)
+        assert trainer.COLLECT_CHUNKS * 32 * 32 * 256 == trainer.MAX_SAMPLER_POSITIONS
+
+        def config():
+            return tiny_config(
+                batch_groups=sizes["batch_groups"],
+                group_size=sizes["group_size"],
+                stages=(StagePlan(12), StagePlan(sizes["max_response_len"])),
+            )
+
+        tracemalloc.start()
+        try:
+            config()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        sizes[name] += 1
+        got = trainer.COLLECT_CHUNKS * math.prod(sizes.values())
+        with pytest.raises(
+            ValueError, match=f"must be <= 2097152 sampler positions, got {got}$"
+        ):
+            config()
+
     def test_group_size_lower_bound(self):
         with pytest.raises(ValueError):
             tiny_config(group_size=1)
@@ -185,7 +215,7 @@ class TestCollectBatch:
         groups = oracles.groups_of(batch)
         assert len(groups) == cfg.batch_groups
         assert np.array_equal(
-            batch.buckets, context_buckets(params, batch.queries, batch.tokens)
+            batch.buckets, oracles.row_buckets(params, batch.queries, batch.tokens)
         )
         for g in groups:
             correct = int((g.rewards > 0.5).sum())
@@ -843,6 +873,21 @@ class TestEvaluate:
         cfg = tiny_config()
         with pytest.raises(ValueError):
             evaluate(init_policy(cfg), cfg.task, 0, 1.0, 12, seed=0)
+
+    def test_long_call_memory_is_bounded(self):
+        # A policy that never stops fills every position: 16 tasks of 128
+        # attempts at 256 tokens, 524,288 positions in one lockstep call.
+        cfg = tiny_config()
+        params = init_policy(cfg)
+        params.logits[:, EOS] = -1e3
+        tracemalloc.start()
+        try:
+            score = evaluate(params, cfg.task, 128, 1.0, 256, seed=0, n_tasks=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert score == 0.0
+        assert peak <= 30e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_n_tasks_must_be_positive(self):
         cfg = tiny_config()

@@ -59,12 +59,12 @@ class TestNormalize:
 class TestParseMath:
     def test_fraction(self):
         p = parse_math("\\frac{1}{2}")
-        assert p.kind == "rational"
+        assert p.kind == "number"
         assert p.exact == Fraction(1, 2)
 
     def test_percent_scales_and_flags(self):
         p = parse_math("50%")
-        assert p.kind == "real"
+        assert p.kind == "number"
         assert p.percent
         assert p.exact == Fraction(1, 2)
         assert p.approx == pytest.approx(0.5)
@@ -75,8 +75,9 @@ class TestParseMath:
         assert p.exact is None
 
     def test_integer_and_decimal_kinds(self):
-        assert parse_math("42").kind == "integer"
-        assert parse_math("3.25").kind == "real"
+        assert parse_math("42").kind == "number"
+        assert parse_math("42").exact == 42
+        assert parse_math("3.25").kind == "number"
         assert parse_math("3.25").exact == Fraction(13, 4)
 
     def test_scientific_notation(self):
