@@ -15,13 +15,10 @@ from .curation import (
 from .objectives import (
     AdvantageSet,
     Batch,
-    ClipSchedule,
     RefModel,
+    clipped_objective,
     filter_mixed_groups,
-    sample_clip_ratios,
-    sequence_mean_objective,
     shaped_advantages,
-    token_mean_objective,
 )
 from .policy import (
     PolicyParams,

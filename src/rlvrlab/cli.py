@@ -24,7 +24,7 @@ import tempfile
 import time
 from datetime import datetime, timezone
 
-from . import curation, tasks, trainer, verifier
+from . import __version__, curation, tasks, trainer, verifier
 from .policy import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 
 JSONL_SCHEMA_VERSION = 1
@@ -112,7 +112,15 @@ def _read_jsonl(path: str, parser: argparse.ArgumentParser) -> list[tuple[int, o
 
 def _cmd_verify(args, parser) -> int:
     started = _utc_now()
+    # A flag of the other mode would do nothing, so it is a usage error.
     if args.pairs:
+        for flag, value in (
+            ("--gold", args.gold),
+            ("--pred", args.pred),
+            ("--manifest", args.manifest),
+        ):
+            if value is not None:
+                parser.exit(2, f"error: {flag} is for single-pair mode, not --pairs\n")
         out_lines = []
         for n, row in _read_jsonl(args.pairs, parser):
             if not (isinstance(row, dict) and "pred" in row and "gold" in row):
@@ -140,6 +148,8 @@ def _cmd_verify(args, parser) -> int:
         else:
             sys.stdout.write(text)
         return 0
+    if args.out is not None:
+        parser.exit(2, "error: --out is for --pairs mode\n")
     if args.gold is None or args.pred is None:
         parser.error("verify needs --gold and --pred, or --pairs")
     verdict = verifier.verify(args.pred, args.gold)
@@ -299,7 +309,15 @@ def _cmd_eval(args, parser) -> int:
         write_manifest(
             args.manifest,
             "eval",
-            {"ckpt": args.ckpt, "k": args.k, "temperature": args.temperature},
+            {
+                "ckpt": args.ckpt,
+                "task": dataclasses.asdict(spec),
+                "k": args.k,
+                "temperature": args.temperature,
+                "max_len": args.max_len,
+                "n_tasks": args.n_tasks,
+                "seed": args.seed,
+            },
             args.seed,
             started,
             [],
@@ -314,17 +332,7 @@ def _cmd_report(args, parser) -> int:
         if not isinstance(row, dict):
             parser.exit(2, f"error: {args.metrics} line {n}: expected an object\n")
         rows.append(row)
-    fields = [
-        "step",
-        "stage",
-        "mean_response_len",
-        "mean_reward",
-        "dropped_group_fraction",
-        "mean_repetition",
-        "objective",
-        "grad_norm",
-        "avg_at_k",
-    ]
+    fields = [f.name for f in dataclasses.fields(trainer.MetricsRecord)]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version",
         action="version",
         version=(
-            f"rlvrlab 0.1.0 (checkpoint format v{CHECKPOINT_VERSION}, "
+            f"rlvrlab {__version__} (checkpoint format v{CHECKPOINT_VERSION}, "
             f"jsonl schema v{JSONL_SCHEMA_VERSION})"
         ),
     )

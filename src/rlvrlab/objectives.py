@@ -1,38 +1,35 @@
-"""Advantages normalized within each group, and clipped policy-gradient
-surrogates.
+"""Advantages normalized within each group, and the clipped policy-gradient
+surrogate.
 
-One clipped surrogate, evaluated over every token of a batch at once, with
-two weightings: a token-mean form that normalizes by the total token count
-of the batch (so long rollouts are not down-weighted) with decoupled clip
-bounds, and a sequence-mean form that averages per rollout and per group
-and adds a K3 KL penalty against a frozen reference, a snapshot of the
-policy's own table read at the batch's own buckets.  Both take the old
-log-probs of the batch's tokens as an array (``response_logprobs`` of the
-policy that sampled it), or None when that policy is the one they are
-evaluated at, and both return the objective value together
-with its analytic gradient over the policy logits table, checked
+One clipped surrogate, ``clipped_objective``, evaluated over every token
+of a batch at once, whose per-rollout weights are its one knob: the token
+mean normalizes by the total token count of the batch (so long rollouts
+are not down-weighted), the sequence mean averages per rollout and per
+group.  Either may add a K3 KL penalty against a frozen reference, a
+snapshot of the policy's own table read at the batch's own buckets.  It
+takes the old log-probs of the batch's tokens as an array
+(``response_logprobs`` of the policy that sampled it), or None when that
+policy is the one it is evaluated at, and returns the objective value
+together with its analytic gradient over the policy logits table, checked
 elsewhere against finite differences.  A batch touches a few hundred of
 the table's rows, so the gradient is row-sparse: those rows and their
 values alone (a ``SparseGrad``).
 
 A batch is a ``Batch``: the sampler's token and bucket rows of every kept
 rollout, with their queries, rewards and penalties, and the id and size
-of every group.  The objectives read it as arrays from end to end.
+of every group.  The objective reads it as arrays from end to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .policy import PolicyParams, log_softmax_at
 
 STD_FLOOR = 1e-6
-
-# A clip bound is either a point value or a uniform interval (lo, hi).
-ClipSpec = Union[float, tuple[float, float]]
 
 # A gradient over the logits table as (rows, values): the sorted, distinct
 # rows it touches and its (len(rows), vocab) values there; every other row
@@ -104,23 +101,6 @@ class RefModel:
         return cls(frozen)
 
 
-@dataclass(frozen=True)
-class ClipSchedule:
-    """Per-stage clip bound specifications (low, high)."""
-
-    stages: tuple[tuple[ClipSpec, ClipSpec], ...]
-
-    def __post_init__(self) -> None:
-        for low, high in self.stages:
-            for spec in (low, high):
-                vals = spec if isinstance(spec, tuple) else (spec, spec)
-                for v in vals:
-                    if not 0.0 < v < 1.0:
-                        raise ValueError(f"clip value {v} outside (0, 1)")
-                if vals[0] > vals[1]:
-                    raise ValueError(f"clip interval {spec} has low end above high end")
-
-
 def shaped_advantages(
     rewards: np.ndarray | Sequence[float], penalties: np.ndarray | Sequence[float]
 ) -> AdvantageSet:
@@ -155,22 +135,6 @@ def filter_mixed_groups(rewards: np.ndarray) -> np.ndarray:
     return np.flatnonzero((correct > 0) & (correct < rewards.shape[1]))
 
 
-def sample_clip_ratios(
-    schedule: ClipSchedule, stage: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Resolve the stage's clip specs; intervals are sampled uniformly."""
-    if not 0 <= stage < len(schedule.stages):
-        raise ValueError(f"stage {stage} outside schedule of {len(schedule.stages)}")
-    out = []
-    for spec in schedule.stages[stage]:
-        if isinstance(spec, tuple):
-            lo, hi = spec
-            out.append(float(rng.uniform(lo, hi)))
-        else:
-            out.append(float(spec))
-    return out[0], out[1]
-
-
 def _flat_tokens(batch: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The length of every response of ``batch``, and the buckets and
     tokens of all of them, flattened in rollout order."""
@@ -183,53 +147,81 @@ def response_logprobs(params: PolicyParams, batch: Batch) -> np.ndarray:
     ``batch``, flattened in rollout order.
 
     Taken from the policy that sampled the batch, before any update, these
-    are the old log-probs ``lp_old`` the objectives take.
+    are the old log-probs ``lp_old`` the objective takes.
     """
     _, buckets, toks = _flat_tokens(batch)
     return log_softmax_at(params.logits[buckets], toks)[0]
 
 
-def _rollout_advantages(batch: Batch, penalized: bool) -> np.ndarray:
+def _rollout_advantages(batch: Batch) -> np.ndarray:
     """Advantage of every rollout of ``batch``, in order: one row-wise
     ``shaped_advantages`` call per distinct group size, over those groups'
-    rewards minus (if ``penalized``) their penalties."""
+    rewards minus their penalties."""
     starts = np.cumsum(batch.sizes) - batch.sizes
     out = np.empty(len(batch.rewards))
     for size in np.unique(batch.sizes).tolist():
         rows = starts[batch.sizes == size][:, None] + np.arange(size)
-        rewards = batch.rewards[rows]
-        penalties = batch.penalties[rows] if penalized else np.zeros_like(rewards)
-        out[rows] = shaped_advantages(rewards, penalties).values
+        out[rows] = shaped_advantages(batch.rewards[rows], batch.penalties[rows]).values
     return out
 
 
-def _clipped_surrogate(
+def clipped_objective(
     batch: Batch,
-    advantages: np.ndarray,
-    weights: np.ndarray,
     params: PolicyParams,
     lp_old: Optional[np.ndarray],
     eps_low: float,
     eps_high: float,
+    per_sequence: bool = False,
     ref: RefModel | None = None,
     beta: float = 0.0,
 ) -> tuple[float, SparseGrad]:
     """J = sum_i w_i sum_t [min(r A_i, clip(r) A_i) - beta * K3] and dJ/dlogits
-    over every response token of ``batch``, with advantage A_i and weight
-    w_i per rollout i and the old log-prob of every token in ``lp_old``.
-    ``lp_old`` None stands for the log-probs of ``params`` itself: the
-    policy has not moved since it sampled the batch, the one log-softmax
-    serves as both, and every ratio is exactly 1.
+    over every response token of ``batch``.  Maximize J (or equivalently
+    minimize -J).
+
+    A_i is rollout i's reward minus its penalty, normalized within its
+    group.  The weight w_i is 1 / (total tokens of the batch), so each
+    token counts the same whatever its rollout's length, or with
+    ``per_sequence`` 1 / (groups x group size x |o_i|), the mean over each
+    rollout, then its group, then the groups; an empty rollout weighs 0.
+    The ratio r = pi_theta / pi_old is clipped to [1 - eps_low,
+    1 + eps_high].  ``lp_old`` holds the old log-prob of every token, from
+    ``response_logprobs`` of the policy that sampled the batch; None
+    stands for the log-probs of ``params`` itself: the policy has not
+    moved since it sampled the batch, the one log-softmax serves as both,
+    and every ratio is exactly 1.
 
     K3 is rho - ln rho - 1 with rho = pi_ref / pi_theta, read at the
-    batch's buckets, and is left out when ``ref`` is None.  The gradient
-    treats old log-probs as constants, and comes as a ``SparseGrad`` over
-    the rows the batch's contexts touch.
+    batch's buckets, and enters if and only if a ``ref`` is passed; a
+    nonzero ``beta`` without one, or a ``ref`` of another vocabulary,
+    context order or table size than ``params``, is a ``ValueError``.  The
+    gradient treats old log-probs as constants, and comes as a
+    ``SparseGrad`` over the rows the batch's contexts touch.
     """
+    if ref is None:
+        if beta:
+            raise ValueError(f"beta {beta} weighs a K3 term, which needs a ref")
+    else:
+        ref_shape = (ref.params.vocab, ref.params.k, ref.params.buckets)
+        if ref_shape != (params.vocab, params.k, params.buckets):
+            raise ValueError(
+                f"reference (vocab, k, buckets) {ref_shape} differs from the "
+                f"policy's {(params.vocab, params.k, params.buckets)}"
+            )
+    if not len(batch.sizes):
+        raise ValueError("empty batch")
     lengths, buckets, toks = _flat_tokens(batch)
+    if per_sequence:
+        counts = len(batch.sizes) * np.repeat(batch.sizes, batch.sizes) * lengths
+        weights = np.zeros(len(lengths))
+        np.divide(1.0, counts, out=weights, where=lengths > 0)
+    elif not len(toks):
+        raise ValueError("batch contains no tokens")
+    else:
+        weights = np.full(len(lengths), 1.0 / len(toks))
     if lp_old is not None and np.shape(lp_old) != toks.shape:
         raise ValueError(f"{np.size(lp_old)} old log-probs for {toks.size} response tokens")
-    adv = np.repeat(advantages, lengths)
+    adv = np.repeat(_rollout_advantages(batch), lengths)
     w = np.repeat(weights, lengths)
     lp_new, probs = log_softmax_at(params.logits[buckets], toks)
     ratio = np.exp(lp_new - (lp_new if lp_old is None else lp_old))
@@ -265,69 +257,3 @@ def _clipped_surrogate(
         cells.ravel(), weights=contrib.ravel(), minlength=len(rows) * vocab
     ).reshape(len(rows), vocab)
     return float((w * terms).sum()), (rows, values)
-
-
-def token_mean_objective(
-    batch: Batch,
-    params: PolicyParams,
-    lp_old: Optional[np.ndarray],
-    eps_low: float,
-    eps_high: float,
-) -> tuple[float, SparseGrad]:
-    """Token-normalized clipped surrogate with penalty-shaped advantages.
-
-    J = (1 / sum_i |o_i|) * sum_i sum_t min(r A, clip(r) A) over every
-    rollout of every group, so each token carries equal weight regardless
-    of its rollout's length.  The ratio r is taken against ``lp_old``, the
-    old log-probs from ``response_logprobs``, which the gradient treats as
-    constants; with ``lp_old`` None, ``params`` is the policy that sampled
-    the batch and r is 1.  Maximize J (or equivalently minimize -J).
-    Returns J and dJ/dlogits as ``(rows, values)`` over the touched rows.
-    """
-    if not len(batch.sizes):
-        raise ValueError("empty batch")
-    total_tokens = int(np.count_nonzero(batch.tokens >= 0))
-    if total_tokens == 0:
-        raise ValueError("batch contains no tokens")
-    advantages = _rollout_advantages(batch, penalized=True)
-    weights = np.full(len(advantages), 1.0 / total_tokens)
-    return _clipped_surrogate(
-        batch, advantages, weights, params, lp_old, eps_low, eps_high
-    )
-
-
-def sequence_mean_objective(
-    batch: Batch,
-    params: PolicyParams,
-    lp_old: Optional[np.ndarray],
-    ref: RefModel,
-    beta: float,
-    eps: float,
-) -> tuple[float, SparseGrad]:
-    """Sequence-averaged clipped surrogate with a K3 KL penalty.
-
-    Per-token terms are averaged within each rollout (1/|o_i|), then across
-    the group (1/G), then across groups; each token additionally pays
-    beta * (rho - ln rho - 1) with rho = pi_ref / pi_theta, whose
-    dependence on the current policy is part of the gradient.  The ratio
-    is taken against ``lp_old``, as in ``token_mean_objective``.  A ``ref``
-    of another vocabulary, context order or table size than ``params`` is
-    a ``ValueError``.  Returns J and dJ/dlogits as ``(rows, values)`` over
-    the touched rows.
-    """
-    ref_shape = (ref.params.vocab, ref.params.k, ref.params.buckets)
-    if ref_shape != (params.vocab, params.k, params.buckets):
-        raise ValueError(
-            f"reference (vocab, k, buckets) {ref_shape} differs from the "
-            f"policy's {(params.vocab, params.k, params.buckets)}"
-        )
-    if not len(batch.sizes):
-        raise ValueError("empty batch")
-    lengths = np.count_nonzero(batch.tokens >= 0, axis=1)
-    counts = len(batch.sizes) * np.repeat(batch.sizes, batch.sizes) * lengths
-    weights = np.zeros(len(lengths))
-    np.divide(1.0, counts, out=weights, where=lengths > 0)
-    advantages = _rollout_advantages(batch, penalized=False)
-    return _clipped_surrogate(
-        batch, advantages, weights, params, lp_old, eps, eps, ref, beta
-    )

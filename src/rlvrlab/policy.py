@@ -157,7 +157,7 @@ def sample_groups(
     its last token.  A rollout ends at its first eos or at ``max_len``
     tokens; it is truncated when its last token is not eos.  Each bucket
     is ``bucket_of`` of the ``k`` tokens before its position, padded
-    query included, so the objectives need not hash the contexts again.
+    query included, so the objective need not hash the contexts again.
 
     The per-position work is kept to a few numpy calls on the live
     rollouts: the histories hold every token plus one, so a window's
@@ -169,8 +169,8 @@ def sample_groups(
     position that read it.
 
     Temperature scales the sampling distribution only.  The sampler returns
-    tokens, not log-probabilities: the surrogate objectives take the old
-    log-probs at temperature 1, which is what their likelihood ratio is
+    tokens, not log-probabilities: the clipped objective takes the old
+    log-probs at temperature 1, which is what its likelihood ratio is
     defined on.
     """
     if max_len < 1:

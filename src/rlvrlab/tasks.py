@@ -8,6 +8,7 @@ answer that the cascade verifier can check, so rewards are exact.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if self.family not in OPERATORS:
             raise ValueError(f"unknown task family {self.family!r}")
+        # A float modulus would make every gold a float string, '3.0'.
+        if not isinstance(self.modulus, numbers.Integral) or isinstance(self.modulus, bool):
+            raise ValueError(f"modulus must be an integer, got {self.modulus!r}")
         if not 2 <= self.modulus <= 10:
             raise ValueError("modulus must be in [2, 10] for single-token answers")
 

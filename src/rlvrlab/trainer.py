@@ -1,10 +1,11 @@
 """Multi-stage on-policy training of the toy policy on synthetic tasks.
 
-Each stage fixes a response-length cap and a pair of clip bounds (sampled
-once per stage); within a stage every step collects a batch of
-mixed-correctness rollout groups with the context bucket of each of their
-tokens, takes the old log-probs of those tokens from the policy before it
-moves, and ascends the token-mean clipped surrogate against them.  A stage
+Each stage fixes a response-length cap and a pair of clip bounds (drawn
+once per stage by ``StagePlan.clip_bounds``); within a stage every step
+collects a batch of mixed-correctness rollout groups with the context
+bucket of each of their tokens, takes the old log-probs of those tokens
+from the policy before it moves, and ascends the token-mean
+``clipped_objective`` against them.  A stage
 ends when its step budget runs out or when the mean response length
 saturates, and the cap then grows.
 
@@ -12,7 +13,7 @@ Collection and evaluation work on the sampler's token arrays from end to
 end: each chunk of groups is scored as arrays of rewards and repetition
 scores, each row keyed by bytes and each distinct response looked up once,
 and the rows of the groups that enter a batch are gathered by index into
-one ``Batch``, which the objectives take as it is.  The per-group
+one ``Batch``, which the objective takes as it is.  The per-group
 generators come from ``group_generators``, which hashes their seeds once
 per block of consecutive ids and caches the words.
 """
@@ -25,23 +26,20 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import objectives, repetition, tasks, verifier
-from .objectives import (
-    Batch,
-    ClipSchedule,
-    ClipSpec,
-    filter_mixed_groups,
-    response_logprobs,
-    sample_clip_ratios,
-)
+from .objectives import Batch, filter_mixed_groups, response_logprobs
 from .policy import PolicyParams, bucket_of, sample_groups
 from .tasks import TaskSpec
 
 DIGITS = tuple(range(10))
+
+
+# A clip bound is either a point value or a uniform interval (lo, hi).
+ClipSpec = Union[float, tuple[float, float]]
 
 
 class CollectAbort(RuntimeError):
@@ -120,7 +118,10 @@ def _from_dict(cls, d, convert: dict[str, Callable]):
 
 @dataclass(frozen=True)
 class StagePlan:
-    """Length cap, clip specs and stopping rules for one curriculum stage."""
+    """Length cap, clip specs and stopping rules for one curriculum stage.
+
+    Each clip spec is a point value or a ``(lo, hi)`` interval, inside
+    (0, 1); ``clip_bounds`` draws the stage's pair once."""
 
     max_response_len: int
     clip_low: ClipSpec = 0.2
@@ -133,13 +134,28 @@ class StagePlan:
         _check_types(self)
         if self.max_response_len < 1:
             raise ValueError("max_response_len must be >= 1")
-        ClipSchedule(((self.clip_low, self.clip_high),))  # bounds inside (0, 1)
+        for spec in (self.clip_low, self.clip_high):
+            ends = spec if isinstance(spec, tuple) else (spec, spec)
+            for v in ends:
+                if not 0.0 < v < 1.0:
+                    raise ValueError(f"clip value {v} outside (0, 1)")
+            if ends[0] > ends[1]:
+                raise ValueError(f"clip interval {spec} has low end above high end")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.saturation_window < 0 or self.saturation_window == 1:
             raise ValueError("saturation_window must be 0 (off) or >= 2")
         if self.saturation_threshold <= 0:
             raise ValueError("saturation_threshold must be positive")
+
+    def clip_bounds(self, rng: np.random.Generator) -> tuple[float, float]:
+        """``(eps_low, eps_high)``: a point spec as it is, an interval drawn
+        uniformly from ``rng``, the low bound first."""
+        low, high = (
+            float(rng.uniform(*spec)) if isinstance(spec, tuple) else float(spec)
+            for spec in (self.clip_low, self.clip_high)
+        )
+        return low, high
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -798,7 +814,6 @@ def train(
     if not config.stages:
         return TrainResult(policy, metrics, stage_checkpoints)
 
-    schedule = ClipSchedule(tuple((s.clip_low, s.clip_high) for s in config.stages))
     task_rng = np.random.default_rng([config.seed, 0])
     query_counter = 0
     drop_hint = 0.0  # the previous step's dropped-group fraction
@@ -807,8 +822,9 @@ def train(
     # nothing else, so each distinct pair is verified once.
     reward_memo: dict = {}
     for stage_idx, stage in enumerate(config.stages):
-        clip_rng = np.random.default_rng([config.seed, 3, stage_idx])
-        eps_low, eps_high = sample_clip_ratios(schedule, stage_idx, clip_rng)
+        eps_low, eps_high = stage.clip_bounds(
+            np.random.default_rng([config.seed, 3, stage_idx])
+        )
         window: list[float] = []
         for _ in range(stage.max_steps):
             batch, stats, query_counter = collect_batch(
@@ -825,7 +841,7 @@ def train(
             if config.inner_iterations > 1:
                 lp_old = response_logprobs(policy, batch)
             for _ in range(config.inner_iterations):
-                objective, (rows, values) = objectives.token_mean_objective(
+                objective, (rows, values) = objectives.clipped_objective(
                     batch, policy, lp_old, eps_low, eps_high
                 )
                 policy.logits[rows] += config.learning_rate * values

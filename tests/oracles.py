@@ -488,7 +488,8 @@ def _accumulate_clipped(
 
 
 def token_mean_objective(groups, params, old_params, eps_low, eps_high):
-    """Per-rollout loop form of ``rlvrlab.objectives.token_mean_objective``."""
+    """Per-rollout loop form of ``rlvrlab.objectives.clipped_objective``
+    with its default token-mean weights and no reference."""
     if not groups:
         raise ValueError("empty batch")
     total_tokens = sum(len(r.response) for g in groups for r in g.rollouts)
@@ -512,14 +513,16 @@ def token_mean_objective(groups, params, old_params, eps_low, eps_high):
 def sequence_mean_objective(
     groups, params, old_params, ref: RefModel, beta: float, eps: float
 ):
-    """Per-rollout loop form of ``rlvrlab.objectives.sequence_mean_objective``."""
+    """Per-rollout loop form of ``rlvrlab.objectives.clipped_objective``
+    with ``per_sequence`` weights, symmetric clip bounds ``eps`` and a K3
+    term against ``ref``."""
     if not groups:
         raise ValueError("empty batch")
     grad = np.zeros_like(params.logits)
     n_groups = len(groups)
     j = 0.0
     for g in groups:
-        adv = shaped_advantages(g.rewards, np.zeros(g.size))
+        adv = shaped_advantages(g.rewards, g.penalties)
         for a, rollout in zip(adv.values, g.rollouts):
             t_len = len(rollout.response)
             if t_len == 0:

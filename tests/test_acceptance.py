@@ -17,11 +17,10 @@ from rlvrlab.cli import dispatch
 from rlvrlab.curation import CurationConfig, run_pipeline
 from rlvrlab.objectives import (
     RefModel,
+    clipped_objective,
     filter_mixed_groups,
     response_logprobs,
-    sequence_mean_objective,
     shaped_advantages,
-    token_mean_objective,
 )
 from rlvrlab.repetition import repetition_score
 from rlvrlab.tasks import TaskSpec
@@ -67,18 +66,19 @@ def test_c01_gradient_correctness():
             batch = oracles.batch_of(groups, old)
             lp_old = response_logprobs(old, batch)
             if objective == "token_mean":
-                _, grad = token_mean_objective(batch, params, lp_old, 0.2, 0.3)
+                _, grad = clipped_objective(batch, params, lp_old, 0.2, 0.3)
                 grad = oracles.dense(grad, params)
                 fd = fd_table_gradient(
-                    lambda p: token_mean_objective(batch, p, lp_old, 0.2, 0.3)[0],
+                    lambda p: clipped_objective(batch, p, lp_old, 0.2, 0.3)[0],
                     params,
                 )
             else:
                 ref = RefModel.capture(make_params(rng, scale=0.8))
-                _, grad = sequence_mean_objective(batch, params, lp_old, ref, 0.04, 0.2)
+                kwargs = dict(per_sequence=True, ref=ref, beta=0.04)
+                _, grad = clipped_objective(batch, params, lp_old, 0.2, 0.2, **kwargs)
                 grad = oracles.dense(grad, params)
                 fd = fd_table_gradient(
-                    lambda p: sequence_mean_objective(batch, p, lp_old, ref, 0.04, 0.2)[0],
+                    lambda p: clipped_objective(batch, p, lp_old, 0.2, 0.2, **kwargs)[0],
                     params,
                 )
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)

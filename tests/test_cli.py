@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
 import struct
 
 import pytest
 
-from rlvrlab import trainer
+import rlvrlab
+from rlvrlab import cli, trainer
 from rlvrlab.cli import dispatch
 from rlvrlab.curation import ProblemRecord, write_records
 from rlvrlab.policy import PolicyParams, Vocab, load_checkpoint, save_checkpoint
@@ -76,6 +78,28 @@ class TestVerifyCommand:
         assert json.loads(manifest.read_text())["seed"] is None
         assert dispatch(["verify", "--gold", "1", "--pred", "1", "--seed", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            ("--pairs {pairs} --manifest {tmp}/m.json", "--manifest"),
+            ("--gold 1 --pred 1 --out {tmp}/o.jsonl", "--out"),
+            ("--pairs {pairs} --gold 1 --pred 1", "--gold"),
+        ],
+        ids=["pairs_manifest", "single_out", "pairs_gold_pred"],
+    )
+    def test_flag_of_the_other_mode_exits_two(self, tmp_path, capsys, args, flag):
+        # A flag the chosen mode does not use would do nothing: it is named
+        # and nothing is written.
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"gold": "1", "pred": "1"}) + "\n")
+        argv = ["verify"] + args.format(pairs=pairs, tmp=tmp_path).split()
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ")
+        assert captured.err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["pairs.jsonl"]
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self):
@@ -89,6 +113,14 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         assert "checkpoint format v1" in out
         assert "jsonl schema v1" in out
+
+    def test_version_is_the_package_version(self, capsys, monkeypatch):
+        assert dispatch(["--version"]) == 0
+        assert capsys.readouterr().out.startswith(f"rlvrlab {rlvrlab.__version__} (")
+        # Read when the parser is built, not written out a second time.
+        monkeypatch.setattr(cli, "__version__", "9.8.7", raising=False)
+        assert dispatch(["--version"]) == 0
+        assert capsys.readouterr().out.startswith("rlvrlab 9.8.7 (")
 
 
 class TestCurateCommand:
@@ -451,6 +483,42 @@ def inputs(tmp_path):
 
 def command(template, **paths):
     return [part.format(**paths) for part in template.split()]
+
+
+class TestRecordedInputs:
+    def test_report_columns_are_the_metrics_record_fields(self, inputs, monkeypatch):
+        # The CSV's columns come from ``MetricsRecord``, so a field added
+        # there is a column without another edit.
+        names = [f.name for f in dataclasses.fields(trainer.MetricsRecord)]
+        assert dispatch(command("report --metrics {metrics} --out {out}", **inputs)) == 0
+        with open(inputs["out"]) as fh:
+            assert fh.readline().rstrip("\n").split(",") == names
+
+        @dataclasses.dataclass(frozen=True)
+        class Wider(trainer.MetricsRecord):
+            clip_low: float = 0.0
+
+        monkeypatch.setattr(trainer, "MetricsRecord", Wider)
+        assert dispatch(command("report --metrics {metrics} --out {out}", **inputs)) == 0
+        with open(inputs["out"]) as fh:
+            assert fh.readline().rstrip("\n").split(",") == names + ["clip_low"]
+
+    @pytest.mark.parametrize(
+        "change",
+        ["--max-len 5", "--n-tasks 3", "--config {config}", "--seed 1", "--k 3"],
+        ids=["max_len", "n_tasks", "config", "seed", "k"],
+    )
+    def test_eval_manifest_hashes_every_score_input(self, tmp_path, inputs, change):
+        # Two evaluations whose scores may differ never share a config_hash.
+        other = TrainConfig(task=TaskSpec("modular-mul", 7))
+        write_config(inputs["config"], other)
+        base = "eval --ckpt {ckpt} --k 2 --n-tasks 2 --max-len 4 --seed 0 --manifest {out}"
+        hashes = []
+        for template in (base, f"{base} {change}"):
+            assert dispatch(command(template, **inputs)) == 0
+            with open(inputs["out"]) as fh:
+                hashes.append(json.load(fh)["config_hash"])
+        assert hashes[0] != hashes[1]
 
 
 class TestOutputsAndNumbers:

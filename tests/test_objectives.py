@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from rlvrlab.objectives import (
     AdvantageSet,
     Batch,
-    ClipSchedule,
     RefModel,
+    clipped_objective,
     filter_mixed_groups,
     response_logprobs,
-    sample_clip_ratios,
-    sequence_mean_objective,
     shaped_advantages,
-    token_mean_objective,
 )
 from rlvrlab.policy import PolicyParams, Vocab
 
@@ -235,44 +232,12 @@ class TestDynamicFilter:
         assert 0 not in kept_patterns and 15 not in kept_patterns
 
 
-class TestClipSchedule:
-    def test_point_and_interval_sampling(self):
-        schedule = ClipSchedule(((0.2, 0.2), ((0.2, 0.28), (0.3, 0.3))))
-        rng = np.random.default_rng(0)
-        assert sample_clip_ratios(schedule, 0, rng) == (0.2, 0.2)
-        lo, hi = sample_clip_ratios(schedule, 1, rng)
-        assert 0.2 <= lo <= 0.28
-        assert hi == 0.3
-
-    def test_degenerate_interval(self):
-        schedule = ClipSchedule((((0.2, 0.2), 0.25),))
-        lo, hi = sample_clip_ratios(schedule, 0, np.random.default_rng(3))
-        assert lo == pytest.approx(0.2)
-        assert hi == 0.25
-
-    def test_stage_out_of_range(self):
-        schedule = ClipSchedule(((0.2, 0.2),))
-        with pytest.raises(ValueError):
-            sample_clip_ratios(schedule, 1, np.random.default_rng(0))
-
-    def test_values_must_be_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            ClipSchedule(((0.0, 0.2),))
-        with pytest.raises(ValueError):
-            ClipSchedule((((0.2, 1.0), 0.2),))
-
-    def test_reversed_interval_rejected(self):
-        for stage in (((0.28, 0.2), 0.2), (0.2, (0.3, 0.1))):
-            with pytest.raises(ValueError, match="low end above high end"):
-                ClipSchedule((stage,))
-
-
 class TestTokenMeanObjective:
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(0)
         params = make_params(rng)
         with pytest.raises(ValueError):
-            token_mean_objective(batch_of([], params), params, np.empty(0), 0.2, 0.2)
+            clipped_objective(batch_of([], params), params, np.empty(0), 0.2, 0.2)
 
     def test_on_policy_identity(self):
         # With params == old_params every ratio is 1: J is the
@@ -283,10 +248,10 @@ class TestTokenMeanObjective:
         groups = [make_group(rng, params, i) for i in range(2)]
         batch = batch_of(groups, params)
         lp_old = response_logprobs(params, batch)
-        j, grad = token_mean_objective(batch, params, lp_old, 0.2, 0.2)
+        j, grad = clipped_objective(batch, params, lp_old, 0.2, 0.2)
         # Without lp_old the objective's own log-probs serve as the old
         # ones: the same value and gradient, bit for bit.
-        j_own, (rows_own, values_own) = token_mean_objective(batch, params, None, 0.2, 0.2)
+        j_own, (rows_own, values_own) = clipped_objective(batch, params, None, 0.2, 0.2)
         assert j_own == j
         assert np.array_equal(rows_own, grad[0]) and np.array_equal(values_own, grad[1])
         grad = oracles.dense(grad, params)
@@ -317,7 +282,7 @@ class TestTokenMeanObjective:
         g = Group(0, rollouts, np.ones(3), np.ones(3))  # zero variance
         batch = batch_of([g], params)
         lp_old = response_logprobs(params, batch)
-        j, grad = token_mean_objective(batch, params, lp_old, 0.2, 0.2)
+        j, grad = clipped_objective(batch, params, lp_old, 0.2, 0.2)
         grad = oracles.dense(grad, params)
         assert j == 0.0
         np.testing.assert_array_equal(grad, np.zeros_like(grad))
@@ -335,10 +300,10 @@ class TestTokenMeanObjective:
                 continue
             batch = batch_of(groups, old)
             lp_old = response_logprobs(old, batch)
-            j, grad = token_mean_objective(batch, params, lp_old, 0.2, 0.3)
+            j, grad = clipped_objective(batch, params, lp_old, 0.2, 0.3)
             grad = oracles.dense(grad, params)
             fd = fd_table_gradient(
-                lambda p: token_mean_objective(batch, p, lp_old, 0.2, 0.3)[0], params
+                lambda p: clipped_objective(batch, p, lp_old, 0.2, 0.3)[0], params
             )
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4, f"seed {seed}: rel err {rel}"
@@ -358,9 +323,11 @@ class TestSequenceMeanObjective:
             groups.append(Group(i, rollouts, rewards, np.zeros(3)))
         batch = batch_of(groups, old)
         lp_old = response_logprobs(old, batch)
-        j_seq, g_seq = sequence_mean_objective(batch, params, lp_old, ref, 0.0, 0.2)
+        j_seq, g_seq = clipped_objective(
+            batch, params, lp_old, 0.2, 0.2, per_sequence=True, ref=ref, beta=0.0
+        )
         g_seq = oracles.dense(g_seq, params)
-        j_tok, g_tok = token_mean_objective(batch, params, lp_old, 0.2, 0.2)
+        j_tok, g_tok = clipped_objective(batch, params, lp_old, 0.2, 0.2)
         g_tok = oracles.dense(g_tok, params)
         assert j_seq == pytest.approx(j_tok, rel=1e-12)
         np.testing.assert_allclose(g_seq, g_tok, atol=1e-12)
@@ -373,9 +340,13 @@ class TestSequenceMeanObjective:
         ref = RefModel.capture(params)
         batch = batch_of(groups, old)
         lp_old = response_logprobs(old, batch)
-        j0, g0 = sequence_mean_objective(batch, params, lp_old, ref, 0.0, 0.2)
+        j0, g0 = clipped_objective(
+            batch, params, lp_old, 0.2, 0.2, per_sequence=True, ref=ref, beta=0.0
+        )
         g0 = oracles.dense(g0, params)
-        j1, g1 = sequence_mean_objective(batch, params, lp_old, ref, 0.7, 0.2)
+        j1, g1 = clipped_objective(
+            batch, params, lp_old, 0.2, 0.2, per_sequence=True, ref=ref, beta=0.7
+        )
         g1 = oracles.dense(g1, params)
         assert j0 == pytest.approx(j1, abs=1e-12)
         np.testing.assert_allclose(g0, g1, atol=1e-12)
@@ -389,11 +360,10 @@ class TestSequenceMeanObjective:
         short = make_rollout(rng, params, 2)
         long = make_rollout(rng, params, 20)
         g = Group(0, (short, long), np.array([1.0, 0.0]), np.zeros(2))
-        ref = RefModel.capture(params)
         batch = batch_of([g], params)
         lp_old = response_logprobs(params, batch)
-        j_tok, _ = token_mean_objective(batch, params, lp_old, 0.2, 0.2)
-        j_seq, _ = sequence_mean_objective(batch, params, lp_old, ref, 0.0, 0.2)
+        j_tok, _ = clipped_objective(batch, params, lp_old, 0.2, 0.2)
+        j_seq, _ = clipped_objective(batch, params, lp_old, 0.2, 0.2, per_sequence=True)
         assert j_tok == pytest.approx((2 * 1.0 + 20 * -1.0) / 22)
         assert j_seq == pytest.approx(0.0, abs=1e-12)
         assert abs(j_tok - j_seq) > 0.5
@@ -412,10 +382,14 @@ class TestSequenceMeanObjective:
                 continue
             batch = batch_of(groups, old)
             lp_old = response_logprobs(old, batch)
-            j, grad = sequence_mean_objective(batch, params, lp_old, ref, 0.04, 0.2)
+            j, grad = clipped_objective(
+                batch, params, lp_old, 0.2, 0.2, per_sequence=True, ref=ref, beta=0.04
+            )
             grad = oracles.dense(grad, params)
             fd = fd_table_gradient(
-                lambda p: sequence_mean_objective(batch, p, lp_old, ref, 0.04, 0.2)[0],
+                lambda p: clipped_objective(
+                    batch, p, lp_old, 0.2, 0.2, per_sequence=True, ref=ref, beta=0.04
+                )[0],
                 params,
             )
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
@@ -501,7 +475,19 @@ class TestRefModel:
         batch = batch_of([make_group(rng, params)], params)
         ref = RefModel.capture(make_params(rng, **shape))
         with pytest.raises(ValueError, match="reference .* differs from the policy's"):
-            sequence_mean_objective(batch, params, None, ref, 0.1, 0.2)
+            clipped_objective(
+                batch, params, None, 0.2, 0.2, per_sequence=True, ref=ref, beta=0.1
+            )
+
+    @pytest.mark.parametrize("per_sequence", [False, True])
+    def test_beta_without_reference_rejected(self, per_sequence):
+        # The K3 term enters if and only if a reference is passed, so a
+        # weight for it without one would be silently ignored.
+        rng = np.random.default_rng(4)
+        params = make_params(rng)
+        batch = batch_of([make_group(rng, params)], params)
+        with pytest.raises(ValueError, match="needs a ref"):
+            clipped_objective(batch, params, None, 0.2, 0.2, per_sequence, beta=0.1)
 
 
 def oracle_batch(rng, old):
@@ -533,8 +519,9 @@ def current_params(rng, old, regime):
 
 
 class TestPackedObjectiveMatchesOracle:
-    """Both objectives against the per-rollout loop in ``oracles``: the
-    same gradient bit for bit, the same value up to summation order."""
+    """Both weightings of the objective against the per-rollout loops in
+    ``oracles``: the same gradient bit for bit, the same value up to
+    summation order."""
 
     def test_token_mean(self):
         for seed in range(300):
@@ -547,9 +534,9 @@ class TestPackedObjectiveMatchesOracle:
             lp_old = response_logprobs(old, batch)
             if not any(ro.response for g in groups for ro in g.rollouts):
                 with pytest.raises(ValueError):
-                    token_mean_objective(batch, params, lp_old, eps_low, eps_high)
+                    clipped_objective(batch, params, lp_old, eps_low, eps_high)
                 continue
-            j, grad = token_mean_objective(batch, params, lp_old, eps_low, eps_high)
+            j, grad = clipped_objective(batch, params, lp_old, eps_low, eps_high)
             grad = oracles.dense(grad, params)
             want_j, want_grad = oracles.token_mean_objective(
                 groups, params, old, eps_low, eps_high
@@ -567,7 +554,9 @@ class TestPackedObjectiveMatchesOracle:
             beta, eps = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.05, 0.5))
             batch = batch_of(groups, old)
             lp_old = response_logprobs(old, batch)
-            j, grad = sequence_mean_objective(batch, params, lp_old, ref, beta, eps)
+            j, grad = clipped_objective(
+                batch, params, lp_old, eps, eps, per_sequence=True, ref=ref, beta=beta
+            )
             grad = oracles.dense(grad, params)
             want_j, want_grad = oracles.sequence_mean_objective(
                 groups, params, old, ref, beta, eps
@@ -595,8 +584,10 @@ class TestPackedObjectiveMatchesOracle:
             batch = batch_of(groups, old)
             lp_old = response_logprobs(old, batch)
             for _, (rows, values) in (
-                token_mean_objective(batch, params, lp_old, 0.2, 0.28),
-                sequence_mean_objective(batch, params, lp_old, ref, 0.1, 0.2),
+                clipped_objective(batch, params, lp_old, 0.2, 0.28),
+                clipped_objective(
+                    batch, params, lp_old, 0.2, 0.2, per_sequence=True, ref=ref, beta=0.1
+                ),
             ):
                 assert np.array_equal(rows, want), f"seed {seed}"
                 assert values.shape == (len(want), params.vocab.size)
@@ -609,9 +600,11 @@ class TestPackedObjectiveMatchesOracle:
         ref = RefModel.capture(make_params(rng))
         batch = batch_of(groups, params)
         lp_old = response_logprobs(params, batch)
-        j, grad = sequence_mean_objective(batch, params, lp_old, ref, 0.5, 0.2)
+        j, grad = clipped_objective(
+            batch, params, lp_old, 0.2, 0.2, per_sequence=True, ref=ref, beta=0.5
+        )
         grad = oracles.dense(grad, params)
         assert j == 0.0
         assert not grad.any()
         with pytest.raises(ValueError):
-            token_mean_objective(batch, params, lp_old, 0.2, 0.2)
+            clipped_objective(batch, params, lp_old, 0.2, 0.2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlvrlab import policy
-from rlvrlab.objectives import response_logprobs, token_mean_objective
+from rlvrlab.objectives import clipped_objective, response_logprobs
 from rlvrlab.policy import (
     FIRST_BLOCK,
     PolicyParams,
@@ -200,7 +200,7 @@ class TestSampleResponse:
         ]
         batch = oracles.batch_of(groups, params)
         lp_old = response_logprobs(params, batch)
-        got_j, got_grad = token_mean_objective(batch, params, lp_old, 0.2, 0.28)
+        got_j, got_grad = clipped_objective(batch, params, lp_old, 0.2, 0.28)
         got_grad = oracles.dense(got_grad, params)
         want_j, want_grad = oracles.token_mean_objective(
             groups, params, params.copy(), 0.2, 0.28

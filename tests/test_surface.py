@@ -2,20 +2,27 @@
 
 Every name ``rlvrlab/__init__.py`` exports must be referenced by the
 package's own modules outside its own definition and outside type
-annotations: a name only tests reach is surface no run exercises.
+annotations: a name only tests reach is surface no run exercises.  In the
+same way every field of a run's config and every option of the command
+line must be read by the package: a flag no module reads does nothing.
 """
 
+import argparse
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import rlvrlab
+from rlvrlab import cli, tasks, trainer
 
 SRC = Path(rlvrlab.__file__).parent
 
 # Exported for acceptance criterion 1, which checks the gradient of the
-# sequence-mean objective against a frozen reference; no run trains with it.
-ALLOWED_UNUSED = {"sequence_mean_objective", "RefModel"}
+# objective's K3 term against a frozen reference; no run trains with one.
+ALLOWED_UNUSED = {"RefModel"}
 
 
 def exports() -> list[tuple[str, str]]:
@@ -93,3 +100,75 @@ def test_every_export_is_used_by_the_package():
     used = references()
     unused = {name for module, name in exports() if not used[module, name]}
     assert unused == ALLOWED_UNUSED
+
+
+def modules() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def attribute_loads(node: ast.AST, receiver: str | None = None) -> Counter:
+    """Attribute names loaded anywhere under ``node``, from any object or
+    only from the variable ``receiver``."""
+    return Counter(
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Load)
+        and (receiver is None or isinstance(n.value, ast.Name) and n.value.id == receiver)
+    )
+
+
+def loads_outside(module: str, scope: str, receiver: str | None = None) -> Counter:
+    """Attribute loads in every module of the package, outside the top-level
+    class or function ``scope`` of ``module``."""
+    count: Counter = Counter()
+    for stem, tree in modules().items():
+        for top in tree.body:
+            if not (stem == module and getattr(top, "name", None) == scope):
+                count += attribute_loads(top, receiver)
+    return count
+
+
+@pytest.mark.parametrize(
+    "cls", [trainer.TrainConfig, trainer.StagePlan, tasks.TaskSpec], ids=lambda c: c.__name__
+)
+def test_every_config_field_is_read(cls):
+    # Read by name, outside the class or in a method of it that is itself
+    # called from outside; the class's own checks do not count.
+    module = cls.__module__.rsplit(".", 1)[1]
+    outside = loads_outside(module, cls.__name__)
+    (body,) = (
+        top.body
+        for top in modules()[module].body
+        if isinstance(top, ast.ClassDef) and top.name == cls.__name__
+    )
+    read = set(outside)
+    for item in body:
+        if isinstance(item, ast.FunctionDef) and outside[item.name]:
+            read |= set(attribute_loads(item))
+    unread = {f.name for f in dataclasses.fields(cls)} - read
+    assert not unread
+
+
+def option_dests() -> set[str]:
+    """The ``dest`` of every option of every subcommand of ``build_parser``."""
+    (commands,) = (
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        action.dest
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+
+
+def test_every_option_is_read():
+    # As ``args.<dest>`` anywhere in the package outside ``build_parser``.
+    read = loads_outside("cli", "build_parser", receiver="args")
+    assert option_dests() - set(read) == set()

@@ -79,6 +79,13 @@ class TestGenerateTask:
         with pytest.raises(ValueError):
             TaskSpec("modular-add", modulus=11)
 
+    @pytest.mark.parametrize("modulus", [7.5, 7.0, True, "7"], ids=repr)
+    def test_non_integer_modulus_rejected(self, modulus):
+        # Built directly, as from a config file: a float modulus would make
+        # golds such as '3.0' that no integer answer matches.
+        with pytest.raises(ValueError, match=f"^modulus must be an integer, got {modulus!r}$"):
+            TaskSpec("modular-add", modulus=modulus)
+
 
 class TestEncoding:
     def test_decode_stops_at_eos(self):

@@ -177,6 +177,66 @@ class TestConfig:
             tiny_config(group_size=1)
 
 
+# Clip specs of three stages, and the bounds each draws at seeds 0 and 7 from
+# its generator ``default_rng([seed, 3, stage])``: the values of the former
+# whole-run clip schedule, pinned so that runs keep their clip draws.
+CLIP_SPECS = (((0.2, 0.28), (0.25, 0.35)), ((0.1, 0.3), 0.2), (0.2, (0.2, 0.28)))
+CLIP_DRAWS = {
+    0: [(0.2715978192631871, 0.3360414436774937), (0.10653318529570646, 0.2),
+        (0.2, 0.2745123969118123)],
+    7: [(0.27800268429756014, 0.33845672371187707), (0.20648423934905624, 0.2),
+        (0.2, 0.2649327279549945)],
+}
+
+
+class TestStagePlanClipBounds:
+    def test_point_and_interval_sampling(self):
+        rng = np.random.default_rng(0)
+        assert StagePlan(8, 0.2, 0.2).clip_bounds(rng) == (0.2, 0.2)
+        lo, hi = StagePlan(8, (0.2, 0.28), 0.3).clip_bounds(rng)
+        assert 0.2 <= lo <= 0.28
+        assert hi == 0.3
+
+    def test_degenerate_interval(self):
+        lo, hi = StagePlan(8, (0.2, 0.2), 0.25).clip_bounds(np.random.default_rng(3))
+        assert lo == pytest.approx(0.2)
+        assert hi == 0.25
+
+    def test_values_must_be_in_unit_interval(self):
+        with pytest.raises(ValueError, match=r"clip value 0.0 outside \(0, 1\)"):
+            StagePlan(8, clip_low=0.0)
+        with pytest.raises(ValueError, match=r"clip value 1.0 outside \(0, 1\)"):
+            StagePlan(8, clip_low=(0.2, 1.0))
+
+    def test_reversed_interval_rejected(self):
+        for low, high in (((0.28, 0.2), 0.2), (0.2, (0.3, 0.1))):
+            with pytest.raises(ValueError, match="low end above high end"):
+                StagePlan(8, low, high)
+
+    @pytest.mark.parametrize("seed", sorted(CLIP_DRAWS))
+    def test_draws_are_pinned(self, seed):
+        for i, (low, high) in enumerate(CLIP_SPECS):
+            rng = np.random.default_rng([seed, 3, i])
+            assert StagePlan(8, low, high).clip_bounds(rng) == CLIP_DRAWS[seed][i]
+
+    def test_train_draws_each_stage_once(self, monkeypatch):
+        # Every step of a stage runs at the bounds its generator gives.
+        seen = []
+
+        def recording(batch, params, lp_old, eps_low, eps_high, *args, **kwargs):
+            seen.append((eps_low, eps_high))
+            return clipped(batch, params, lp_old, eps_low, eps_high, *args, **kwargs)
+
+        clipped = objectives.clipped_objective
+        monkeypatch.setattr(objectives, "clipped_objective", recording)
+        stages = tuple(
+            StagePlan(4 * (i + 3), low, high, max_steps=2)
+            for i, (low, high) in enumerate(CLIP_SPECS)
+        )
+        train(tiny_config(stages=stages))
+        assert seen == [bounds for bounds in CLIP_DRAWS[7] for _ in range(2)]
+
+
 class TestInitPolicy:
     def test_format_scaffold_chance_level(self):
         cfg = tiny_config()
