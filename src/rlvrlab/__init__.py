@@ -6,6 +6,7 @@ math-answer verifier, and a data-curation pipeline, all exercised end to
 end on synthetic arithmetic tasks.
 """
 
+from .config import StagePlan, TrainConfig
 from .curation import (
     CurationConfig,
     FunnelReport,
@@ -31,8 +32,6 @@ from .repetition import LoopSpan, detect_loop, repetition_score
 from .tasks import TaskSpec, generate_tasks
 from .trainer import (
     MetricsRecord,
-    StagePlan,
-    TrainConfig,
     TrainResult,
     collect_batch,
     evaluate,

@@ -25,6 +25,7 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__, curation, tasks, trainer, verifier
+from .config import TrainConfig, check_eval_sizes
 from .policy import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 
 JSONL_SCHEMA_VERSION = 1
@@ -151,7 +152,7 @@ def _cmd_verify(args, parser) -> int:
     if args.out is not None:
         parser.exit(2, "error: --out is for --pairs mode\n")
     if args.gold is None or args.pred is None:
-        parser.error("verify needs --gold and --pred, or --pairs")
+        parser.exit(2, "error: verify needs --gold and --pred, or --pairs\n")
     verdict = verifier.verify(args.pred, args.gold)
     print(json.dumps({"outcome": verdict.outcome, "stage": verdict.stage}))
     if args.manifest:
@@ -217,10 +218,11 @@ def _cmd_curate(args, parser) -> int:
     return 0
 
 
-def _load_config(path: str, parser: argparse.ArgumentParser) -> trainer.TrainConfig:
+def _load_config(path: str, parser: argparse.ArgumentParser) -> TrainConfig:
     _require_file(path, parser)
     try:
-        return trainer.load_config(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return TrainConfig.from_dict(json.load(fh))
     except (ValueError, TypeError, OverflowError) as exc:
         # Invalid JSON, an unknown key, a wrong type, a failed check, or an
         # integer too large for a float field.
@@ -275,7 +277,7 @@ def _cmd_eval(args, parser) -> int:
     started = _utc_now()
     _require_positive(args, parser, "k", "temperature", "max_len", "n_tasks")
     try:
-        trainer.check_eval_sizes(args.k, args.max_len, args.n_tasks)
+        check_eval_sizes(args.k, args.max_len, args.n_tasks)
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
     _require_seed(args, parser)
@@ -294,7 +296,7 @@ def _cmd_eval(args, parser) -> int:
     if args.config:
         spec = _load_config(args.config, parser).task
     else:
-        spec = trainer.TaskSpec()
+        spec = tasks.TaskSpec()
     score = trainer.evaluate(
         params,
         spec,
@@ -350,8 +352,15 @@ def _cmd_report(args, parser) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, its subparsers' too, in one ``error:`` line."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rlvrlab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,

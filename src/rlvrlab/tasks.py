@@ -8,7 +8,6 @@ answer that the cascade verifier can check, so rewards are exact.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +37,11 @@ class TaskSpec:
     modulus: int = 10
 
     def __post_init__(self) -> None:
+        from .config import _check_types  # config imports this module
+        # A float modulus would make every gold a float string, '3.0'.
+        _check_types(self)
         if self.family not in OPERATORS:
             raise ValueError(f"unknown task family {self.family!r}")
-        # A float modulus would make every gold a float string, '3.0'.
-        if not isinstance(self.modulus, numbers.Integral) or isinstance(self.modulus, bool):
-            raise ValueError(f"modulus must be an integer, got {self.modulus!r}")
         if not 2 <= self.modulus <= 10:
             raise ValueError("modulus must be in [2, 10] for single-token answers")
 

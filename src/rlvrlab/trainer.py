@@ -1,13 +1,13 @@
 """Multi-stage on-policy training of the toy policy on synthetic tasks.
 
-Each stage fixes a response-length cap and a pair of clip bounds (drawn
-once per stage by ``StagePlan.clip_bounds``); within a stage every step
-collects a batch of mixed-correctness rollout groups with the context
-bucket of each of their tokens, takes the old log-probs of those tokens
-from the policy before it moves, and ascends the token-mean
-``clipped_objective`` against them.  A stage
-ends when its step budget runs out or when the mean response length
-saturates, and the cap then grows.
+Each stage of a ``config.TrainConfig`` fixes a response-length cap and a
+pair of clip bounds (drawn once per stage by ``StagePlan.clip_bounds``);
+within a stage every step collects a batch of mixed-correctness rollout
+groups with the context bucket of each of their tokens, takes the old
+log-probs of those tokens from the policy before it moves, and ascends the
+token-mean ``clipped_objective`` against them.  A stage ends when its step
+budget runs out or when the mean response length saturates, and the cap
+then grows.  The settings and the size caps are checked in ``config``.
 
 Collection and evaluation work on the sampler's token arrays from end to
 end: each chunk of groups is scored as arrays of rewards and repetition
@@ -22,288 +22,22 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import objectives, repetition, tasks, verifier
+from .config import COLLECT_CHUNKS, EVAL_CHUNK, StagePlan, TrainConfig, check_eval_sizes
 from .objectives import Batch, filter_mixed_groups, response_logprobs
 from .policy import PolicyParams, bucket_of, sample_groups
-from .tasks import TaskSpec
 
 DIGITS = tuple(range(10))
 
 
-# A clip bound is either a point value or a uniform interval (lo, hi).
-ClipSpec = Union[float, tuple[float, float]]
-
-
 class CollectAbort(RuntimeError):
     """Raised when batch collection cannot find mixed-correctness groups."""
-
-
-def _to_int(name: str, v) -> int:
-    """``v`` as an int: an integer, or a float with an integral value (JSON
-    may write 24 as 24.0).  A fraction, bool or string is a ``ValueError``."""
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
-        return int(v)
-    raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
-def _to_float(name: str, v) -> float:
-    """``v`` as a float: any real number but a bool (JSON writes 1.0 as 1)."""
-    if isinstance(v, numbers.Real) and not isinstance(v, bool):
-        return float(v)
-    raise ValueError(f"{name} must be a finite number, got {v!r}")
-
-
-def _to_clip_spec(name: str, v) -> ClipSpec:
-    """``v`` as a clip spec: a number, or a pair of them (JSON writes a list
-    for a tuple)."""
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ValueError(f"{name} must be a number or a pair, got {v!r}")
-        return _to_float(name, v[0]), _to_float(name, v[1])
-    return _to_float(name, v)
-
-
-def _coercions(cls) -> dict[str, Callable]:
-    """Converters to the declared type of each field of ``cls`` declared as
-    int, float or a clip spec; each rejects a value of another kind with a
-    ``ValueError`` naming the field."""
-    by_type = {"int": _to_int, "float": _to_float, "ClipSpec": _to_clip_spec}
-    return {
-        f.name: functools.partial(by_type[f.type], f.name)
-        for f in fields(cls)
-        if f.type in by_type
-    }
-
-
-def _check_types(obj) -> None:
-    """Raise ``ValueError`` for a field of ``obj`` declared int, float or
-    bool that holds anything else.  A bool is not a number here, and a
-    float must be finite."""
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if f.type == "bool":
-            ok, want = isinstance(v, bool), "true or false"
-        elif f.type == "int":
-            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            want = "an integer"
-        elif f.type == "float":
-            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-            ok, want = real and math.isfinite(v), "a finite number"
-        else:
-            continue
-        if not ok:
-            raise ValueError(f"{f.name} must be {want}, got {v!r}")
-
-
-def _from_dict(cls, d, convert: dict[str, Callable]):
-    """``cls`` from a dict of its fields, converting the values ``convert``
-    names; a key that names no field is a ``ValueError``."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{cls.__name__} must be an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
-    return cls(**{k: convert[k](v) if k in convert else v for k, v in d.items()})
-
-
-@dataclass(frozen=True)
-class StagePlan:
-    """Length cap, clip specs and stopping rules for one curriculum stage.
-
-    Each clip spec is a point value or a ``(lo, hi)`` interval, inside
-    (0, 1); ``clip_bounds`` draws the stage's pair once."""
-
-    max_response_len: int
-    clip_low: ClipSpec = 0.2
-    clip_high: ClipSpec = 0.2
-    max_steps: int = 400
-    saturation_window: int = 0  # 0 disables the saturation test
-    saturation_threshold: float = 0.01
-
-    def __post_init__(self) -> None:
-        _check_types(self)
-        if self.max_response_len < 1:
-            raise ValueError("max_response_len must be >= 1")
-        for spec in (self.clip_low, self.clip_high):
-            ends = spec if isinstance(spec, tuple) else (spec, spec)
-            for v in ends:
-                if not 0.0 < v < 1.0:
-                    raise ValueError(f"clip value {v} outside (0, 1)")
-            if ends[0] > ends[1]:
-                raise ValueError(f"clip interval {spec} has low end above high end")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.saturation_window < 0 or self.saturation_window == 1:
-            raise ValueError("saturation_window must be 0 (off) or >= 2")
-        if self.saturation_threshold <= 0:
-            raise ValueError("saturation_threshold must be positive")
-
-    def clip_bounds(self, rng: np.random.Generator) -> tuple[float, float]:
-        """``(eps_low, eps_high)``: a point spec as it is, an interval drawn
-        uniformly from ``rng``, the low bound first."""
-        low, high = (
-            float(rng.uniform(*spec)) if isinstance(spec, tuple) else float(spec)
-            for spec in (self.clip_low, self.clip_high)
-        )
-        return low, high
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StagePlan":
-        return _from_dict(cls, d, _coercions(cls))
-
-
-# Caps on the policy table a config may ask for.  MAX_BUCKETS rows of
-# float64 logits over the 14-token vocabulary is a 117 MB table;
-# ``init_policy``'s loop_boost walk over context prefixes takes about 2 s at
-# MAX_CONTEXT_ORDER and grows about 15-fold per order above it.
-MAX_BUCKETS = 2**20
-MAX_CONTEXT_ORDER = 6
-
-# Caps on what one ``evaluate`` call may ask for.  Each of its lockstep
-# calls samples EVAL_CHUNK * k rollouts of up to max_len positions and,
-# when no rollout stops early, peaks at about 32 bytes per position
-# (history, token and bucket arrays) plus about 6 MB, most of it one slice
-# of the finiteness check: 23 MB at k 128 and max_len 256, and near 75 MB
-# at MAX_EVAL_K and MAX_EVAL_LEN.  The task set takes about 130 bytes per
-# task at its peak, 13 MB at MAX_EVAL_TASKS (tracemalloc, numpy 2.4).
-MAX_EVAL_K = 512
-MAX_EVAL_LEN = 256
-MAX_EVAL_TASKS = 100_000
-
-# Tasks per lockstep call in ``evaluate``: bounds its arrays at
-# EVAL_CHUNK * k rollouts instead of all n_tasks * k.
-EVAL_CHUNK = 16
-# Most chunks of batch_groups queries per lockstep call in
-# ``collect_batch``: bounds its arrays, however many groups the filter drops.
-COLLECT_CHUNKS = 8
-# Rollout positions one lockstep call may hold, training or evaluating:
-# what an ``evaluate`` call at both size caps holds.  A training config
-# may ask for COLLECT_CHUNKS * batch_groups * group_size * its longest
-# max_response_len positions at most.
-MAX_SAMPLER_POSITIONS = EVAL_CHUNK * MAX_EVAL_K * MAX_EVAL_LEN
-
-
-def check_eval_sizes(k: int, max_len: int, n_tasks: int) -> None:
-    """Raise ``ValueError`` unless ``evaluate``'s k, max_len and n_tasks
-    are each at least 1 and at most their cap, before anything is
-    allocated."""
-    for name, value, cap in (
-        ("k", k, MAX_EVAL_K),
-        ("max_len", max_len, MAX_EVAL_LEN),
-        ("n_tasks", n_tasks, MAX_EVAL_TASKS),
-    ):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1")
-        if value > cap:
-            raise ValueError(f"{name} must be <= {cap}, got {value}")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """A training run.  ``task`` names one of the two task families, the
-    initial policy is always ``init_policy``'s format scaffold, and
-    ``eval_every > 0`` records avg@``eval_k`` over ``eval_tasks`` tasks
-    every ``eval_every`` steps."""
-
-    stages: tuple[StagePlan, ...] = ()
-    task: TaskSpec = field(default_factory=TaskSpec)
-    group_size: int = 16  # rollouts per query
-    batch_groups: int = 32  # valid groups per update
-    learning_rate: float = 0.05
-    inner_iterations: int = 1  # strictly on-policy by default
-    temperature: float = 1.0
-    seed: int = 0
-    context_order: int = 4
-    buckets: int = 16384
-    repetition_penalty: bool = True
-    min_period: int = 1
-    min_repeats: int = 3
-    loop_boost: float = 0.0
-    eval_every: int = 0
-    eval_k: int = 32
-    eval_tasks: int = 200
-
-    def __post_init__(self) -> None:
-        _check_types(self)
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2")
-        if self.batch_groups < 1:
-            raise ValueError("batch_groups must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.inner_iterations < 1:
-            raise ValueError("inner_iterations must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.buckets < 1:
-            raise ValueError("buckets must be >= 1")
-        if self.buckets > MAX_BUCKETS:
-            raise ValueError(f"buckets must be <= {MAX_BUCKETS}, got {self.buckets}")
-        if self.context_order > MAX_CONTEXT_ORDER:
-            raise ValueError(
-                f"context_order must be <= {MAX_CONTEXT_ORDER}, got {self.context_order}"
-            )
-        if self.eval_every < 0 or self.eval_k < 1 or self.eval_tasks < 1:
-            raise ValueError("eval_every must be >= 0, and eval_k and eval_tasks >= 1")
-        if self.min_period < 1 or self.min_repeats < 1:
-            raise ValueError("min_period and min_repeats must be >= 1")
-        if self.context_order < tasks.QUERY_LENGTH:
-            raise ValueError(
-                "context_order must cover the whole query "
-                f"({tasks.QUERY_LENGTH} tokens) or the task is unlearnable"
-            )
-        lengths = [s.max_response_len for s in self.stages]
-        if any(b <= a for a, b in zip(lengths, lengths[1:])):
-            raise ValueError("stage max_response_len must strictly increase")
-        positions = (
-            COLLECT_CHUNKS * self.batch_groups * self.group_size * max(lengths, default=0)
-        )
-        if positions > MAX_SAMPLER_POSITIONS:
-            raise ValueError(
-                f"{COLLECT_CHUNKS} * batch_groups * group_size * max_response_len "
-                f"must be <= {MAX_SAMPLER_POSITIONS} sampler positions, got {positions}"
-            )
-        # Each stage evaluates at its own length cap.
-        if self.eval_every and (
-            self.eval_k > MAX_EVAL_K
-            or max(lengths, default=1) > MAX_EVAL_LEN
-            or self.eval_tasks > MAX_EVAL_TASKS
-        ):
-            raise ValueError(
-                f"eval_every needs eval_k <= {MAX_EVAL_K}, eval_tasks <= "
-                f"{MAX_EVAL_TASKS} and every max_response_len <= {MAX_EVAL_LEN}"
-            )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        # Top-level values stay as written: the manifest's config hash is
-        # taken over them.
-        return _from_dict(
-            cls,
-            d,
-            {
-                "stages": lambda v: tuple(StagePlan.from_dict(s) for s in v),
-                "task": lambda v: _from_dict(TaskSpec, v, _coercions(TaskSpec)),
-            },
-        )
 
 
 @dataclass(frozen=True)
@@ -763,7 +497,7 @@ def stage_saturated(lengths: Sequence[float], threshold: float = 0.01) -> bool:
 
 def evaluate(
     params: PolicyParams,
-    spec: TaskSpec,
+    spec: tasks.TaskSpec,
     k: int,
     temperature: float,
     max_len: int,
@@ -883,8 +617,3 @@ def train(
                     break
         stage_checkpoints.append(policy.copy())
     return TrainResult(policy, metrics, stage_checkpoints)
-
-
-def load_config(path: str) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return TrainConfig.from_dict(json.load(fh))

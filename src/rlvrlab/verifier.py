@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -495,18 +495,6 @@ def _exact_scalar_equal(a: ParsedAnswer, b: ParsedAnswer) -> bool:
     return False
 
 
-def _exact_equal(a: ParsedAnswer, b: ParsedAnswer) -> bool:
-    if a.is_container or b.is_container:
-        if a.kind != b.kind or len(a.elements) != len(b.elements):
-            return False
-        if a.kind == "tuple":
-            return all(_exact_equal(x, y) for x, y in zip(a.elements, b.elements))
-        xs = sorted(a.elements, key=lambda e: e.approx)
-        ys = sorted(b.elements, key=lambda e: e.approx)
-        return all(_exact_equal(x, y) for x, y in zip(xs, ys))
-    return _exact_scalar_equal(a, b)
-
-
 def _scalar_close(a: ParsedAnswer, b: ParsedAnswer) -> bool:
     if a.unit is not None and b.unit is not None and a.unit != b.unit:
         return False
@@ -520,16 +508,19 @@ def _scalar_close(a: ParsedAnswer, b: ParsedAnswer) -> bool:
     return _close(x, y) or _close(x, y * math.pi / 180.0)
 
 
-def _numeric_close(a: ParsedAnswer, b: ParsedAnswer) -> bool:
+def _match(a: ParsedAnswer, b: ParsedAnswer, scalar: Callable) -> bool:
+    """``scalar(a, b)`` for two scalars; two containers of one kind and size
+    match when their elements do pairwise, a tuple's in order and a set's
+    sorted by value."""
     if a.is_container or b.is_container:
         if a.kind != b.kind or len(a.elements) != len(b.elements):
             return False
-        if a.kind == "tuple":
-            return all(_numeric_close(x, y) for x, y in zip(a.elements, b.elements))
-        xs = sorted(a.elements, key=lambda e: e.approx)
-        ys = sorted(b.elements, key=lambda e: e.approx)
-        return all(_numeric_close(x, y) for x, y in zip(xs, ys))
-    return _scalar_close(a, b)
+        xs, ys = a.elements, b.elements
+        if a.kind != "tuple":
+            xs = sorted(xs, key=lambda e: e.approx)
+            ys = sorted(ys, key=lambda e: e.approx)
+        return all(_match(x, y, scalar) for x, y in zip(xs, ys))
+    return scalar(a, b)
 
 
 def verify(candidate: str, gold: str, start_stage: int = 1) -> Verdict:
@@ -539,10 +530,10 @@ def verify(candidate: str, gold: str, start_stage: int = 1) -> Verdict:
         return Verdict(EQUIVALENT, 1)
     pa, pb = parse_math(na), parse_math(nb)
     both_numeric = not pa.is_opaque and not pb.is_opaque
-    if start_stage <= 2 and both_numeric and _exact_equal(pa, pb):
+    if start_stage <= 2 and both_numeric and _match(pa, pb, _exact_scalar_equal):
         return Verdict(EQUIVALENT, 2)
     if start_stage <= 3 and both_numeric:
-        if _numeric_close(pa, pb):
+        if _match(pa, pb, _scalar_close):
             return Verdict(EQUIVALENT, 3)
         return Verdict(NOT_EQUIVALENT, 3)
     if (

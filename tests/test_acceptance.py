@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from rlvrlab.cli import dispatch
+from rlvrlab.cli import _config_hash, dispatch
+from rlvrlab.config import StagePlan, TrainConfig
 from rlvrlab.curation import CurationConfig, run_pipeline
 from rlvrlab.objectives import (
     RefModel,
@@ -24,7 +25,7 @@ from rlvrlab.objectives import (
 )
 from rlvrlab.repetition import repetition_score
 from rlvrlab.tasks import TaskSpec
-from rlvrlab.trainer import StagePlan, TrainConfig, evaluate, init_policy, train
+from rlvrlab.trainer import evaluate, init_policy, train
 from rlvrlab.verifier import EQUIVALENT, NOT_EQUIVALENT, UNVERIFIABLE, verify
 
 import oracles
@@ -198,6 +199,15 @@ CURRICULUM_CONFIG = TrainConfig(
     learning_rate=20.0,
     seed=1,
 )
+
+
+# The ``config_hash`` the run's manifest records: an edit to the pinned run,
+# or to how configs serialize, changes it.
+CURRICULUM_CONFIG_HASH = "b2fd8d70f375fc8beaf311c4bd955c01f51b0bd9fb4641fcf7589975ced501c3"
+
+
+def test_curriculum_config_hash_is_pinned():
+    assert _config_hash(CURRICULUM_CONFIG.to_dict()) == CURRICULUM_CONFIG_HASH
 
 
 @pytest.fixture(scope="module")

@@ -6,11 +6,13 @@ import struct
 import pytest
 
 import rlvrlab
-from rlvrlab import cli, trainer
+from rlvrlab import cli, config, trainer
 from rlvrlab.cli import dispatch
+from rlvrlab.config import StagePlan, TrainConfig
 from rlvrlab.curation import ProblemRecord, write_records
 from rlvrlab.policy import PolicyParams, Vocab, load_checkpoint, save_checkpoint
-from rlvrlab.trainer import StagePlan, TaskSpec, TrainConfig, init_policy
+from rlvrlab.tasks import TaskSpec
+from rlvrlab.trainer import init_policy
 
 
 def micro_train_config(seed=5):
@@ -104,6 +106,18 @@ class TestVerifyCommand:
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self):
         assert dispatch(["verify", "--gold", "1", "--pred", "1", "--bogus"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--gold", "1"], ["verify", "--pairs", ""], ["train"], ["eval", "--k", "x"]],
+        ids=["verify_without_pred", "verify_empty_pairs", "train_without_flags", "eval_bad_k"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        # No usage block: the message alone, on one line.
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_unknown_command_exits_two(self):
         assert dispatch(["frobnicate"]) == 2
@@ -329,6 +343,10 @@ class TestTrainEvalReport:
              "saturation_threshold must be a finite number, got True"),
             ('{"stages": [{"max_response_len": "12"}]}',
              "max_response_len must be an integer, got '12'"),
+            ('{"stages": 5}', "stages must be a list, got int"),
+            ('{"stages": {"max_response_len": 8}}', "stages must be a list, got dict"),
+            ('{"task": {"family": ["modular-add"]}}',
+             "family must be a string, got ['modular-add']"),
         ],
         ids=[
             "unknown_key",
@@ -373,6 +391,9 @@ class TestTrainEvalReport:
             "bool_modulus",
             "bool_saturation_threshold",
             "string_max_response_len",
+            "number_stages",
+            "object_stages",
+            "list_family",
         ],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, text, message):
@@ -588,9 +609,9 @@ class TestOutputsAndNumbers:
     @pytest.mark.parametrize(
         "flag,name,cap",
         [
-            ("--k", "k", trainer.MAX_EVAL_K),
-            ("--max-len", "max_len", trainer.MAX_EVAL_LEN),
-            ("--n-tasks", "n_tasks", trainer.MAX_EVAL_TASKS),
+            ("--k", "k", config.MAX_EVAL_K),
+            ("--max-len", "max_len", config.MAX_EVAL_LEN),
+            ("--n-tasks", "n_tasks", config.MAX_EVAL_TASKS),
         ],
     )
     def test_eval_size_past_cap_exits_two(

@@ -180,8 +180,9 @@ class TestEstimatePassRate:
         assert r.pass_rate is None
 
     def test_toy_policy_as_the_roller(self):
+        from rlvrlab.config import StagePlan, TrainConfig
         from rlvrlab.tasks import TaskSpec
-        from rlvrlab.trainer import StagePlan, TrainConfig, init_policy
+        from rlvrlab.trainer import init_policy
         from test_trainer import oracle_policy
 
         perfect = policy_answerer(oracle_policy(), max_len=8)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import rlvrlab
-from rlvrlab import cli, tasks, trainer
+from rlvrlab import cli, config, tasks
 
 SRC = Path(rlvrlab.__file__).parent
 
@@ -102,6 +102,21 @@ def test_every_export_is_used_by_the_package():
     assert unused == ALLOWED_UNUSED
 
 
+def test_config_imports_only_tasks_at_module_level():
+    # ``tasks`` reaches ``config`` only from inside ``TaskSpec``, so config
+    # stays a leaf that any module may import.
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    siblings = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            siblings |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("rlvrlab")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("rlvrlab") for a in node.names)
+    assert siblings == {"tasks"}
+
+
 def modules() -> dict[str, ast.Module]:
     return {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -133,7 +148,7 @@ def loads_outside(module: str, scope: str, receiver: str | None = None) -> Count
 
 
 @pytest.mark.parametrize(
-    "cls", [trainer.TrainConfig, trainer.StagePlan, tasks.TaskSpec], ids=lambda c: c.__name__
+    "cls", [config.TrainConfig, config.StagePlan, tasks.TaskSpec], ids=lambda c: c.__name__
 )
 def test_every_config_field_is_read(cls):
     # Read by name, outside the class or in a method of it that is itself

@@ -78,6 +78,8 @@ class TestGenerateTask:
             TaskSpec("digit-sum")
         with pytest.raises(ValueError):
             TaskSpec("modular-add", modulus=11)
+        with pytest.raises(ValueError, match=r"^family must be a string, got \['modular-add'\]$"):
+            TaskSpec(["modular-add"])
 
     @pytest.mark.parametrize("modulus", [7.5, 7.0, True, "7"], ids=repr)
     def test_non_integer_modulus_rejected(self, modulus):

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlvrlab import objectives, repetition, tasks, trainer, verifier
+from rlvrlab import config, objectives, repetition, tasks, trainer, verifier
+from rlvrlab.config import StagePlan, TrainConfig
 from rlvrlab.policy import PolicyParams, bucket_of
 from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_tasks
 from rlvrlab.trainer import (
     CollectAbort,
     MetricsRecord,
-    StagePlan,
-    TrainConfig,
     collect_batch,
     evaluate,
     group_generators,
@@ -131,7 +130,7 @@ class TestConfig:
         tracemalloc.start()
         try:
             cfg = tiny_config(
-                buckets=trainer.MAX_BUCKETS, context_order=trainer.MAX_CONTEXT_ORDER
+                buckets=config.MAX_BUCKETS, context_order=config.MAX_CONTEXT_ORDER
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -139,9 +138,9 @@ class TestConfig:
         assert cfg.buckets == 2**20 and cfg.context_order == 6
         assert peak < 1 << 20
         with pytest.raises(ValueError, match="buckets must be <= 1048576, got 1048577"):
-            tiny_config(buckets=trainer.MAX_BUCKETS + 1)
+            tiny_config(buckets=config.MAX_BUCKETS + 1)
         with pytest.raises(ValueError, match="context_order must be <= 6, got 7"):
-            tiny_config(context_order=trainer.MAX_CONTEXT_ORDER + 1)
+            tiny_config(context_order=config.MAX_CONTEXT_ORDER + 1)
 
     @pytest.mark.parametrize("name", ["batch_groups", "group_size", "max_response_len"])
     def test_sampler_positions_cap(self, name):
@@ -149,9 +148,9 @@ class TestConfig:
         # the cap; one more of any factor, in the longest stage, is past it.
         # Validation only: no sampler array is allocated.
         sizes = dict(batch_groups=32, group_size=32, max_response_len=256)
-        assert trainer.COLLECT_CHUNKS * 32 * 32 * 256 == trainer.MAX_SAMPLER_POSITIONS
+        assert config.COLLECT_CHUNKS * 32 * 32 * 256 == config.MAX_SAMPLER_POSITIONS
 
-        def config():
+        def build_config():
             return tiny_config(
                 batch_groups=sizes["batch_groups"],
                 group_size=sizes["group_size"],
@@ -160,17 +159,17 @@ class TestConfig:
 
         tracemalloc.start()
         try:
-            config()
+            build_config()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
         sizes[name] += 1
-        got = trainer.COLLECT_CHUNKS * math.prod(sizes.values())
+        got = config.COLLECT_CHUNKS * math.prod(sizes.values())
         with pytest.raises(
             ValueError, match=f"must be <= 2097152 sampler positions, got {got}$"
         ):
-            config()
+            build_config()
 
     def test_group_size_lower_bound(self):
         with pytest.raises(ValueError):
@@ -393,7 +392,7 @@ class TestOneLockstepCallPerStep:
         assert len(train(cfg).metrics) == 8
         chunks = counters[-1] // cfg.batch_groups
         assert len(calls) < chunks
-        assert max(calls) <= trainer.COLLECT_CHUNKS * cfg.batch_groups
+        assert max(calls) <= config.COLLECT_CHUNKS * cfg.batch_groups
 
 
 def add_gold(query):
@@ -858,8 +857,9 @@ class TestTrain:
 
 _METRICS_SCRIPT = """
 import json
+from rlvrlab.config import StagePlan, TrainConfig
 from rlvrlab.tasks import TaskSpec
-from rlvrlab.trainer import StagePlan, TrainConfig, train
+from rlvrlab.trainer import train
 
 cfg = TrainConfig(
     stages=(StagePlan(max_response_len=24, max_steps=4),),
@@ -955,17 +955,17 @@ class TestEvaluate:
             evaluate(init_policy(cfg), cfg.task, 4, 1.0, 12, seed=0, n_tasks=0)
 
     CAPS = [
-        ("k", trainer.MAX_EVAL_K),
-        ("max_len", trainer.MAX_EVAL_LEN),
-        ("n_tasks", trainer.MAX_EVAL_TASKS),
+        ("k", config.MAX_EVAL_K),
+        ("max_len", config.MAX_EVAL_LEN),
+        ("n_tasks", config.MAX_EVAL_TASKS),
     ]
 
     @pytest.mark.parametrize("name,cap", CAPS)
     def test_size_caps(self, name, cap):
         sizes = dict(k=1, max_len=1, n_tasks=1)
-        trainer.check_eval_sizes(**{**sizes, name: cap})
+        config.check_eval_sizes(**{**sizes, name: cap})
         with pytest.raises(ValueError, match=f"{name} must be <= {cap}, got {cap + 1}"):
-            trainer.check_eval_sizes(**{**sizes, name: cap + 1})
+            config.check_eval_sizes(**{**sizes, name: cap + 1})
 
     @pytest.mark.parametrize("name,cap", CAPS)
     def test_size_past_cap_rejected_before_drawing(self, monkeypatch, name, cap):
@@ -981,9 +981,9 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(eval_k=trainer.MAX_EVAL_K + 1),
-            dict(eval_tasks=trainer.MAX_EVAL_TASKS + 1),
-            dict(stages=(StagePlan(max_response_len=trainer.MAX_EVAL_LEN + 1),)),
+            dict(eval_k=config.MAX_EVAL_K + 1),
+            dict(eval_tasks=config.MAX_EVAL_TASKS + 1),
+            dict(stages=(StagePlan(max_response_len=config.MAX_EVAL_LEN + 1),)),
         ],
         ids=["eval_k", "eval_tasks", "max_response_len"],
     )
