@@ -97,18 +97,10 @@ def _read_jsonl(path: str, parser: argparse.ArgumentParser) -> list[tuple[int, o
     """Each nonblank line of a JSONL file as (line number, JSON value); a
     missing file or a line that is not JSON exits 2."""
     _require_file(path, parser)
-    rows = []
-    # Read bytes, so that json.loads reports bad UTF-8 as a ValueError.
-    with open(path, "rb") as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append((n, json.loads(line)))
-            except ValueError as exc:
-                parser.exit(2, f"error: {path} line {n}: invalid JSON: {exc}\n")
-    return rows
+    try:
+        return list(curation.read_jsonl(path))
+    except ValueError as exc:
+        parser.exit(2, f"error: {path} {exc}\n")
 
 
 def _cmd_verify(args, parser) -> int:

@@ -284,7 +284,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        # Top-level values stay as written: the manifest's config hash is
-        # taken over them.
+        # Top-level floats stay as written, since the manifest's config hash
+        # is taken over them; an integral float converts as in a stage.
+        convert = {k: c for k, c in _coercions(cls).items() if c.func is _to_int}
         task = functools.partial(_from_dict, TaskSpec, convert=_coercions(TaskSpec))
-        return _from_dict(cls, d, {"stages": _stage_plans, "task": task})
+        return _from_dict(cls, d, {**convert, "stages": _stage_plans, "task": task})

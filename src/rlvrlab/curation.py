@@ -13,7 +13,7 @@ import json
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .verifier import normalize as normalize_answer
 
@@ -118,20 +118,29 @@ def _word_ngrams(text: str, n: int) -> set[tuple[str, ...]]:
     return {tuple(words[i : i + n]) for i in range(len(words) - n + 1)}
 
 
+def _partition(
+    records: Sequence[ProblemRecord], exclude: Callable[[ProblemRecord], object]
+) -> tuple[list[ProblemRecord], list[ProblemRecord]]:
+    """(kept, excluded), in input order: a record goes to excluded when
+    ``exclude`` of it is true."""
+    kept, excluded = [], []
+    for rec in records:
+        (excluded if exclude(rec) else kept).append(rec)
+    return kept, excluded
+
+
+def _off_style(rec: ProblemRecord) -> bool:
+    non_ascii = sum(1 for ch in rec.question if ord(ch) > 127)
+    return bool(PROOF_PATTERN.search(rec.question)) or (
+        non_ascii / len(rec.question) > NON_ASCII_RATIO_LIMIT
+    )
+
+
 def style_filter(
     records: Sequence[ProblemRecord],
 ) -> tuple[list[ProblemRecord], list[ProblemRecord]]:
     """Drop proof-style questions and questions that look non-English."""
-    kept, excluded = [], []
-    for rec in records:
-        non_ascii = sum(1 for ch in rec.question if ord(ch) > 127)
-        if PROOF_PATTERN.search(rec.question) or (
-            non_ascii / len(rec.question) > NON_ASCII_RATIO_LIMIT
-        ):
-            excluded.append(rec)
-        else:
-            kept.append(rec)
-    return kept, excluded
+    return _partition(records, _off_style)
 
 
 def exact_dedup(
@@ -139,15 +148,15 @@ def exact_dedup(
 ) -> tuple[list[ProblemRecord], list[ProblemRecord]]:
     """Keep the first occurrence of each normalized question."""
     seen: set[str] = set()
-    kept, excluded = [], []
-    for rec in records:
+
+    def seen_before(rec: ProblemRecord) -> bool:
         key = _normalize_question(rec.question)
         if key in seen:
-            excluded.append(rec)
-        else:
-            seen.add(key)
-            kept.append(rec)
-    return kept, excluded
+            return True
+        seen.add(key)
+        return False
+
+    return _partition(records, seen_before)
 
 
 def ngram_dedup(
@@ -196,13 +205,9 @@ def decontaminate(
     eval_grams: set[tuple[str, ...]] = set()
     for q in eval_questions:
         eval_grams |= _word_ngrams(q, n)
-    kept, excluded = [], []
-    for rec in records:
-        if eval_grams and _word_ngrams(rec.question, n) & eval_grams:
-            excluded.append(rec)
-        else:
-            kept.append(rec)
-    return kept, excluded
+    return _partition(
+        records, lambda rec: eval_grams and _word_ngrams(rec.question, n) & eval_grams
+    )
 
 
 def difficulty_filter(
@@ -212,26 +217,16 @@ def difficulty_filter(
 
     Records without a pass rate pass through unchanged.
     """
-    kept, excluded = [], []
-    for rec in records:
-        if rec.pass_rate is not None and rec.pass_rate in (0.0, 1.0):
-            excluded.append(rec)
-        else:
-            kept.append(rec)
-    return kept, excluded
+    return _partition(records, lambda rec: rec.pass_rate in (0.0, 1.0))
 
 
 def answer_length_filter(
     records: Sequence[ProblemRecord], max_chars: int = 20
 ) -> tuple[list[ProblemRecord], list[ProblemRecord]]:
     """Drop records whose normalized answer exceeds ``max_chars``."""
-    kept, excluded = [], []
-    for rec in records:
-        if len(normalize_answer(rec.answer)) > max_chars:
-            excluded.append(rec)
-        else:
-            kept.append(rec)
-    return kept, excluded
+    return _partition(
+        records, lambda rec: len(normalize_answer(rec.answer)) > max_chars
+    )
 
 
 @dataclass(frozen=True)
@@ -273,28 +268,33 @@ def run_pipeline(
     return current, FunnelReport(tuple(stages), len(current))
 
 
-def read_records(path: str) -> list[ProblemRecord]:
-    """The records of a JSONL file, one per nonblank line; a line that is
-    not a valid record is a ``ValueError`` that names it."""
-    records = []
+def read_jsonl(path: str) -> Iterator[tuple[int, object]]:
+    """Each nonblank line of a JSONL file as (line number, JSON value), in
+    order; a line that is not JSON is a ``ValueError`` that names it."""
     # Read bytes, so that json.loads reports bad UTF-8 as a ValueError.
     with open(path, "rb") as fh:
-        for i, line in enumerate(fh):
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                d = json.loads(line)
+                value = json.loads(line)
             except ValueError as exc:
-                raise ValueError(f"line {i + 1}: invalid JSON: {exc}") from None
-            if not (isinstance(d, dict) and isinstance(d.get("question"), str)):
-                raise ValueError(
-                    f'line {i + 1}: expected an object with a string "question"'
-                )
-            try:
-                records.append(ProblemRecord.from_dict(d, f"r{i}"))
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"line {i + 1}: {exc}") from None
+                raise ValueError(f"line {n}: invalid JSON: {exc}") from None
+            yield n, value
+
+
+def read_records(path: str) -> list[ProblemRecord]:
+    """The records of a JSONL file, one per nonblank line; a line that is
+    not a valid record is a ``ValueError`` that names it."""
+    records = []
+    for n, d in read_jsonl(path):
+        if not (isinstance(d, dict) and isinstance(d.get("question"), str)):
+            raise ValueError(f'line {n}: expected an object with a string "question"')
+        try:
+            records.append(ProblemRecord.from_dict(d, f"r{n - 1}"))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"line {n}: {exc}") from None
     return records
 
 

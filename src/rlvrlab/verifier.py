@@ -5,7 +5,7 @@ Four stages, strictest first:
  1. normalized string equality,
  2. exact rational/structural equality of the parsed answers,
  3. numeric comparison of float views with tolerance, after reconciling
-    percent, degree and unit modifiers,
+    degree and unit modifiers,
  4. short opaque-string fallback.
 
 The first stage that can decide wins.  ``not_equivalent`` is only ever
@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -61,15 +62,15 @@ class ParsedAnswer:
 
     A scalar is kind "number": ``exact`` carries its value as a Fraction
     whenever the expression evaluates exactly, and ``approx`` is the float
-    view.  Containers keep their elements and no scalar value.
-    Unparseable input degrades to kind "opaque" rather than raising.
+    view; a percent is already divided by 100.  Containers keep their
+    elements and no scalar value.  Unparseable input degrades to kind
+    "opaque" rather than raising.
     """
 
     kind: str  # number | tuple | set | opaque
     exact: Optional[Fraction] = None
     approx: Optional[float] = None
     elements: tuple["ParsedAnswer", ...] = field(default_factory=tuple)
-    percent: bool = False
     degree: bool = False
     unit: Optional[str] = None
 
@@ -117,26 +118,21 @@ def _drop_thousands_separators(s: str) -> str:
 # keeps the memory of a long verify batch flat.
 CACHE_SIZE = 256
 
+_DELIMITERS = (("$", "$"), ("\\(", "\\)"), ("\\[", "\\]"))
+
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def normalize(raw: str) -> str:
     """Canonical form used for string comparison and as parser input.
     Pure, so its results are cached."""
     s = raw.strip()
-    # Outer math delimiters, possibly stacked.
-    while True:
-        t = s.strip()
-        if len(t) >= 2 and t.startswith("$") and t.endswith("$"):
-            s = t[1:-1]
-            continue
-        if len(t) >= 4 and t.startswith("\\(") and t.endswith("\\)"):
-            s = t[2:-2]
-            continue
-        if len(t) >= 4 and t.startswith("\\[") and t.endswith("\\]"):
-            s = t[2:-2]
-            continue
-        s = t
-        break
+    while True:  # outer math delimiters, possibly stacked
+        for left, right in _DELIMITERS:
+            if len(s) >= len(left + right) and s.startswith(left) and s.endswith(right):
+                s = s[len(left) : -len(right)].strip()
+                break
+        else:
+            break
     s = s.replace("\\left", "").replace("\\right", "")
     for _ in range(4):  # unwrap \text{...}, tolerating light nesting
         new = re.sub(r"\\text\s*\{([^{}]*)\}", r"\1", s)
@@ -157,71 +153,50 @@ class _ParseError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class _Num:
-    """Numeric value with an exact rational view when one exists."""
+# A parsed value: a Fraction while every step of it is exact, a float once
+# any step is not (a constant, an irrational root, a fractional power).
+_Value = Union[Fraction, float]
 
-    exact: Optional[Fraction]
-    approx: float
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "_Num":
-        try:
-            return cls(f, float(f))
-        except OverflowError as exc:
-            raise _ParseError("value overflows the float view") from exc
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _num_op(a: _Num, b: _Num, op: str) -> _Num:
-    if a.is_exact and b.is_exact:
-        try:
-            if op == "+":
-                return _Num.from_fraction(a.exact + b.exact)
-            if op == "-":
-                return _Num.from_fraction(a.exact - b.exact)
-            if op == "*":
-                return _Num.from_fraction(a.exact * b.exact)
-            if op == "/":
-                if b.exact == 0:
-                    raise _ParseError("division by zero")
-                return _Num.from_fraction(a.exact / b.exact)
-        except OverflowError as exc:
-            raise _ParseError("value overflow") from exc
-    x, y = a.approx, b.approx
-    if op == "+":
-        return _Num(None, x + y)
-    if op == "-":
-        return _Num(None, x - y)
-    if op == "*":
-        return _Num(None, x * y)
-    if y == 0:
-        raise _ParseError("division by zero")
-    return _Num(None, x / y)
+def _exact(f: Fraction) -> Fraction:
+    """``f``, when it has a float view.  A value past the float range makes
+    the answer opaque, even where a later step would bring it back in range
+    (``10^{400}/10^{399}``)."""
+    try:
+        float(f)
+    except OverflowError as exc:
+        raise _ParseError("value overflows the float view") from exc
+    return f
 
 
-def _num_pow(base: _Num, exp: _Num) -> _Num:
+def _num_op(a: _Value, b: _Value, op: str) -> _Value:
+    """``a op b``: exact for two Fractions; a float for a Fraction and a
+    float, computed on the Fraction's float view."""
+    try:
+        value = _OPS[op](a, b)
+    except ZeroDivisionError as exc:
+        raise _ParseError("division by zero") from exc
+    return _exact(value) if isinstance(value, Fraction) else value
+
+
+def _num_pow(base: _Value, exp: _Value) -> _Value:
     if (
-        base.is_exact
-        and exp.is_exact
-        and exp.exact.denominator == 1
-        and abs(exp.exact.numerator) <= MAX_EXACT_POWER
-        and abs(exp.exact.numerator)
-        * max(base.exact.numerator.bit_length(), base.exact.denominator.bit_length())
+        isinstance(base, Fraction)
+        and isinstance(exp, Fraction)
+        and exp.denominator == 1
+        and abs(exp.numerator) <= MAX_EXACT_POWER
+        and abs(exp.numerator)
+        * max(base.numerator.bit_length(), base.denominator.bit_length())
         <= MAX_EXACT_BITS
     ):
-        n = exp.exact.numerator
-        if base.exact == 0 and n < 0:
-            raise _ParseError("zero to a negative power")
         try:
-            return _Num.from_fraction(base.exact**n)
-        except OverflowError as exc:
-            raise _ParseError("value overflow") from exc
+            return _exact(base**exp.numerator)
+        except ZeroDivisionError as exc:
+            raise _ParseError("zero to a negative power") from exc
     try:
-        return _Num(None, math.pow(base.approx, exp.approx))
+        return math.pow(base, exp)
     except (OverflowError, ValueError) as exc:
         raise _ParseError("invalid power") from exc
 
@@ -241,14 +216,16 @@ def _exact_root(f: Fraction, n: int) -> Optional[Fraction]:
     return None
 
 
-def _num_root(x: _Num, n: int) -> _Num:
-    if x.approx < 0:
+def _num_root(x: _Value, n: int) -> _Value:
+    # The sign test reads the float view, so a negative value too small for
+    # it (-1e-400) takes the float path and its root is 0.0.
+    if float(x) < 0:
         raise _ParseError("root of a negative value")
-    if x.is_exact and n <= MAX_EXACT_POWER:
-        r = _exact_root(x.exact, n)
+    if isinstance(x, Fraction) and n <= MAX_EXACT_POWER:
+        r = _exact_root(x, n)
         if r is not None:
-            return _Num.from_fraction(r)
-    return _Num(None, x.approx ** (1.0 / n))
+            return r  # between x and 1, so it has a float view
+    return float(x) ** (1.0 / n)
 
 
 _TOKEN_RE = re.compile(
@@ -303,14 +280,14 @@ class _Parser:
         if got != tok:
             raise _ParseError(f"expected {tok!r}, got {got!r}")
 
-    def parse_expr(self) -> _Num:
+    def parse_expr(self) -> _Value:
         value = self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.next()
             value = _num_op(value, self.parse_term(), op)
         return value
 
-    def parse_term(self) -> _Num:
+    def parse_term(self) -> _Value:
         value = self.parse_power()
         while True:
             tok = self.peek()
@@ -326,7 +303,7 @@ class _Parser:
             else:
                 return value
 
-    def parse_power(self) -> _Num:
+    def parse_power(self) -> _Value:
         # Every level of nesting passes through here.
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -344,16 +321,16 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def parse_braced(self) -> _Num:
+    def parse_braced(self) -> _Value:
         self.expect("{")
         value = self.parse_expr()
         self.expect("}")
         return value
 
-    def parse_atom(self) -> _Num:
+    def parse_atom(self) -> _Value:
         tok = self.next()
         if tok == "-":
-            return _num_op(_Num.from_fraction(Fraction(0)), self.parse_power(), "-")
+            return _num_op(Fraction(0), self.parse_power(), "-")
         if tok == "+":
             return self.parse_power()
         number = _NUMBER_RE.match(tok)
@@ -362,11 +339,11 @@ class _Parser:
                 raise _ParseError("number literal too long")
             if number[1] and abs(int(number[1])) > MAX_EXPONENT:
                 raise _ParseError("exponent too large")
-            return _Num.from_fraction(Fraction(tok.replace("E", "e")))
+            return _exact(Fraction(tok.replace("E", "e")))
         if tok in ("\\pi", "π", "pi"):
-            return _Num(None, math.pi)
+            return math.pi
         if tok == "e":
-            return _Num(None, math.e)
+            return math.e
         if tok == "\\frac":
             num = self.parse_braced()
             den = self.parse_braced()
@@ -377,9 +354,9 @@ class _Parser:
                 self.next()
                 idx = self.parse_expr()
                 self.expect("]")
-                if not (idx.is_exact and idx.exact.denominator == 1 and idx.exact > 0):
+                if not (isinstance(idx, Fraction) and idx.denominator == 1 and idx > 0):
                     raise _ParseError("root index must be a positive integer")
-                n = int(idx.exact)
+                n = int(idx)
             return _num_root(self.parse_braced(), n)
         if tok == "(":
             value = self.parse_expr()
@@ -418,14 +395,14 @@ def _parse_scalar(s: str) -> ParsedAnswer:
     if parser.peek() is not None:
         raise _ParseError(f"trailing input {parser.peek()!r}")
     if percent:
-        value = _num_op(value, _Num.from_fraction(Fraction(1, 100)), "*")
-    if not math.isfinite(value.approx):
+        value = _num_op(value, Fraction(1, 100), "*")
+    approx = float(value)
+    if not math.isfinite(approx):
         raise _ParseError("non-finite value")
     return ParsedAnswer(
         kind="number",
-        exact=value.exact,
-        approx=value.approx,
-        percent=percent,
+        exact=value if isinstance(value, Fraction) else None,
+        approx=approx,
         degree=degree,
         unit=unit,
     )

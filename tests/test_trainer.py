@@ -107,8 +107,11 @@ class TestConfig:
         stage = StagePlan.from_dict({"max_response_len": 24.0, "max_steps": 3.0})
         assert (stage.max_response_len, stage.max_steps) == (24, 3)
         assert type(stage.max_response_len) is int
-        cfg = TrainConfig.from_dict({"task": {"modulus": 7.0}, "stages": [stage.to_dict()]})
+        cfg = TrainConfig.from_dict(
+            {"task": {"modulus": 7.0}, "stages": [stage.to_dict()], "group_size": 8.0}
+        )
         assert cfg.task.modulus == 7 and type(cfg.task.modulus) is int
+        assert cfg.group_size == 8 and type(cfg.group_size) is int
 
     def test_unknown_keys_are_named(self):
         with pytest.raises(ValueError, match="unknown TrainConfig key.*learning_rat"):

