@@ -16,7 +16,6 @@ from .curation import (
 from .objectives import (
     AdvantageSet,
     Batch,
-    RefModel,
     clipped_objective,
     filter_mixed_groups,
     shaped_advantages,
@@ -28,7 +27,7 @@ from .policy import (
     sample_groups,
     save_checkpoint,
 )
-from .repetition import LoopSpan, detect_loop, repetition_score
+from .repetition import detect_loop, repetition_score
 from .tasks import TaskSpec, generate_tasks
 from .trainer import (
     MetricsRecord,

@@ -171,6 +171,12 @@ def _read_records(
 def _cmd_curate(args, parser) -> int:
     started = _utc_now()
     _require_positive(args, parser, "ngram")
+    if not 0 <= args.jaccard <= 1:  # also rejects nan
+        parser.exit(2, f"error: --jaccard must be in [0, 1], got {args.jaccard}\n")
+    if args.max_answer_chars < 0:
+        parser.exit(
+            2, f"error: --max-answer-chars must be >= 0, got {args.max_answer_chars}\n"
+        )
     _require_file(args.infile, parser)
     for path in args.eval_set:
         _require_file(path, parser)
@@ -278,26 +284,24 @@ def _cmd_eval(args, parser) -> int:
         params = load_checkpoint(args.ckpt)
     except ValueError as exc:
         parser.exit(2, f"error: {args.ckpt}: {exc}\n")
-    if params.vocab != tasks.VOCAB:
-        parser.exit(
-            2,
-            f"error: {args.ckpt}: vocabulary of {params.vocab.size} ids with eos "
-            f"{params.vocab.eos} is not the tasks' {tasks.VOCAB.size} ids with eos "
-            f"{tasks.VOCAB.eos}\n",
-        )
     if args.config:
         spec = _load_config(args.config, parser).task
     else:
         spec = tasks.TaskSpec()
-    score = trainer.evaluate(
-        params,
-        spec,
-        k=args.k,
-        temperature=args.temperature,
-        max_len=args.max_len,
-        seed=args.seed,
-        n_tasks=args.n_tasks,
-    )
+    try:
+        score = trainer.evaluate(
+            params,
+            spec,
+            k=args.k,
+            temperature=args.temperature,
+            max_len=args.max_len,
+            seed=args.seed,
+            n_tasks=args.n_tasks,
+        )
+    except ValueError as exc:
+        # The sizes and temperature are checked above, so this is the
+        # checkpoint: a vocabulary other than the tasks'.
+        parser.exit(2, f"error: {args.ckpt}: {exc}\n")
     print(json.dumps({"avg_at_k": score, "k": args.k, "n_tasks": args.n_tasks}))
     if args.manifest:
         write_manifest(

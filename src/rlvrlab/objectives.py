@@ -5,8 +5,8 @@ One clipped surrogate, ``clipped_objective``, evaluated over every token
 of a batch at once, whose per-rollout weights are its one knob: the token
 mean normalizes by the total token count of the batch (so long rollouts
 are not down-weighted), the sequence mean averages per rollout and per
-group.  Either may add a K3 KL penalty against a frozen reference, a
-snapshot of the policy's own table read at the batch's own buckets.  It
+group.  Either may add a K3 KL penalty against a reference policy, a
+``PolicyParams`` of the policy's own shape read at the batch's buckets.  It
 takes the old log-probs of the batch's tokens as an array
 (``response_logprobs`` of the policy that sampled it), or None when that
 policy is the one it is evaluated at, and returns the objective value
@@ -16,8 +16,8 @@ the table's rows, so the gradient is row-sparse: those rows and their
 values alone (a ``SparseGrad``).
 
 A batch is a ``Batch``: the sampler's token and bucket rows of every kept
-rollout, with their queries, rewards and penalties, and the id and size
-of every group.  The objective reads it as arrays from end to end.
+rollout, with their rewards and penalties, and the size of every group.
+The objective reads it as arrays from end to end.
 """
 
 from __future__ import annotations
@@ -44,25 +44,20 @@ class Batch:
 
     ``tokens`` and ``buckets`` are rows as ``sample_groups`` returns them,
     each response's tokens and the context bucket before each, -1 past its
-    end.  Every rollout carries its own query, reward and penalty; every
-    group its query id and its size, which may differ between groups.
+    end.  Every rollout carries its own reward and penalty, every group
+    its size, which may differ between groups.
     """
 
-    queries: np.ndarray  # (n, query length) token ids
     tokens: np.ndarray  # (n, width) response token ids, -1 past each end
     buckets: np.ndarray  # (n, width) context buckets, -1 past each end
     rewards: np.ndarray  # (n,) {0, 1}
     penalties: np.ndarray  # (n,) repetition scores in [0, 1]
-    query_ids: np.ndarray  # (groups,)
     sizes: np.ndarray  # (groups,) rollouts per group
 
     def __post_init__(self) -> None:
         n = len(self.tokens)
-        if not (
-            len(self.queries) == len(self.rewards) == len(self.penalties) == n
-            and len(self.query_ids) == len(self.sizes)
-        ):
-            raise ValueError("per-rollout arrays, and per-group arrays, must align")
+        if not len(self.rewards) == len(self.penalties) == n:
+            raise ValueError("per-rollout arrays must align")
         if self.tokens.ndim != 2 or self.buckets.shape != self.tokens.shape:
             raise ValueError(
                 f"tokens {self.tokens.shape} and buckets {self.buckets.shape} "
@@ -84,21 +79,6 @@ class AdvantageSet:
     # All-zero because the group std fell below the floor: one flag per
     # group, shaped like ``values`` without its last axis.
     degenerate: np.ndarray
-
-
-@dataclass(frozen=True)
-class RefModel:
-    """Frozen snapshot of policy parameters used as the KL reference.  It
-    shares the policy's vocabulary, context order and table size, so the
-    policy's context buckets index it too."""
-
-    params: PolicyParams
-
-    @classmethod
-    def capture(cls, params: PolicyParams) -> "RefModel":
-        frozen = params.copy()
-        frozen.logits.setflags(write=False)
-        return cls(frozen)
 
 
 def shaped_advantages(
@@ -172,7 +152,7 @@ def clipped_objective(
     eps_low: float,
     eps_high: float,
     per_sequence: bool = False,
-    ref: RefModel | None = None,
+    ref: PolicyParams | None = None,
     beta: float = 0.0,
 ) -> tuple[float, SparseGrad]:
     """J = sum_i w_i sum_t [min(r A_i, clip(r) A_i) - beta * K3] and dJ/dlogits
@@ -192,17 +172,17 @@ def clipped_objective(
     and every ratio is exactly 1.
 
     K3 is rho - ln rho - 1 with rho = pi_ref / pi_theta, read at the
-    batch's buckets, and enters if and only if a ``ref`` is passed; a
-    nonzero ``beta`` without one, or a ``ref`` of another vocabulary,
-    context order or table size than ``params``, is a ``ValueError``.  The
-    gradient treats old log-probs as constants, and comes as a
-    ``SparseGrad`` over the rows the batch's contexts touch.
+    batch's buckets, and enters if and only if a reference policy ``ref``
+    is passed; a nonzero ``beta`` without one, or a ``ref`` of another
+    vocabulary, context order or table size than ``params``, is a
+    ``ValueError``.  The gradient treats old log-probs as constants, and
+    comes as a ``SparseGrad`` over the rows the batch's contexts touch.
     """
     if ref is None:
         if beta:
             raise ValueError(f"beta {beta} weighs a K3 term, which needs a ref")
     else:
-        ref_shape = (ref.params.vocab, ref.params.k, ref.params.buckets)
+        ref_shape = (ref.vocab, ref.k, ref.buckets)
         if ref_shape != (params.vocab, params.k, params.buckets):
             raise ValueError(
                 f"reference (vocab, k, buckets) {ref_shape} differs from the "
@@ -233,7 +213,7 @@ def clipped_objective(
     coef = np.where(unclipped <= clipped, adv * ratio, 0.0) * w
     pos = np.arange(len(toks))  # the token each gradient term belongs to
     if ref is not None:
-        lp_ref, _ = log_softmax_at(ref.params.logits[buckets], toks)
+        lp_ref, _ = log_softmax_at(ref.logits[buckets], toks)
         rho = np.exp(lp_ref - lp_new)
         terms = terms - beta * (rho - (lp_ref - lp_new) - 1.0)
         # d/dtheta of -beta*K3 contributes beta*(rho - 1) per token.  Scatter

@@ -14,6 +14,7 @@ the rollouts takes those buckets rather than hashing a context again.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -175,8 +176,8 @@ def sample_groups(
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < math.inf:  # also rejects nan
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
     if queries.ndim != 2:

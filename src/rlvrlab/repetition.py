@@ -8,28 +8,17 @@ are penalized harder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
-
-
-@dataclass(frozen=True)
-class LoopSpan:
-    """Suffix ``tokens[start:]`` made of ``repeats`` full copies of a block
-    of length ``period`` plus an optional partial copy at the end."""
-
-    start: int
-    period: int
-    repeats: int
 
 
 def detect_loop(
     tokens: Sequence[int], min_period: int = 1, min_repeats: int = 3
-) -> Optional[LoopSpan]:
-    """Earliest trailing loop, ties broken by the smallest period.
+) -> Optional[int]:
+    """Start index of the earliest trailing loop, or None when there is none.
 
     A candidate (start, period) qualifies when tokens[start:] holds at least
     ``min_repeats`` full consecutive copies of its leading ``period`` tokens,
-    a partial final copy permitted.  Returns None when nothing qualifies.
+    a partial final copy permitted.
 
     For each period p, one backward scan finds the longest suffix with
     period p (tokens[i] == tokens[i + p] throughout); a shorter suffix with
@@ -47,9 +36,8 @@ def detect_loop(
         while i >= 0 and tokens[i] == tokens[i + period]:
             i -= 1
         start = i + 1
-        repeats = (n - start) // period
-        if repeats >= min_repeats and (best is None or start < best.start):
-            best = LoopSpan(start=start, period=period, repeats=repeats)
+        if (n - start) // period >= min_repeats and (best is None or start < best):
+            best = start
             if start == 0:
                 break  # no later period can start earlier
     return best
@@ -59,7 +47,7 @@ def repetition_score(
     tokens: Sequence[int], min_period: int = 1, min_repeats: int = 3
 ) -> float:
     """Fraction of the sequence inside the detected loop; 0 when loop-free."""
-    span = detect_loop(tokens, min_period=min_period, min_repeats=min_repeats)
-    if span is None:
+    start = detect_loop(tokens, min_period=min_period, min_repeats=min_repeats)
+    if start is None:
         return 0.0
-    return (len(tokens) - span.start) / len(tokens)
+    return (len(tokens) - start) / len(tokens)

@@ -258,6 +258,16 @@ def init_policy(config: TrainConfig) -> PolicyParams:
     return params
 
 
+def _check_vocab(params: PolicyParams) -> None:
+    """Reject a policy whose token ids are not the tasks': its responses
+    could not be decoded into answers, or would be scored as truncated."""
+    if params.vocab != tasks.VOCAB:
+        raise ValueError(
+            f"vocabulary of {params.vocab.size} ids with eos {params.vocab.eos} "
+            f"is not the tasks' {tasks.VOCAB.size} ids with eos {tasks.VOCAB.eos}"
+        )
+
+
 # A row key's byte for eos: keys hold each token plus one (see ``_score``).
 _EOS_BYTE = tasks.EOS + 1
 # A row key's bytes to the characters of their tokens, as
@@ -373,8 +383,9 @@ def collect_batch(
 ) -> tuple[Batch, BatchStats, int]:
     """Accumulate exactly ``batch_groups`` mixed-correctness groups, sampled
     from ``params``, as one ``Batch``: the groups' rows of the sampler's
-    token and bucket arrays, gathered by index, with each row's query,
-    reward and penalty.
+    token and bucket arrays, gathered by index as each chunk is filtered,
+    with each row's reward and penalty.  A policy whose vocabulary is not
+    the tasks' is a ``ValueError``.
 
     Queries are consumed in chunks of ``batch_groups``.  ``drop_hint`` is
     the fraction of groups the filter is expected to drop (``train``
@@ -397,11 +408,12 @@ def collect_batch(
     rollouts are verified; ``train`` passes one for the whole run.  With
     ``None`` the memo lasts this call only.
     """
+    _check_vocab(params)
     n, size = config.batch_groups, config.group_size
     abort_after = 100 * n
     n_valid = 0
-    # Per sampler call, the kept groups' rows: tokens, buckets, queries,
-    # query ids, rewards and penalties.
+    # Per scored chunk, the kept groups' rows: tokens, buckets, rewards and
+    # penalties.
     parts: list[tuple[np.ndarray, ...]] = []
     stats = BatchStats()
     if reward_memo is None:
@@ -422,18 +434,15 @@ def collect_batch(
             chunk_queries, chunk_golds = tasks.generate_tasks(config.task, task_rng, n)
             drawn.append(chunk_queries)
             golds += chunk_golds
-        queries = np.concatenate(drawn)
         qids = np.arange(query_counter, query_counter + n_chunks * n)
         tokens, buckets = sample_groups(
             params,
-            queries,
+            np.concatenate(drawn),
             size,
             stage.max_response_len,
             config.temperature,
             group_generators(config.seed, 1, qids),
         )
-        picked: list[int] = []  # the kept groups, by index into ``queries``
-        picked_rewards, picked_penalties = [], []
         for c in range(n_chunks):
             if n_valid >= n:
                 # Give the unscored chunks back to the task stream.
@@ -457,26 +466,13 @@ def collect_batch(
             consecutive_invalid = n - 1 - kept[-1] if len(kept) else consecutive_invalid + n
             kept = kept[: n - n_valid]
             n_valid += len(kept)
-            picked += (c * n + kept).tolist()
-            picked_rewards.append(rewards[kept])
-            penalties = raw if config.repetition_penalty else np.zeros_like(raw)
-            picked_penalties.append(penalties[kept])
-        if picked:
-            rows = (np.array(picked)[:, None] * size + np.arange(size)).ravel()
-            parts.append((
-                tokens[rows],
-                buckets[rows],
-                np.repeat(queries[picked], size, axis=0),
-                qids[picked],
-                np.concatenate(picked_rewards).ravel(),
-                np.concatenate(picked_penalties).ravel(),
-            ))
-    tokens, buckets, queries, query_ids, rewards, penalties = (
-        np.concatenate(arrays) for arrays in zip(*parts)
-    )
-    batch = Batch(
-        queries, tokens, buckets, rewards, penalties, query_ids, np.full(n, size)
-    )
+            rows = ((c * n + kept)[:, None] * size + np.arange(size)).ravel()
+            penalties = raw[kept].ravel()
+            if not config.repetition_penalty:
+                penalties = np.zeros(len(rows))
+            parts.append((tokens[rows], buckets[rows], rewards[kept].ravel(), penalties))
+    tokens, buckets, rewards, penalties = (np.concatenate(arrays) for arrays in zip(*parts))
+    batch = Batch(tokens, buckets, rewards, penalties, np.full(n, size))
     return batch, stats, query_counter
 
 
@@ -513,10 +509,11 @@ def evaluate(
     or on the sampling.  The attempts are sampled ``EVAL_CHUNK`` tasks per
     lockstep call, with that chunk's generators from ``group_generators``,
     and scored as arrays by ``_score``, each distinct ``(response, gold)``
-    pair verified once per call.  Sizes past ``check_eval_sizes``' caps
-    are a ``ValueError``.
+    pair verified once per call.  Sizes past ``check_eval_sizes``' caps,
+    and a policy whose vocabulary is not the tasks', are a ``ValueError``.
     """
     check_eval_sizes(k, max_len, n_tasks)
+    _check_vocab(params)
     task_rng = np.random.default_rng([seed, 2])
     queries, golds = tasks.generate_tasks(spec, task_rng, n_tasks)
     total = 0.0

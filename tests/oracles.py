@@ -17,9 +17,9 @@ import numpy as np
 
 from rlvrlab import tasks
 from rlvrlab.curation import ProblemRecord
-from rlvrlab.objectives import Batch, RefModel, shaped_advantages
+from rlvrlab.objectives import Batch, shaped_advantages
 from rlvrlab.policy import PolicyParams, bucket_of, sample_groups, sample_response
-from rlvrlab.repetition import LoopSpan, repetition_score
+from rlvrlab.repetition import repetition_score
 from rlvrlab.trainer import BatchStats
 from rlvrlab.verifier import reward
 
@@ -101,29 +101,32 @@ def batch_of(groups, params: PolicyParams) -> Batch:
         tokens[r, : len(ro.response)] = ro.response
         buckets[r, : len(ro.response)] = response_buckets(params, ro.query, ro.response)
     return Batch(
-        queries=padded_queries([ro.query for ro in rollouts], params.vocab.begin_marker),
         tokens=tokens,
         buckets=buckets,
         rewards=np.array([x for g in groups for x in g.rewards], dtype=np.float64),
         penalties=np.array([x for g in groups for x in g.penalties], dtype=np.float64),
-        query_ids=np.array([g.query_id for g in groups], dtype=np.int64),
         sizes=np.array([g.size for g in groups], dtype=np.int64),
     )
 
 
-def groups_of(batch: Batch, eos: int = tasks.EOS) -> list[Group]:
+def groups_of(batch: Batch, replay, eos: int = tasks.EOS) -> list[Group]:
     """The groups of ``batch`` unpacked into ``Group`` and ``Rollout``
-    objects, one row at a time: the inverse of ``batch_of``."""
-    rollouts = []
-    for query, row in zip(batch.queries.tolist(), batch.tokens.tolist()):
-        response = response_of(row)
-        truncated = not response or response[-1] != eos
-        rollouts.append(Rollout(tuple(query), response, truncated))
+    objects, one row at a time: the inverse of ``batch_of``.  A batch holds
+    no queries, so each group takes its query and id from the group in its
+    place in ``replay``: the groups ``collect_batch`` below collects from
+    the same task stream."""
+    if len(replay) != len(batch.sizes):
+        raise ValueError(f"{len(replay)} replayed groups for {len(batch.sizes)}")
     groups, start = [], 0
-    for query_id, size in zip(batch.query_ids.tolist(), batch.sizes.tolist()):
+    for like, size in zip(replay, batch.sizes.tolist()):
         rows = slice(start, start + size)
+        rollouts = []
+        for row in batch.tokens[rows].tolist():
+            response = response_of(row)
+            truncated = not response or response[-1] != eos
+            rollouts.append(Rollout(like.rollouts[0].query, response, truncated))
         groups.append(
-            Group(query_id, tuple(rollouts[rows]), batch.rewards[rows], batch.penalties[rows])
+            Group(like.query_id, tuple(rollouts), batch.rewards[rows], batch.penalties[rows])
         )
         start += size
     return groups
@@ -511,7 +514,7 @@ def token_mean_objective(groups, params, old_params, eps_low, eps_high):
 
 
 def sequence_mean_objective(
-    groups, params, old_params, ref: RefModel, beta: float, eps: float
+    groups, params, old_params, ref: PolicyParams, beta: float, eps: float
 ):
     """Per-rollout loop form of ``rlvrlab.objectives.clipped_objective``
     with ``per_sequence`` weights, symmetric clip bounds ``eps`` and a K3
@@ -532,7 +535,7 @@ def sequence_mean_objective(
                 grad, params, old_params, rollout, float(a), eps, eps, w
             )
             _, lp_ref, _ = sequence_logprobs(
-                ref.params, rollout.query, rollout.response, buckets=None
+                ref, rollout.query, rollout.response, buckets=None
             )
             rho = np.exp(lp_ref - lp_new)
             k3 = rho - (lp_ref - lp_new) - 1.0
@@ -578,9 +581,9 @@ def _periods(seq):
     yield n
 
 
-def detect_loop(tokens, min_period: int = 1, min_repeats: int = 3) -> LoopSpan | None:
-    """Earliest trailing loop from each start's border-table periods, the
-    library's former detector: O(n^2) per sequence."""
+def detect_loop(tokens, min_period: int = 1, min_repeats: int = 3) -> int | None:
+    """Start of the earliest trailing loop from each start's border-table
+    periods, the library's former detector: O(n^2) per sequence."""
     n = len(tokens)
     if n == 0:
         raise ValueError("tokens must be nonempty")
@@ -592,7 +595,7 @@ def detect_loop(tokens, min_period: int = 1, min_repeats: int = 3) -> LoopSpan |
             if repeats < min_repeats:
                 break  # periods only grow, so repeats only shrink
             if period >= min_period:
-                return LoopSpan(start=start, period=period, repeats=repeats)
+                return start
     return None
 
 

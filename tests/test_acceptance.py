@@ -17,7 +17,6 @@ from rlvrlab.cli import _config_hash, dispatch
 from rlvrlab.config import StagePlan, TrainConfig
 from rlvrlab.curation import CurationConfig, run_pipeline
 from rlvrlab.objectives import (
-    RefModel,
     clipped_objective,
     filter_mixed_groups,
     response_logprobs,
@@ -74,7 +73,7 @@ def test_c01_gradient_correctness():
                     params,
                 )
             else:
-                ref = RefModel.capture(make_params(rng, scale=0.8))
+                ref = make_params(rng, scale=0.8)
                 kwargs = dict(per_sequence=True, ref=ref, beta=0.04)
                 _, grad = clipped_objective(batch, params, lp_old, 0.2, 0.2, **kwargs)
                 grad = oracles.dense(grad, params)
@@ -210,6 +209,19 @@ def test_curriculum_config_hash_is_pinned():
     assert _config_hash(CURRICULUM_CONFIG.to_dict()) == CURRICULUM_CONFIG_HASH
 
 
+# The same pins for criterion 7's penalty-on and penalty-off runs and for
+# criterion 10's run.
+PENALTY_ON_CONFIG_HASH = "7f0c8f5d79f33d03c46e4642742730b3c71639e8ddb8b9451eaa3c5528750f8f"
+PENALTY_OFF_CONFIG_HASH = "36b4dd39b847a57ae930a61af6312e5eba1139185e8d535a609872766c96c4dc"
+DETERMINISM_CONFIG_HASH = "da335ee5e98fdc54e976f47e068759edfeae7e4ea228ee6cccfc8798b9377505"
+
+
+def test_criterion_7_and_10_config_hashes_are_pinned():
+    assert _config_hash(_penalty_config(True).to_dict()) == PENALTY_ON_CONFIG_HASH
+    assert _config_hash(_penalty_config(False).to_dict()) == PENALTY_OFF_CONFIG_HASH
+    assert _config_hash(DETERMINISM_CONFIG.to_dict()) == DETERMINISM_CONFIG_HASH
+
+
 @pytest.fixture(scope="module")
 def curriculum_run():
     config = CURRICULUM_CONFIG
@@ -328,15 +340,18 @@ def test_c09_curation_funnel():
 # ---------------------------------------------------------------------------
 
 
+DETERMINISM_CONFIG = TrainConfig(
+    stages=(StagePlan(max_response_len=12, max_steps=6),),
+    task=TaskSpec("modular-add", 10),
+    group_size=4,
+    batch_groups=4,
+    learning_rate=10.0,
+    seed=11,
+)
+
+
 def test_c10_determinism(tmp_path, capsys):
-    cfg = TrainConfig(
-        stages=(StagePlan(max_response_len=12, max_steps=6),),
-        task=TaskSpec("modular-add", 10),
-        group_size=4,
-        batch_groups=4,
-        learning_rate=10.0,
-        seed=11,
-    )
+    cfg = DETERMINISM_CONFIG
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
     dirs = [tmp_path / "run_a", tmp_path / "run_b"]

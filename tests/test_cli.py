@@ -580,6 +580,24 @@ class TestOutputsAndNumbers:
         "template,message",
         [
             ("curate --in {records} --out {out} --ngram 0", "--ngram must be positive, got 0"),
+            # A jaccard of nan, inf or 2 turned near-dedup off, and a negative
+            # answer cap excluded every record; both exited 0.
+            (
+                "curate --in {records} --out {out} --jaccard nan",
+                "--jaccard must be in [0, 1], got nan",
+            ),
+            (
+                "curate --in {records} --out {out} --jaccard inf",
+                "--jaccard must be in [0, 1], got inf",
+            ),
+            (
+                "curate --in {records} --out {out} --jaccard 2",
+                "--jaccard must be in [0, 1], got 2.0",
+            ),
+            (
+                "curate --in {records} --out {out} --max-answer-chars -5",
+                "--max-answer-chars must be >= 0, got -5",
+            ),
             ("eval --ckpt {ckpt} --k 0", "--k must be positive, got 0"),
             ("eval --ckpt {ckpt} --temperature 0", "--temperature must be positive, got 0.0"),
             ("eval --ckpt {ckpt} --temperature nan", "--temperature must be positive, got nan"),
@@ -591,6 +609,10 @@ class TestOutputsAndNumbers:
         ],
         ids=[
             "ngram",
+            "jaccard_nan",
+            "jaccard_inf",
+            "jaccard_two",
+            "max_answer_chars",
             "k",
             "temperature",
             "temperature_nan",

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rlvrlab.objectives import (
     AdvantageSet,
     Batch,
-    RefModel,
     clipped_objective,
     filter_mixed_groups,
     response_logprobs,
@@ -315,7 +314,7 @@ class TestSequenceMeanObjective:
         rng = np.random.default_rng(21)
         old = make_params(rng)
         params = make_params(rng)
-        ref = RefModel.capture(old)
+        ref = old
         groups = []
         for i in range(2):
             rollouts = tuple(make_rollout(rng, old, 4) for _ in range(3))
@@ -337,7 +336,7 @@ class TestSequenceMeanObjective:
         old = make_params(rng)
         params = make_params(rng)
         groups = [make_group(rng, old, 0)]
-        ref = RefModel.capture(params)
+        ref = params
         batch = batch_of(groups, old)
         lp_old = response_logprobs(old, batch)
         j0, g0 = clipped_objective(
@@ -376,7 +375,7 @@ class TestSequenceMeanObjective:
             rng = np.random.default_rng(seed)
             old = make_params(rng, scale=0.8)
             params = make_params(rng, scale=0.8)
-            ref = RefModel.capture(make_params(rng, scale=0.8))
+            ref = make_params(rng, scale=0.8)
             groups = [make_group(rng, old, i) for i in range(int(rng.integers(1, 3)))]
             if not ratios_clear_of_clip_edges(groups, params, old, 0.2, 0.2):
                 continue
@@ -420,15 +419,13 @@ class TestBatch:
     def test_ragged_groups_accepted(self):
         batch = Batch(**self.fields())
         assert batch.sizes.tolist() == [2, 4, 3]
-        assert batch.tokens.shape[0] == len(batch.queries) == 9
+        assert batch.tokens.shape[0] == len(batch.rewards) == 9
 
     @pytest.mark.parametrize(
         "name,change,message",
         [
-            ("rewards", lambda a: a[:-1], "per-rollout arrays, and per-group arrays, must align"),
-            ("penalties", lambda a: a[:-1], "per-rollout arrays, and per-group arrays, must align"),
-            ("queries", lambda a: a[1:], "per-rollout arrays, and per-group arrays, must align"),
-            ("query_ids", lambda a: a[:-1], "per-rollout arrays, and per-group arrays, must align"),
+            ("rewards", lambda a: a[:-1], "per-rollout arrays must align"),
+            ("penalties", lambda a: a[:-1], "per-rollout arrays must align"),
             ("buckets", lambda a: a[:, :-1], "must be 2-D arrays of one shape"),
             ("buckets", unfilled, "buckets must hold a bucket exactly where tokens hold a token"),
             ("sizes", lambda a: np.array([2, 1, 6]), "a group needs at least 2 rollouts"),
@@ -437,8 +434,6 @@ class TestBatch:
         ids=[
             "short_rewards",
             "short_penalties",
-            "short_queries",
-            "short_query_ids",
             "narrow_buckets",
             "unfilled_bucket",
             "one_rollout_group",
@@ -453,14 +448,7 @@ class TestBatch:
 
 
 class TestRefModel:
-    def test_snapshot_is_frozen_and_detached(self):
-        rng = np.random.default_rng(2)
-        params = make_params(rng)
-        ref = RefModel.capture(params)
-        params.logits[0, 0] += 1.0
-        assert ref.params.logits[0, 0] != params.logits[0, 0]
-        with pytest.raises(ValueError):
-            ref.params.logits[0, 0] = 5.0
+    """The K3 reference: a ``PolicyParams`` of the policy's own shape."""
 
     @pytest.mark.parametrize(
         "shape",
@@ -473,7 +461,7 @@ class TestRefModel:
         rng = np.random.default_rng(3)
         params = make_params(rng)
         batch = batch_of([make_group(rng, params)], params)
-        ref = RefModel.capture(make_params(rng, **shape))
+        ref = make_params(rng, **shape)
         with pytest.raises(ValueError, match="reference .* differs from the policy's"):
             clipped_objective(
                 batch, params, None, 0.2, 0.2, per_sequence=True, ref=ref, beta=0.1
@@ -550,7 +538,7 @@ class TestPackedObjectiveMatchesOracle:
             old = make_params(rng)
             params = current_params(rng, old, seed % 3)
             groups = oracle_batch(rng, old)
-            ref = RefModel.capture(make_params(rng))  # a distinct reference
+            ref = make_params(rng)  # a distinct reference
             beta, eps = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.05, 0.5))
             batch = batch_of(groups, old)
             lp_old = response_logprobs(old, batch)
@@ -580,7 +568,7 @@ class TestPackedObjectiveMatchesOracle:
                     [response_buckets(params, ro.query, ro.response) for ro in nonempty]
                 )
             )
-            ref = RefModel.capture(make_params(rng))
+            ref = make_params(rng)
             batch = batch_of(groups, old)
             lp_old = response_logprobs(old, batch)
             for _, (rows, values) in (
@@ -597,7 +585,7 @@ class TestPackedObjectiveMatchesOracle:
         params = make_params(rng)
         rollouts = tuple(make_rollout(rng, params, 0) for _ in range(3))
         groups = [Group(0, rollouts, np.array([1.0, 0.0, 0.0]), np.zeros(3))]
-        ref = RefModel.capture(make_params(rng))
+        ref = make_params(rng)
         batch = batch_of(groups, params)
         lp_old = response_logprobs(params, batch)
         j, grad = clipped_objective(

@@ -218,6 +218,12 @@ class TestSampleResponse:
             sample_response(params, (0,), 5, 0.0, rng)
         with pytest.raises(ValueError):
             sample_response(params, (0,), 5, -1.0, rng)
+        # nan passes a plain ``<= 0`` test, and inf scales every row to
+        # zero, a uniform draw; both are rejected.
+        queries = np.zeros((1, 1), dtype=np.int64)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+                sample_groups(params, queries, 2, 5, bad, [rng])
 
     def test_nonfinite_row_rejected(self):
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)

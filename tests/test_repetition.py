@@ -3,33 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlvrlab.repetition import LoopSpan, detect_loop, repetition_score
+from rlvrlab.repetition import detect_loop, repetition_score
 
 
 def brute_force_loop(tokens, min_period=1, min_repeats=3):
-    """Independent oracle: scan every (start, period) pair directly.
+    """Independent oracle: scan every (start, period) pair directly, and
+    return the first start that qualifies.
 
     The suffix is periodic with period p exactly when it equals itself
     shifted by p, which the slice comparison states verbatim.
     """
-    n = len(tokens)
-    best = None
-    for start in range(n):
+    for start in range(len(tokens)):
         suffix = tuple(tokens[start:])
         m = len(suffix)
         for period in range(min_period, m + 1):
-            if m // period < min_repeats:
-                continue
-            if suffix[period:] == suffix[: m - period]:
-                if best is None or (start, period) < (best.start, best.period):
-                    best = LoopSpan(start, period, m // period)
-                break  # smallest period for this start; earlier starts win anyway
-    return best
+            if m // period >= min_repeats and suffix[period:] == suffix[: m - period]:
+                return start
+    return None
 
 
 def brute_force_score(tokens, min_period=1, min_repeats=3):
-    span = brute_force_loop(tokens, min_period, min_repeats)
-    return 0.0 if span is None else (len(tokens) - span.start) / len(tokens)
+    start = brute_force_loop(tokens, min_period, min_repeats)
+    return 0.0 if start is None else (len(tokens) - start) / len(tokens)
 
 
 class TestDetectLoop:
@@ -37,25 +32,24 @@ class TestDetectLoop:
         assert detect_loop([1, 2, 3, 4, 5]) is None
 
     def test_constant_sequence(self):
-        assert detect_loop([7] * 6) == LoopSpan(start=0, period=1, repeats=6)
+        assert detect_loop([7] * 6) == 0
 
     def test_prefixed_loop_with_partial_tail(self):
+        # 3 full copies of (1,2,3) plus the partial (1,2) tail, from index 2.
         tokens = [9, 8, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2]
-        span = detect_loop(tokens)
-        assert (span.start, span.period) == (2, 3)
-        # 3 full copies of (1,2,3) plus the partial (1,2) tail
-        assert span.repeats == 3
-        assert span.start + span.period * span.repeats <= len(tokens)
-        assert len(tokens) <= span.start + span.period * (span.repeats + 1)
+        assert detect_loop(tokens) == 2
+        assert detect_loop(tokens, min_repeats=4) is None
 
     def test_min_period_skips_short_blocks(self):
-        tokens = [5] * 8
-        span = detect_loop(tokens, min_period=2)
-        assert (span.start, span.period, span.repeats) == (0, 2, 4)
+        # With blocks of 2 or more, 5 copies of one token hold only 2 full
+        # blocks of (5, 5), and 6 copies hold 3.
+        assert detect_loop([5] * 5) == 0
+        assert detect_loop([5] * 5, min_period=2) is None
+        assert detect_loop([5] * 6, min_period=2) == 0
 
     def test_min_repeats_gate(self):
         assert detect_loop([1, 2, 1, 2]) is None  # only 2 copies
-        assert detect_loop([1, 2, 1, 2, 1, 2]) == LoopSpan(0, 2, 3)
+        assert detect_loop([1, 2, 1, 2, 1, 2]) == 0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -101,8 +95,8 @@ class TestRepetitionScore:
     def test_bounds_and_zero_iff_no_span(self, tokens, min_period, min_repeats):
         score = repetition_score(tokens, min_period, min_repeats)
         assert 0.0 <= score <= 1.0
-        span = detect_loop(tokens, min_period, min_repeats)
-        assert (score == 0.0) == (span is None)
+        start = detect_loop(tokens, min_period, min_repeats)
+        assert (score == 0.0) == (start is None)
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=25))
     @settings(max_examples=300, deadline=None)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rlvrlab import config, objectives, repetition, tasks, trainer, verifier
 from rlvrlab.config import StagePlan, TrainConfig
-from rlvrlab.policy import PolicyParams, bucket_of
+from rlvrlab.policy import PolicyParams, Vocab, bucket_of
 from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_tasks
 from rlvrlab.trainer import (
     CollectAbort,
@@ -266,18 +266,28 @@ class TestInitPolicy:
         assert mean_rep(boosted) > mean_rep(plain) + 0.1
 
 
+def collected_groups(params, cfg):
+    """``collect_batch``'s first batch on the ``[seed, 0]`` task stream as
+    groups, with the queries of the oracle's replay of that stream."""
+    stage = cfg.stages[0]
+    batch, stats, counter = collect_batch(
+        params, stage, cfg, np.random.default_rng([cfg.seed, 0]), 0
+    )
+    replay, *_ = oracles.collect_batch(
+        params, stage, cfg, np.random.default_rng([cfg.seed, 0]), 0, {}
+    )
+    return oracles.groups_of(batch, replay), batch, stats, counter
+
+
 class TestCollectBatch:
     def test_returns_exactly_n_mixed_groups(self):
         cfg = tiny_config()
         params = init_policy(cfg)
-        rng = np.random.default_rng([cfg.seed, 0])
-        batch, stats, counter = collect_batch(
-            params, cfg.stages[0], cfg, rng, query_counter=0
-        )
-        groups = oracles.groups_of(batch)
+        groups, batch, stats, counter = collected_groups(params, cfg)
         assert len(groups) == cfg.batch_groups
+        queries = np.array([ro.query for g in groups for ro in g.rollouts])
         assert np.array_equal(
-            batch.buckets, oracles.row_buckets(params, batch.queries, batch.tokens)
+            batch.buckets, oracles.row_buckets(params, queries, batch.tokens)
         )
         for g in groups:
             correct = int((g.rewards > 0.5).sum())
@@ -294,9 +304,7 @@ class TestCollectBatch:
             group_size=8,
             batch_groups=8,
         )
-        params = init_policy(cfg)
-        rng = np.random.default_rng([cfg.seed, 0])
-        groups = oracles.groups_of(collect_batch(params, cfg.stages[0], cfg, rng, 0)[0])
+        groups, *_ = collected_groups(init_policy(cfg), cfg)
         seen_truncated = 0
         for g in groups:
             for ro, rew in zip(g.rollouts, g.rewards):
@@ -307,9 +315,7 @@ class TestCollectBatch:
 
     def test_rollouts_respect_stage_cap(self):
         cfg = tiny_config()
-        params = init_policy(cfg)
-        rng = np.random.default_rng([cfg.seed, 0])
-        groups = oracles.groups_of(collect_batch(params, cfg.stages[0], cfg, rng, 0)[0])
+        groups, *_ = collected_groups(init_policy(cfg), cfg)
         cap = cfg.stages[0].max_response_len
         assert all(len(ro.response) <= cap for g in groups for ro in g.rollouts)
 
@@ -322,27 +328,23 @@ class TestCollectBatch:
             collect_batch(params, cfg.stages[0], cfg, rng, 0)
 
     def test_group_does_not_depend_on_its_chunk(self):
-        # One 16-query chunk against the same queries consumed one at a time.
+        # One 16-query chunk against the same queries consumed one at a
+        # time: the first 16 single-group batches, in order, are its groups.
         chunked = tiny_config(batch_groups=16)
         params = init_policy(chunked)
         batch, _, counter = collect_batch(
             params, chunked.stages[0], chunked, np.random.default_rng([7, 0]), 0
         )
-        groups = oracles.groups_of(batch)
         alone = tiny_config(batch_groups=1)
         task_rng = np.random.default_rng([7, 0])
-        singles, qid = {}, 0
+        singles, qid = [], 0
         while qid < counter:
             one, _, qid = collect_batch(params, alone.stages[0], alone, task_rng, qid)
-            (group,) = oracles.groups_of(one)
-            singles[group.query_id] = group
-        assert len(groups) == 16
-        for a in groups:
-            b = singles[a.query_id]
-            assert [r.query for r in a.rollouts] == [r.query for r in b.rollouts]
-            assert [r.response for r in a.rollouts] == [r.response for r in b.rollouts]
-            np.testing.assert_array_equal(a.rewards, b.rewards)
-            np.testing.assert_array_equal(a.penalties, b.penalties)
+            singles.append(one)
+        assert len(batch.sizes) == 16 <= len(singles)
+        for name in ("tokens", "buckets", "rewards", "penalties"):
+            want = np.concatenate([getattr(one, name) for one in singles[:16]])
+            np.testing.assert_array_equal(getattr(batch, name), want)
 
 
 class TestOneLockstepCallPerStep:
@@ -362,12 +364,10 @@ class TestOneLockstepCallPerStep:
                 )
                 steps.append(
                     (
-                        batch.queries.tolist(),
                         batch.tokens.tolist(),
                         batch.buckets.tolist(),
                         batch.rewards.tolist(),
                         batch.penalties.tolist(),
-                        batch.query_ids.tolist(),
                         stats,
                         counter,
                     )
@@ -409,10 +409,8 @@ class TestScoringMemo:
     @pytest.mark.parametrize("penalty", [True, False])
     def test_scores_equal_direct_calls(self, penalty):
         cfg = tiny_config(loop_boost=6.0, repetition_penalty=penalty, batch_groups=8)
-        batch, stats, _ = collect_batch(
-            init_policy(cfg), cfg.stages[0], cfg, np.random.default_rng([7, 0]), 0
-        )
-        for g in oracles.groups_of(batch):
+        groups, _, stats, _ = collected_groups(init_policy(cfg), cfg)
+        for g in groups:
             gold = add_gold(g.rollouts[0].query)
             rewards = [
                 0.0 if ro.truncated else verifier.reward(tasks.decode_tokens(ro.response), gold)
@@ -682,8 +680,7 @@ class TestCollectionOracle:
             )
             batch, stats, got_counter = got
             want_groups, want_buckets, want_stats, want_counter = want
-            groups = oracles.groups_of(batch)
-            assert [g.query_id for g in groups] == [g.query_id for g in want_groups]
+            groups = oracles.groups_of(batch, want_groups)
             for a, b in zip(groups, want_groups):
                 assert a.rollouts == b.rollouts
                 assert a.rewards.tolist() == b.rewards.tolist()
@@ -757,10 +754,7 @@ class TestTrain:
         result = train(cfg)
         snapshot = init_policy(cfg)
         policy = init_policy(cfg)
-        batch, _, _ = collect_batch(
-            snapshot, cfg.stages[0], cfg, np.random.default_rng([cfg.seed, 0]), 0, {}
-        )
-        groups = oracles.groups_of(batch)
+        groups, *_ = collected_groups(snapshot, cfg)
         for _ in range(cfg.inner_iterations):
             j, grad = oracles.token_mean_objective(groups, policy, snapshot, 0.2, 0.2)
             policy.logits += cfg.learning_rate * grad
@@ -937,6 +931,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(init_policy(cfg), cfg.task, 0, 1.0, 12, seed=0)
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_nonfinite_temperature_rejected(self, temperature):
+        # These scored 0.0 and 0.0125: nan passed a ``<= 0`` check.
+        params = init_policy(TrainConfig(stages=(StagePlan(8),)))
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            evaluate(params, TaskSpec(), 8, temperature, 8, 0, 20)
+
     def test_long_call_memory_is_bounded(self):
         # A policy that never stops fills every position: 16 tasks of 128
         # attempts at 256 tokens, 524,288 positions in one lockstep call.
@@ -994,3 +995,34 @@ class TestEvaluate:
         tiny_config(**overrides)  # no in-training evaluation: accepted
         with pytest.raises(ValueError, match="eval_every needs eval_k <="):
             tiny_config(eval_every=1, **overrides)
+
+
+def other_vocabularies():
+    """Two tables over token ids other than the tasks': the scaffold with
+    eos 0, and a zero table over 20 ids."""
+    p = init_policy(TrainConfig(stages=(StagePlan(8),)))
+    return [
+        PolicyParams(Vocab(14, 0), p.k, p.logits.copy()),
+        PolicyParams(Vocab(20, 13), p.k, np.zeros((p.buckets, 20))),
+    ]
+
+
+class TestAnotherVocabularyRejected:
+    """A policy over other token ids cannot be scored: its responses would
+    be decoded or cut at eos by the tasks' ids.  ``evaluate`` scored the two
+    ``other_vocabularies`` 0.0 and 0.00625."""
+
+    MESSAGE = "is not the tasks' 14 ids with eos 13"
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["eos_0", "20_ids"])
+    def test_evaluate(self, index):
+        params = other_vocabularies()[index]
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            evaluate(params, TaskSpec(), 8, 1.0, 8, 0, 20)
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["eos_0", "20_ids"])
+    def test_collect_batch(self, index):
+        params = other_vocabularies()[index]
+        cfg = tiny_config(buckets=params.buckets, context_order=params.k)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            collect_batch(params, cfg.stages[0], cfg, np.random.default_rng(0), 0)
