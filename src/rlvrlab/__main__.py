@@ -1,0 +1,6 @@
+"""``python -m rlvrlab``: the ``rlvrlab`` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -11,6 +11,12 @@ Four stages, strictest first:
 The first stage that can decide wins.  ``not_equivalent`` is only ever
 emitted when both sides parsed numerically and every reconciliation failed;
 everything else that cannot be decided is ``unverifiable``.
+
+``normalize`` and ``parse_math`` cache at most ``CACHE_SIZE`` results each,
+so a gold shared by many responses is read once; beyond that, a call is
+fast because it does little work, not because more is remembered.  Every
+pattern is compiled once, here, and each costly step runs only where it
+can change the result.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+import string
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -41,9 +48,15 @@ MAX_EXACT_BITS = 1 << 16  # bits of an exact power's numerator or denominator
 
 # Recognized trailing unit words, longest first so "min" beats "m".
 _UNITS = ("min", "cm", "mm", "km", "kg", "m", "g", "s", "h")
-_UNIT_RE = re.compile(r"(?<![a-zA-Z])(%s)$" % "|".join(_UNITS), re.IGNORECASE)
-_DEGREE_RE = re.compile(r"(?:(?<![a-zA-Z])degrees?|\^\{\\circ\}|\^\\circ|°)$")
+_UNIT_RE = re.compile(r"(?<![a-zA-Z])(%s)\Z" % "|".join(_UNITS), re.IGNORECASE)
+_DEGREE_RE = re.compile(r"(?:(?<![a-zA-Z])degrees?|\^\{\\circ\}|\^\\circ|°)\Z")
 _CASEFOLD_WORDS = set(_UNITS) | {"degrees", "degree"}
+# The characters a match of each pattern can end in: the last letters of
+# its words, for units in either case and the long s, which
+# ``re.IGNORECASE`` folds to "s".  A search tries every offset of the
+# string, so one ending in anything else skips it.
+_DEGREE_ENDS = frozenset("es}c°")
+_UNIT_ENDS = frozenset({u[-1] for u in _UNITS} | {u[-1].upper() for u in _UNITS} | {"ſ"})
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,7 @@ class ParsedAnswer:
     kind: str  # number | tuple | set | opaque
     exact: Optional[Fraction] = None
     approx: Optional[float] = None
-    elements: tuple["ParsedAnswer", ...] = field(default_factory=tuple)
+    elements: tuple["ParsedAnswer", ...] = ()
     degree: bool = False
     unit: Optional[str] = None
 
@@ -81,6 +94,13 @@ class ParsedAnswer:
     @property
     def is_container(self) -> bool:
         return self.kind in ("tuple", "set")
+
+
+# Results shared by every call that returns them; all are frozen.
+_OPAQUE = ParsedAnswer(kind="opaque")
+_EQUIVALENT_AT = {stage: Verdict(EQUIVALENT, stage) for stage in (1, 2, 3, 4)}
+_NOT_EQUIVALENT = Verdict(NOT_EQUIVALENT, 3)
+_UNVERIFIABLE = Verdict(UNVERIFIABLE, None)
 
 
 # A comma between a digit and a 3-digit group that ends the run.
@@ -119,6 +139,9 @@ def _drop_thousands_separators(s: str) -> str:
 CACHE_SIZE = 256
 
 _DELIMITERS = (("$", "$"), ("\\(", "\\)"), ("\\[", "\\]"))
+_TEXT_RE = re.compile(r"\\text\s*\{([^{}]*)\}")
+_TRAILING_WORD_RE = re.compile(r"[a-zA-Z]+$")
+_ASCII_LETTERS = frozenset(string.ascii_letters)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -128,24 +151,26 @@ def normalize(raw: str) -> str:
     s = raw.strip()
     while True:  # outer math delimiters, possibly stacked
         for left, right in _DELIMITERS:
-            if len(s) >= len(left + right) and s.startswith(left) and s.endswith(right):
+            if s.startswith(left) and s.endswith(right) and len(s) >= len(left) + len(right):
                 s = s[len(left) : -len(right)].strip()
                 break
         else:
             break
     s = s.replace("\\left", "").replace("\\right", "")
-    for _ in range(4):  # unwrap \text{...}, tolerating light nesting
-        new = re.sub(r"\\text\s*\{([^{}]*)\}", r"\1", s)
-        if new == s:
-            break
-        s = new
-    s = re.sub(r"\s+", "", s)
+    if "\\text" in s:
+        for _ in range(4):  # unwrap \text{...}, tolerating light nesting
+            new = _TEXT_RE.sub(r"\1", s)
+            if new == s:
+                break
+            s = new
+    s = "".join(s.split())  # drop whitespace: str.isspace is re's \s
     s = _drop_thousands_separators(s)
     s = s.rstrip(".")
     # Case-fold a trailing unit-like word so "5 M" and "5m" agree.
-    m = re.search(r"([a-zA-Z]+)$", s)
-    if m and m.group(1).lower() in _CASEFOLD_WORDS:
-        s = s[: m.start(1)] + m.group(1).lower()
+    if s[-1:] in _ASCII_LETTERS:
+        m = _TRAILING_WORD_RE.search(s)
+        if m[0].lower() in _CASEFOLD_WORDS:
+            s = s[: m.start()] + m[0].lower()
     return s
 
 
@@ -158,6 +183,8 @@ class _ParseError(Exception):
 _Value = Union[Fraction, float]
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_ZERO = Fraction(0)
+_PERCENT = Fraction(1, 100)
 
 
 def _exact(f: Fraction) -> Fraction:
@@ -165,7 +192,7 @@ def _exact(f: Fraction) -> Fraction:
     the answer opaque, even where a later step would bring it back in range
     (``10^{400}/10^{399}``)."""
     try:
-        float(f)
+        f.numerator / f.denominator  # float(f), without its int() calls
     except OverflowError as exc:
         raise _ParseError("value overflows the float view") from exc
     return f
@@ -243,14 +270,11 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(s: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if m is None:
-            raise _ParseError(f"unexpected character at {pos!r}")
-        tokens.append(m.group(0))
-        pos = m.end()
+    # ``findall`` skips what no token matches, so the tokens cover ``s``
+    # exactly when they join back into it.
+    tokens = _TOKEN_RE.findall(s)
+    if "".join(tokens) != s:
+        raise _ParseError("unexpected character")
     return tokens
 
 
@@ -262,18 +286,18 @@ class _Parser:
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
+        self.end = len(tokens)
         self.pos = 0
         self.depth = 0
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < self.end else None
 
     def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
+        if self.pos == self.end:
             raise _ParseError("unexpected end of input")
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expect(self, tok: str) -> None:
         got = self.next()
@@ -330,14 +354,23 @@ class _Parser:
     def parse_atom(self) -> _Value:
         tok = self.next()
         if tok == "-":
-            return _num_op(Fraction(0), self.parse_power(), "-")
+            return _num_op(_ZERO, self.parse_power(), "-")
         if tok == "+":
             return self.parse_power()
+        # A literal without an exponent is read with int(), which skips
+        # Fraction's string parser and gives the same value.
+        if tok.isdecimal():
+            if len(tok) > MAX_LITERAL_LEN:
+                raise _ParseError("number literal too long")
+            return _exact(Fraction(int(tok)))
         number = _NUMBER_RE.match(tok)
         if number:
             if len(tok) > MAX_LITERAL_LEN:
                 raise _ParseError("number literal too long")
-            if number[1] and abs(int(number[1])) > MAX_EXPONENT:
+            if number[1] is None:  # 3.14, .5, 2.
+                whole, _, frac = tok.partition(".")
+                return _exact(Fraction(int(whole + frac), 10 ** len(frac)))
+            if abs(int(number[1])) > MAX_EXPONENT:
                 raise _ParseError("exponent too large")
             return _exact(Fraction(tok.replace("E", "e")))
         if tok in ("\\pi", "π", "pi"):
@@ -372,11 +405,11 @@ def _strip_modifiers(s: str) -> tuple[str, bool, bool, Optional[str]]:
         s, percent = s[:-2], True
     elif s.endswith("%"):
         s, percent = s[:-1], True
-    m = _DEGREE_RE.search(s)
+    m = _DEGREE_RE.search(s) if s[-1:] in _DEGREE_ENDS else None
     if m:
         s, degree = s[: m.start()], True
     if not degree:
-        m = _UNIT_RE.search(s)
+        m = _UNIT_RE.search(s) if s[-1:] in _UNIT_ENDS else None
         # A unit needs something before it; a bare "m" stays opaque.
         if m and m.start() > 0:
             unit = m.group(1).lower()
@@ -395,7 +428,7 @@ def _parse_scalar(s: str) -> ParsedAnswer:
     if parser.peek() is not None:
         raise _ParseError(f"trailing input {parser.peek()!r}")
     if percent:
-        value = _num_op(value, Fraction(1, 100), "*")
+        value = _num_op(value, _PERCENT, "*")
     approx = float(value)
     if not math.isfinite(approx):
         raise _ParseError("non-finite value")
@@ -443,7 +476,7 @@ def parse_math(raw: str) -> ParsedAnswer:
     modifier is stripped or any token read."""
     s = raw
     if _FOREIGN_RE.search(s):
-        return ParsedAnswer(kind="opaque")
+        return _OPAQUE
     try:
         if len(s) >= 2 and s[0] in "([{" and s[-1] == {"(": ")", "[": "]", "{": "}"}[s[0]]:
             inner = s[1:-1]
@@ -455,7 +488,7 @@ def parse_math(raw: str) -> ParsedAnswer:
                 )
         return _parse_scalar(s)
     except _ParseError:
-        return ParsedAnswer(kind="opaque")
+        return _OPAQUE
 
 
 def _close(x: float, y: float) -> bool:
@@ -504,15 +537,15 @@ def verify(candidate: str, gold: str, start_stage: int = 1) -> Verdict:
     """Run the cascade; ``start_stage`` disables the stricter stages before it."""
     na, nb = normalize(candidate), normalize(gold)
     if start_stage <= 1 and na == nb and na != "":
-        return Verdict(EQUIVALENT, 1)
+        return _EQUIVALENT_AT[1]
     pa, pb = parse_math(na), parse_math(nb)
     both_numeric = not pa.is_opaque and not pb.is_opaque
     if start_stage <= 2 and both_numeric and _match(pa, pb, _exact_scalar_equal):
-        return Verdict(EQUIVALENT, 2)
+        return _EQUIVALENT_AT[2]
     if start_stage <= 3 and both_numeric:
         if _match(pa, pb, _scalar_close):
-            return Verdict(EQUIVALENT, 3)
-        return Verdict(NOT_EQUIVALENT, 3)
+            return _EQUIVALENT_AT[3]
+        return _NOT_EQUIVALENT
     if (
         start_stage <= 4
         and pa.is_opaque
@@ -521,8 +554,8 @@ def verify(candidate: str, gold: str, start_stage: int = 1) -> Verdict:
         and len(nb) <= OPAQUE_MAX_LEN
         and na == nb
     ):
-        return Verdict(EQUIVALENT, 4)
-    return Verdict(UNVERIFIABLE, None)
+        return _EQUIVALENT_AT[4]
+    return _UNVERIFIABLE
 
 
 def reward(response_answer: str, gold: str) -> float:

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -135,6 +137,41 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "__version__", "9.8.7", raising=False)
         assert dispatch(["--version"]) == 0
         assert capsys.readouterr().out.startswith("rlvrlab 9.8.7 (")
+
+
+class TestRunAsModule:
+    """``python -m rlvrlab`` and ``python -m rlvrlab.cli`` run the command
+    and exit with its code."""
+
+    @staticmethod
+    def run(module, *argv, cwd):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(rlvrlab.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("module", ["rlvrlab", "rlvrlab.cli"])
+    def test_not_equivalent_pair_exits_one(self, module, tmp_path):
+        done = self.run(module, "verify", "--gold", "1", "--pred", "2", cwd=tmp_path)
+        assert done.returncode == 1
+        assert json.loads(done.stdout)["outcome"] == "not_equivalent"
+
+    @pytest.mark.parametrize("module", ["rlvrlab", "rlvrlab.cli"])
+    def test_missing_config_exits_two_with_one_line(self, module, tmp_path):
+        done = self.run(
+            module, "train", "--config", "/nonexistent", "--out-dir", "x", cwd=tmp_path
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "x").exists()
 
 
 class TestCurateCommand:

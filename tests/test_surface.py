@@ -30,8 +30,6 @@ ALLOWED_UNUSED: set[str] = set()
 # Top-level functions and classes no module of the package references, and
 # why each stays.
 ALLOWED_UNREFERENCED = {
-    # The console script's entry point, named in pyproject.toml.
-    ("cli", "main"),
     # The benchmark's calibration.py and findings.py still call them, until
     # ROADMAP item 4 retires those calls.
     ("policy", "sample_response"),
@@ -183,7 +181,9 @@ def package_dataclasses() -> list[type]:
         found += [
             obj
             for obj in vars(module).values()
-            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+            if isinstance(obj, type)  # not a module-level instance of one
+            and dataclasses.is_dataclass(obj)
+            and obj.__module__ == module.__name__
         ]
     return sorted(found, key=lambda c: c.__name__)
 
@@ -245,3 +245,39 @@ def test_every_option_is_read():
     # As ``args.<dest>`` anywhere in the package outside ``build_parser``.
     read = loads_outside("cli", "build_parser", receiver="args")
     assert option_dests() - set(read) == set()
+
+
+# ``re`` functions that take a pattern and compile it, or look it up in
+# ``re``'s own cache, on every call.
+RE_CALLS = {"compile", "sub", "search", "match", "fullmatch", "split", "findall"}
+
+
+def literal_pattern_calls(tree: ast.AST) -> set[int]:
+    """Lines where a function calls one of ``RE_CALLS`` on ``re`` with a
+    literal pattern."""
+    return {
+        call.lineno
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "re"
+        and call.func.attr in RE_CALLS
+        and call.args
+        and isinstance(call.args[0], (ast.Constant, ast.JoinedStr))
+    }
+
+
+def test_patterns_are_compiled_at_module_level():
+    # A pattern is compiled once, into a module constant, not looked up again
+    # by every call of the function that uses it.
+    sample = "P = re.compile('a')\ndef f(s):\n    return re.sub(r'\\s+', '', s)\n"
+    assert literal_pattern_calls(ast.parse(sample)) == {3}
+    found = {
+        (stem, line)
+        for stem, tree in modules().items()
+        for line in literal_pattern_calls(tree)
+    }
+    assert found == set()

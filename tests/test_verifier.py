@@ -1,7 +1,10 @@
+import json
 import re
 import sys
 import time
 from fractions import Fraction
+from itertools import compress
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +253,28 @@ class TestCorpus:
         assert later.stage == verdict.stage
 
 
+# Verdicts pinned by ``make_verifier_verdicts.py``: the corpus in both orders
+# and 2,000 seeded pairs over digits, operators, brackets, ``\frac``,
+# ``\sqrt``, ``\text{``, units, degrees and the letters that fold to units.
+_PINNED = json.loads(
+    (Path(__file__).with_name("verifier_verdicts.json")).read_text(encoding="utf-8")
+)
+
+
+class TestPinnedVerdicts:
+    def test_table_shape(self):
+        assert len(_PINNED) == 2 * len(ALL_PAIRS) + 2000
+        assert [tuple(row[:2]) for row in _PINNED[: len(ALL_PAIRS)]] == ALL_PAIRS
+
+    def test_every_verdict_is_reproduced(self):
+        normalize.cache_clear()
+        parse_math.cache_clear()
+        differ = [
+            row for row in _PINNED if verify(row[0], row[1]) != Verdict(row[2], row[3])
+        ]
+        assert differ == []
+
+
 # Every token the answer parser knows, plus unit and modifier suffixes.
 _ANSWER_PIECES = (
     list("0123456789.eE+-*/^,()[]{}% ")
@@ -378,6 +403,42 @@ class TestAlphabetGate:
     def test_any_text(self, pairs):
         gated, ungated = _with_and_without_gate(pairs)
         assert gated == ungated
+
+
+# Each suffix pattern, the characters its guard admits, and its words.
+_SUFFIXES = {
+    "degree": (
+        verifier._DEGREE_RE,
+        verifier._DEGREE_ENDS,
+        ("degrees", "degree", "^{\\circ}", "^\\circ", "°"),
+    ),
+    "unit": (verifier._UNIT_RE, verifier._UNIT_ENDS, verifier._UNITS),
+}
+
+
+class TestSuffixGuards:
+    """``_strip_modifiers`` runs each end-anchored search only on a string
+    whose last character its guard admits; no other string can match."""
+
+    @pytest.mark.parametrize("name", sorted(_SUFFIXES))
+    def test_every_code_point(self, name):
+        pattern, ends, _ = _SUFFIXES[name]
+        chars = list(map(chr, [*range(0xD800), *range(0xE000, sys.maxunicode + 1)]))
+        matched = set(compress(chars, map(pattern.search, map("5".__add__, chars))))
+        assert matched and matched <= ends
+
+    @pytest.mark.parametrize("name", sorted(_SUFFIXES))
+    def test_every_word_with_its_last_character_replaced(self, name):
+        # Every character that case folding relates to an ASCII letter lies
+        # below U+3000; the Kelvin sign, U+212A, is the highest.
+        pattern, ends, words = _SUFFIXES[name]
+        matched = {
+            c
+            for word in words
+            for c in map(chr, range(0x3000))
+            if pattern.search("5" + word[:-1] + c)
+        }
+        assert {word[-1] for word in words} <= matched <= ends
 
 
 _SMALL_LITERALS = st.one_of(
