@@ -16,7 +16,12 @@ everything else that cannot be decided is ``unverifiable``.
 so a gold shared by many responses is read once; beyond that, a call is
 fast because it does little work, not because more is remembered.  Every
 pattern is compiled once, here, and each costly step runs only where it
-can change the result.
+can change the result.  A bare unsigned literal (``74``, ``0.977``, each
+element of ``(60,69,84)``) is read straight into its record, skipping the
+modifiers, the tokenizer and the parser, which would give it the same
+value.  Records are built with one ``__dict__`` update in place of the
+frozen dataclass's generated ``__init__``; they stay frozen, so the cached
+ones can be shared.  No memo or option goes with either path.
 """
 
 from __future__ import annotations
@@ -96,6 +101,19 @@ class ParsedAnswer:
         return self.kind in ("tuple", "set")
 
 
+def _answer(kind, exact, approx, elements, degree, unit) -> ParsedAnswer:
+    """A ``ParsedAnswer`` built with one update of its ``__dict__``, not by
+    the dataclass's generated ``__init__``, which sets each of the six
+    fields through its own ``object.__setattr__`` call.  The record is as
+    frozen as one built that way: the class refuses every assignment and
+    deletion, and only this update writes its ``__dict__``."""
+    record = object.__new__(ParsedAnswer)
+    record.__dict__.update(
+        kind=kind, exact=exact, approx=approx, elements=elements, degree=degree, unit=unit
+    )
+    return record
+
+
 # Results shared by every call that returns them; all are frozen.
 _OPAQUE = ParsedAnswer(kind="opaque")
 _EQUIVALENT_AT = {stage: Verdict(EQUIVALENT, stage) for stage in (1, 2, 3, 4)}
@@ -111,9 +129,12 @@ def _drop_thousands_separators(s: str) -> str:
     """Drop thousands separators outside brackets ("1,000" -> "1000").
 
     Inside a bracket every comma separates elements, so "{468,289,122}"
-    keeps its three elements and "(1,2)" its two.
+    keeps its three elements and "(1,2)" its two.  A separator the pattern
+    finds in a piece between brackets it also finds in the whole string
+    (a piece ends at a bracket, never at a digit), so a string without a
+    match is returned as it is.
     """
-    if "," not in s:
+    if "," not in s or not _THOUSANDS_RE.search(s):
         return s
     parts, start, depth = [], 0, 0
     for i, ch in enumerate(s):
@@ -187,14 +208,20 @@ _ZERO = Fraction(0)
 _PERCENT = Fraction(1, 100)
 
 
-def _exact(f: Fraction) -> Fraction:
-    """``f``, when it has a float view.  A value past the float range makes
-    the answer opaque, even where a later step would bring it back in range
-    (``10^{400}/10^{399}``)."""
+def _float_view(f: Fraction) -> float:
+    """``float(f)``, the same true division without its ``int()`` calls.  A
+    value past the float range makes the answer opaque."""
     try:
-        f.numerator / f.denominator  # float(f), without its int() calls
+        return f.numerator / f.denominator
     except OverflowError as exc:
         raise _ParseError("value overflows the float view") from exc
+
+
+def _exact(f: Fraction) -> Fraction:
+    """``f``, checked to have a float view: an exact value past the float
+    range makes the answer opaque, even where a later step would bring it
+    back in range (``10^{400}/10^{399}``)."""
+    _float_view(f)
     return f
 
 
@@ -281,6 +308,20 @@ def _tokenize(s: str) -> list[str]:
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE]([+-]?\d+))?$")
 
 
+def _bare_literal(s: str) -> Optional[Fraction]:
+    """The value of a bare unsigned literal: decimal digits with at most one
+    ``.`` (``42``, ``3.14``, ``.5``, ``2.``) and no exponent.  ``None`` for
+    any other string, and a parse error past ``MAX_LITERAL_LEN`` characters.
+    ``int()`` skips Fraction's string parser and gives the same value."""
+    whole, _, frac = s.partition(".")
+    digits = whole + frac
+    if not digits.isdecimal():
+        return None
+    if len(s) > MAX_LITERAL_LEN:
+        raise _ParseError("number literal too long")
+    return Fraction(int(digits), 10 ** len(frac)) if frac else Fraction(int(digits))
+
+
 class _Parser:
     """Recursive-descent evaluator over the token list."""
 
@@ -357,19 +398,13 @@ class _Parser:
             return _num_op(_ZERO, self.parse_power(), "-")
         if tok == "+":
             return self.parse_power()
-        # A literal without an exponent is read with int(), which skips
-        # Fraction's string parser and gives the same value.
-        if tok.isdecimal():
-            if len(tok) > MAX_LITERAL_LEN:
-                raise _ParseError("number literal too long")
-            return _exact(Fraction(int(tok)))
+        literal = _bare_literal(tok)
+        if literal is not None:
+            return _exact(literal)
         number = _NUMBER_RE.match(tok)
-        if number:
+        if number:  # with an exponent: 1e-4, 2.5E3
             if len(tok) > MAX_LITERAL_LEN:
                 raise _ParseError("number literal too long")
-            if number[1] is None:  # 3.14, .5, 2.
-                whole, _, frac = tok.partition(".")
-                return _exact(Fraction(int(whole + frac), 10 ** len(frac)))
             if abs(int(number[1])) > MAX_EXPONENT:
                 raise _ParseError("exponent too large")
             return _exact(Fraction(tok.replace("E", "e")))
@@ -420,6 +455,17 @@ def _strip_modifiers(s: str) -> tuple[str, bool, bool, Optional[str]]:
 
 
 def _parse_scalar(s: str) -> ParsedAnswer:
+    """One scalar.  A bare literal is read straight into its record: it has
+    no modifier to strip, and the parser would read it as one token to the
+    same value.  Anything else goes through ``_parse_expression``."""
+    exact = _bare_literal(s)
+    if exact is not None:
+        return _answer("number", exact, _float_view(exact), (), False, None)
+    return _parse_expression(s)
+
+
+def _parse_expression(s: str) -> ParsedAnswer:
+    """One scalar through the modifiers, the tokenizer and the parser."""
     core, percent, degree, unit = _strip_modifiers(s)
     if not core:
         raise _ParseError("empty value")
@@ -429,16 +475,11 @@ def _parse_scalar(s: str) -> ParsedAnswer:
         raise _ParseError(f"trailing input {parser.peek()!r}")
     if percent:
         value = _num_op(value, _PERCENT, "*")
-    approx = float(value)
-    if not math.isfinite(approx):
+    if isinstance(value, Fraction):
+        return _answer("number", value, _float_view(value), (), degree, unit)
+    if not math.isfinite(value):
         raise _ParseError("non-finite value")
-    return ParsedAnswer(
-        kind="number",
-        exact=value if isinstance(value, Fraction) else None,
-        approx=approx,
-        degree=degree,
-        unit=unit,
-    )
+    return _answer("number", None, value, (), degree, unit)
 
 
 def _split_top_level(s: str) -> list[str]:
@@ -482,9 +523,13 @@ def parse_math(raw: str) -> ParsedAnswer:
             inner = s[1:-1]
             parts = _split_top_level(inner)
             if s[0] == "{" or len(parts) > 1:
-                return ParsedAnswer(
-                    kind="set" if s[0] == "{" else "tuple",
-                    elements=tuple(_parse_scalar(p) for p in parts),
+                return _answer(
+                    "set" if s[0] == "{" else "tuple",
+                    None,
+                    None,
+                    tuple(map(_parse_scalar, parts)),
+                    False,
+                    None,
                 )
         return _parse_scalar(s)
     except _ParseError:

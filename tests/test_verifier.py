@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 import re
 import sys
 import time
@@ -19,6 +21,7 @@ from rlvrlab.verifier import (
     MAX_NESTING,
     NOT_EQUIVALENT,
     UNVERIFIABLE,
+    ParsedAnswer,
     Verdict,
     normalize,
     parse_math,
@@ -439,6 +442,177 @@ class TestSuffixGuards:
             if pattern.search("5" + word[:-1] + c)
         }
         assert {word[-1] for word in words} <= matched <= ends
+
+
+def _fields(answer):
+    """Every field of a parsed answer, its elements' included, with the
+    exact value's type and the float view's repr."""
+    return (
+        answer.kind,
+        type(answer.exact),
+        answer.exact,
+        repr(answer.approx),
+        answer.degree,
+        answer.unit,
+        tuple(map(_fields, answer.elements)),
+    )
+
+
+def _fields_or_none(parse, raw):
+    """``parse(raw)``'s fields, or ``None`` if it raises a parse error."""
+    try:
+        return _fields(parse(raw))
+    except verifier._ParseError:
+        return None
+
+
+def _parse_math_both_ways(raw):
+    """``parse_math(raw)`` with the bare-literal path and with every scalar,
+    container elements included, sent through the tokenizer and parser."""
+    parse_math.cache_clear()
+    fast = _fields(parse_math(raw))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verifier, "_parse_scalar", verifier._parse_expression)
+        parse_math.cache_clear()
+        slow = _fields(parse_math(raw))
+    parse_math.cache_clear()
+    return fast, slow
+
+
+_DECIMAL_DIGITS = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isdecimal()]
+_LITERAL_CHARS = "0123456789.\u0663\uff15"  # with an Arabic-Indic 3 and a fullwidth 5
+_SEEDED_LITERALS = [
+    "".join(random.Random(seed).choices(_LITERAL_CHARS, k=seed % 13))
+    for seed in range(2000)
+]
+_LITERAL_EDGES = [
+    "",
+    ".",
+    "1.",
+    ".5",
+    "2.",
+    "0",
+    "007",
+    "00.50",
+    "000.",
+    ".000",
+    "1..2",
+    "1.2.3",
+    "\u0663",
+    "\uff15",
+    "\u0663.\uff15",
+    "1" * MAX_LITERAL_LEN,
+    "1" * (MAX_LITERAL_LEN + 1),
+    "1" * (MAX_LITERAL_LEN - 1) + ".",
+    "." + "1" * MAX_LITERAL_LEN,
+    "0" * MAX_LITERAL_LEN,
+    "0" * (MAX_LITERAL_LEN + 1),
+    "9" * 400,
+    "9" * 400 + ".5",
+    "0." + "0" * 400 + "1",
+]
+_LITERAL_CASES = _SEEDED_LITERALS + _LITERAL_EDGES + [
+    form.format(c) for c in _DECIMAL_DIGITS for form in ("{}", "1{}", "{}.5", ".{}")
+]
+
+
+class TestBareLiterals:
+    """A bare unsigned literal skips the modifiers, the tokenizer and the
+    parser; it must parse exactly as it would through them."""
+
+    def test_scalar_routes_agree(self):
+        assert len(_DECIMAL_DIGITS) > 600
+        differ = [
+            raw
+            for raw in _LITERAL_CASES
+            if _fields_or_none(verifier._parse_scalar, raw)
+            != _fields_or_none(verifier._parse_expression, raw)
+        ]
+        assert differ == []
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "9" * 400,
+            "(1," + "9" * 400 + ")",
+            "{" + "9" * 400 + ",1}",
+            "{" + "9" * 400 + "}",
+            "0" * (MAX_LITERAL_LEN + 1),
+            "." + "5" * MAX_LITERAL_LEN,
+            "(" + "0" * (MAX_LITERAL_LEN + 1) + ",2)",
+        ],
+        ids=["huge", "huge_in_tuple", "huge_in_set", "huge_alone_in_set",
+             "too_long", "too_long_decimal", "too_long_in_tuple"],
+    )
+    def test_literals_past_the_caps_are_opaque(self, raw):
+        # 400 nines have no float view; the zeros and fives have one, but
+        # are longer than a literal may be.
+        assert _parse_math_both_ways(raw) == (_fields(verifier._OPAQUE),) * 2
+
+    def test_containers_agree(self):
+        cases = [
+            form.format(a, b)
+            for a, b in zip(_LITERAL_CASES, reversed(_LITERAL_CASES))
+            for form in ("({},{})", "{{{},{}}}", "[{},{}]", "({},{}%)")
+        ]
+        differ = [raw for raw in cases if len(set(_parse_math_both_ways(raw))) != 1]
+        assert differ == []
+
+    def test_literals_never_reach_the_tokenizer(self):
+        def refuse(s):
+            raise AssertionError(f"tokenized {s!r}")
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(verifier, "_tokenize", refuse)
+            parse_math.cache_clear()
+            assert parse_math("3.14").exact == Fraction(157, 50)
+            assert parse_math(".5").approx == 0.5
+            assert parse_math("0" * MAX_LITERAL_LEN).exact == 0
+            assert parse_math("\u0663").exact == 3
+            assert [e.exact for e in parse_math("(60,69,84)").elements] == [60, 69, 84]
+            assert parse_math("(1," + "9" * 400 + ")").is_opaque
+        parse_math.cache_clear()
+
+
+_FIELD_NAMES = [f.name for f in dataclasses.fields(ParsedAnswer)]
+
+
+def _records(answer):
+    yield answer
+    for element in answer.elements:
+        yield from _records(element)
+
+
+class TestFrozenRecords:
+    """The records ``parse_math`` and ``verify`` return are cached and
+    shared, so none of them may be changed by assignment."""
+
+    # Numbers from both routes, a tuple, a set whose elements took both
+    # routes, and opaque answers.
+    @pytest.mark.parametrize(
+        "raw",
+        ["42", "3.14", "\\frac{1}{2}", "5km", "45^\\circ", "50%", "\\pi",
+         "(60,69,84)", "{1,\\sqrt{2}}", "hello", ""],
+    )
+    def test_parsed_answers(self, raw):
+        parse_math.cache_clear()
+        for record in _records(parse_math(raw)):
+            assert type(record) is ParsedAnswer
+            assert list(vars(record)) == _FIELD_NAMES
+            for name in _FIELD_NAMES + ["extra"]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, None)
+
+    @pytest.mark.parametrize(
+        "pred,gold",
+        [("7", "7"), ("0.5", "\\frac{1}{2}"), ("\\pi/2", "1.5708"), ("x", "x"),
+         ("1", "2"), ("x", "1")],
+    )
+    def test_verdicts(self, pred, gold):
+        verdict = verify(pred, gold)
+        for name in ("outcome", "stage", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(verdict, name, None)
 
 
 _SMALL_LITERALS = st.one_of(
