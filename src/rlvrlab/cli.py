@@ -248,13 +248,18 @@ def _cmd_train(args, parser) -> int:
     except trainer.CollectAbort as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
-    for idx, ckpt in enumerate(result.stage_checkpoints):
-        path = os.path.join(args.out_dir, f"stage{idx + 1}.ckpt")
-        save_checkpoint(ckpt, path)
+    ckpts = [
+        (f"stage{idx + 1}.ckpt", ckpt)
+        for idx, ckpt in enumerate(result.stage_checkpoints)
+    ]
+    for name, ckpt in [*ckpts, ("final.ckpt", result.policy)]:
+        path = os.path.join(args.out_dir, name)
+        try:
+            save_checkpoint(ckpt, path)
+        except ValueError as exc:
+            # A table the float32 checkpoint cannot hold.
+            parser.exit(2, f"error: {path}: {exc}\n")
         artifacts.append(path)
-    final_path = os.path.join(args.out_dir, "final.ckpt")
-    save_checkpoint(result.policy, final_path)
-    artifacts.append(final_path)
     write_manifest(
         os.path.join(args.out_dir, "manifest.json"),
         "train",

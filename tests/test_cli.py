@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -446,6 +447,31 @@ class TestTrainEvalReport:
         save_checkpoint(init_policy(micro_train_config()), str(ckpt))
         assert dispatch(["eval", "--ckpt", str(ckpt), "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {message}")
+
+    def test_table_past_checkpoint_range_exits_two(self, tmp_path, capsys):
+        # At this learning rate the float64 table outgrows float32 within
+        # two steps; a checkpoint of it could not be loaded again.
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "stages": [{"max_response_len": 8, "max_steps": 2}],
+                    "group_size": 4,
+                    "batch_groups": 4,
+                    "learning_rate": 1e40,
+                    "seed": 1,
+                }
+            )
+        )
+        out_dir = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out_dir / 'stage1.ckpt'}: ")
+        assert "float32" in err and err.count("\n") == 1
+        assert sorted(os.listdir(out_dir)) == ["metrics.jsonl"]
 
     def test_collapsed_run_exits_one(self, tmp_path, capsys):
         # A 1-token cap truncates everything, so every group is all-incorrect

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,46 @@ class TestTokenLogprob:
         params.logits[bucket(params, (0, 0)), 1] = np.nan
         with pytest.raises(ValueError):
             token_logprob(params, Context(2, (0, 0)), 0)
+
+    def test_row_maxima_match_the_per_row_reduction(self):
+        # log_softmax_at takes its row maxima across rows.  A maximum does
+        # not depend on the order of the reduction, except in which zero a
+        # tie of +0.0 and -0.0 returns, and that sign reaches no softmax
+        # value and only the sign of a zero log-prob.
+        rng = np.random.default_rng(3)
+        big = np.finfo(np.float64).max
+        specials = np.array([0.0, -0.0, 1e308, -1e308, big, -big, 5e-324, -5e-324])
+        ties = 0
+        for trial in range(300):
+            n, v = int(rng.integers(0, 600)), int(rng.integers(1, 20))
+            rows = rng.normal(0.0, 10.0, (n, v))
+            if trial % 3:
+                rows = -np.abs(rows)  # maxima at the zeros
+            mask = rng.random((n, v)) < rng.uniform(0.0, 0.9)
+            rows[mask] = rng.choice(specials, int(mask.sum()))
+            toks = rng.integers(0, v, n)
+            old = rows.max(axis=1)
+            new = np.ascontiguousarray(rows.T).max(axis=0)
+            zeros = rows == 0
+            tie = (
+                (old == 0)
+                & (zeros & np.signbit(rows)).any(axis=1)
+                & (zeros & ~np.signbit(rows)).any(axis=1)
+            )
+            ties += int(tie.sum())
+            assert np.array_equal(old, new)
+            assert np.array_equal(old[~tie].view(np.int64), new[~tie].view(np.int64))
+            with np.errstate(over="ignore"):
+                logprobs, probs = policy.log_softmax_at(rows, toks)
+                expd = np.exp(rows - old[:, None])
+                denom = expd.sum(axis=1)
+                want_lp = rows[np.arange(n), toks] - old - np.log(denom)
+            want_probs = expd / denom[:, None]
+            assert np.array_equal(probs.view(np.int64), want_probs.view(np.int64))
+            assert np.array_equal(logprobs, want_lp)
+            same_bits = logprobs.view(np.int64) == want_lp.view(np.int64)
+            assert (same_bits | (tie & (want_lp == 0))).all()
+        assert ties > 100
 
     def test_table_rejects_nonfinite_at_construction(self):
         logits = np.zeros((4, 4))
@@ -403,6 +444,50 @@ class TestSampleGroups:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("temperature", [1.0, 0.6])
+    @pytest.mark.parametrize(
+        "widths", [(1, 1), (2, 16), (3, 5), (4, 8), "max_len"], ids=str
+    )
+    def test_block_widths_change_no_sample(self, monkeypatch, widths, temperature):
+        # Position t of rollout i reads offset (t * group_size + i) * vocab
+        # of its group's stream whatever the block widths, so every width
+        # gives the per-position oracle's tokens and buckets, stragglers
+        # included.
+        rng = np.random.default_rng(41)
+        capped = stopped = 0
+        for trial in range(25):
+            vocab_size = int(rng.integers(2, 9))
+            params = random_params(
+                rng, vocab_size, int(rng.integers(1, 4)), int(rng.integers(1, 50)), 2.0
+            )
+            # Most rollouts stop soon; a few run to the cap.
+            params.logits[:, params.vocab.eos] += rng.uniform(-4.0, 2.0)
+            max_len = int(rng.integers(1, 40))
+            group_size = int(rng.integers(1, 6))
+            queries = [
+                tuple(rng.integers(0, vocab_size, int(rng.integers(0, 4))).tolist())
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            seed = int(rng.integers(1 << 31))
+
+            def rngs():
+                return [np.random.default_rng([seed, i]) for i in range(len(queries))]
+
+            first, block = (max_len, max_len) if widths == "max_len" else widths
+            monkeypatch.setattr(policy, "FIRST_BLOCK", first)
+            monkeypatch.setattr(policy, "BLOCK", block)
+            padded = padded_queries(queries, params.vocab.begin_marker)
+            got = sample_groups(params, padded, group_size, max_len, temperature, rngs())
+            want = oracles.reference_lockstep(
+                params, queries, group_size, max_len, temperature, rngs()
+            )
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            ended = (got[0] == params.vocab.eos).any(axis=1)
+            capped += int((~ended).sum()) if max_len > 1 else 0
+            stopped += int(ended.sum())
+        assert capped > 5 and stopped > 5
+
     def test_generator_advances_past_the_block(self):
         # Every rollout stops at its first token, but the generator has
         # drawn the whole first block of noise.
@@ -448,6 +533,20 @@ class TestCheckpoint:
         assert len(raw) == 20 + 4 * 3 * 5
         header = np.frombuffer(raw[:20], dtype="<u4")
         assert list(header) == [1, 2, 3, 5, 4]
+
+    def test_table_past_float32_range_rejected_before_writing(self, tmp_path):
+        params = PolicyParams.uniform(Vocab(5, 4), 2, 3)
+        path = tmp_path / "p.ckpt"
+        for bad in (4e38, -1e300):
+            params.logits[1, 2] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="float32"):
+                    save_checkpoint(params, str(path))
+            assert not path.exists()
+        params.logits[1, 2] = -3.4e38
+        save_checkpoint(params, str(path))
+        assert load_checkpoint(str(path)).logits[1, 2] == np.float32(-3.4e38)
 
     def test_corrupt_files_rejected(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")
