@@ -122,6 +122,14 @@ def _cmd_verify(args, parser) -> int:
                     f"error: {args.pairs} line {n}: "
                     'expected an object with "pred" and "gold"\n',
                 )
+            for key in ("pred", "gold"):
+                value = row[key]
+                if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                    parser.exit(
+                        2,
+                        f"error: {args.pairs} line {n}: "
+                        f'"{key}" must be a string or a number, got {json.dumps(value)}\n',
+                    )
             verdict = verifier.verify(str(row["pred"]), str(row["gold"]))
             row["outcome"] = verdict.outcome
             row["stage"] = verdict.stage

@@ -165,10 +165,11 @@ MAX_CONTEXT_ORDER = 6
 # Caps on what one ``evaluate`` call may ask for.  Each of its lockstep
 # calls samples EVAL_CHUNK * k rollouts of up to max_len positions and,
 # when no rollout stops early, peaks at about 32 bytes per position
-# (history, token and bucket arrays) plus one slice of the finiteness check
-# and a block of noise with its gathered copy: 25.4 MB at k 128 and max_len
-# 256, and 82.5 MB at MAX_EVAL_K and MAX_EVAL_LEN.  The task set takes
-# about 130 bytes per task at its peak, 13 MB at MAX_EVAL_TASKS
+# (history, token and bucket arrays) plus a block of noise with its gathered
+# copy and, for the finiteness check, a copy of each table row it read.
+# Over a 16,384-row table that is 20.8 MB at k 128 and max_len 256, and
+# 80.2 MB at MAX_EVAL_K and MAX_EVAL_LEN.  The task set takes about 130
+# bytes per task at its peak, 13 MB at MAX_EVAL_TASKS
 # (tracemalloc, numpy 2.4).
 MAX_EVAL_K = 512
 MAX_EVAL_LEN = 256

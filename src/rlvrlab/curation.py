@@ -34,8 +34,12 @@ class ProblemRecord:
     def __post_init__(self) -> None:
         if not self.question:
             raise ValueError("question must be nonempty")
-        if self.pass_rate is not None and not 0.0 <= self.pass_rate <= 1.0:
-            raise ValueError(f"pass_rate {self.pass_rate} outside [0, 1]")
+        rate = self.pass_rate
+        if rate is not None:
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise ValueError(f"pass_rate must be a number, got {rate!r}")
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"pass_rate {rate} outside [0, 1]")
 
     def to_dict(self) -> dict:
         out = {
@@ -52,11 +56,17 @@ class ProblemRecord:
 
     @classmethod
     def from_dict(cls, d: dict, fallback_id: str = "") -> "ProblemRecord":
+        """The record of a JSON object; a null field is read as absent."""
+
+        def text(key: str, default: str) -> str:
+            value = d.get(key)
+            return default if value is None else str(value)
+
         return cls(
-            id=str(d.get("id", fallback_id)),
+            id=text("id", fallback_id),
             question=d["question"],
-            answer=str(d.get("answer", "")),
-            source=str(d.get("source", "")),
+            answer=text("answer", ""),
+            source=text("source", ""),
             pass_rate=d.get("pass_rate"),
             response=d.get("response"),
             response_len=d.get("response_len"),

@@ -34,10 +34,6 @@ _HASH_MASK = (1 << 64) - 1
 # change no sampled value, only how often a generator is called.
 FIRST_BLOCK = 2
 BLOCK = 16
-# Filled positions whose logit rows ``sample_groups`` gathers at once for
-# its finiteness check: one gather for any training call, and a bounded
-# copy for a long evaluation call.
-FINITE_CHECK_SLICE = 65_536
 
 
 @dataclass(frozen=True)
@@ -178,8 +174,8 @@ def sample_groups(
     rollouts and their noise rows are compacted only at a position where
     some rollout ended, and the loop stops once none is left; a division
     by a temperature of 1.0, which is exact, is skipped; and the table
-    is checked for non-finite entries once per call, over the rows the
-    call read, gathered ``FINITE_CHECK_SLICE`` positions at a time.  A
+    is checked for non-finite entries once per call, over each distinct
+    row the call read, which the loop marks in one flag per table row.  A
     non-finite row no rollout reaches is never rejected; one that is
     reached raises ``ValueError``, as it would have at the position that
     read it.
@@ -219,6 +215,7 @@ def sample_groups(
     logits = params.logits
     buckets = np.full((max_len, n), -1, dtype=np.int64)
     scaled = temperature != 1.0  # division by 1.0 is exact
+    read = np.zeros(params.buckets, dtype=bool)  # the table rows read
     live = np.arange(n)
     start = 0
     while live.size and start < max_len:
@@ -254,6 +251,7 @@ def sample_groups(
             live_buckets %= n_buckets
             live_buckets = live_buckets.view(np.int64)
             buckets[t].put(live, live_buckets)
+            read[live_buckets] = True
             # Gumbel-max draw from softmax(row / temperature).
             scores = gumbel.take(row, axis=0)
             rows = logits.take(live_buckets, axis=0)
@@ -272,13 +270,11 @@ def sample_groups(
             row += 1
         start = stop
     buckets = np.ascontiguousarray(buckets.T)
-    # One finiteness check, over the rows the call read: a non-finite entry
+    # One finiteness check, over each row the call read: a non-finite entry
     # can change which rows are read after it, never hide its own row.
-    read = buckets[buckets >= 0]
-    for lo in range(0, read.size, FINITE_CHECK_SLICE):
-        chunk = read[lo : lo + FINITE_CHECK_SLICE]
-        if not np.isfinite(logits.take(chunk, axis=0)).all():
-            raise ValueError("logits table contains non-finite entries")
+    # ``take`` of the marked rows' indices copies them faster than a mask.
+    if not np.isfinite(logits.take(np.flatnonzero(read), axis=0)).all():
+        raise ValueError("logits table contains non-finite entries")
     return np.subtract(history[k:].T.view(np.int64), 1, order="C"), buckets
 
 

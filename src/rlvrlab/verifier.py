@@ -92,6 +92,24 @@ class ParsedAnswer:
     degree: bool = False
     unit: Optional[str] = None
 
+    def __repr__(self) -> str:
+        # The dataclass repr, except that a Fraction past Python's limit on
+        # int-to-string conversion (4,300 digits by default), which an exact
+        # power may reach, is shown by the bit lengths of its terms.
+        try:
+            exact = repr(self.exact)
+        except ValueError:
+            num, den = self.exact.numerator, self.exact.denominator
+            sign = "-" if num < 0 else ""
+            exact = (
+                f"Fraction({sign}<{num.bit_length()}-bit int>, "
+                f"<{den.bit_length()}-bit int>)"
+            )
+        return (
+            f"ParsedAnswer(kind={self.kind!r}, exact={exact}, approx={self.approx!r}, "
+            f"elements={self.elements!r}, degree={self.degree!r}, unit={self.unit!r})"
+        )
+
     @property
     def is_opaque(self) -> bool:
         return self.kind == "opaque"

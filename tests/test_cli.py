@@ -77,6 +77,34 @@ class TestVerifyCommand:
         assert err.startswith(f"error: {pairs} line 2: {reason}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "row,reason",
+        [
+            ({"pred": None, "gold": "None"}, '"pred" must be a string or a number, got null'),
+            ({"pred": True, "gold": "True"}, '"pred" must be a string or a number, got true'),
+            ({"pred": "1", "gold": False}, '"gold" must be a string or a number, got false'),
+            ({"pred": "1", "gold": [1]}, '"gold" must be a string or a number, got [1]'),
+            ({"pred": {}, "gold": "1"}, '"pred" must be a string or a number, got {}'),
+        ],
+        ids=["null_pred", "bool_pred", "bool_gold", "list_gold", "object_pred"],
+    )
+    def test_pairs_answer_of_another_type_exits_two(self, tmp_path, capsys, row, reason):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"gold": "1", "pred": "1"}) + "\n" + json.dumps(row) + "\n")
+        assert dispatch(["verify", "--pairs", str(pairs)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: {pairs} line 2: {reason}\n"
+        assert out == ""
+
+    def test_pairs_numbers_keep_their_string_form(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        rows = [{"pred": 2, "gold": "2"}, {"pred": 0.5, "gold": "1/2"}, {"pred": 1e100, "gold": 3}]
+        pairs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert dispatch(["verify", "--pairs", str(pairs)]) == 0
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [l["outcome"] for l in lines] == ["equivalent", "equivalent", "not_equivalent"]
+        assert [l["pred"] for l in lines] == [2, 0.5, 1e100]
+
     def test_manifest_records_no_seed(self, tmp_path):
         manifest = tmp_path / "m.json"
         assert dispatch(["verify", "--gold", "1", "--pred", "1", "--manifest", str(manifest)]) == 0

@@ -324,8 +324,51 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             ProblemRecord(id="x", question="q", answer="1", pass_rate=1.5)
 
+    @pytest.mark.parametrize(
+        "bad", [True, False, "0.5", [0.5]], ids=["true", "false", "string", "list"]
+    )
+    def test_pass_rate_must_be_a_real_number(self, bad):
+        with pytest.raises(ValueError, match="pass_rate must be a number"):
+            ProblemRecord(id="x", question="q", answer="1", pass_rate=bad)
+        assert ProblemRecord(id="x", question="q", answer="1", pass_rate=1).pass_rate == 1
+
+    def test_null_fields_read_as_absent(self):
+        d = {"id": None, "question": "q", "answer": None, "source": None,
+             "pass_rate": None, "response": None, "response_len": None}
+        record = ProblemRecord.from_dict(d, "r4")
+        assert record == ProblemRecord(id="r4", question="q", answer="", source="")
+        assert record.to_dict() == {"id": "r4", "question": "q", "answer": "", "source": ""}
+
+    def test_numbers_keep_their_string_form(self):
+        record = ProblemRecord.from_dict({"id": 7, "question": "q", "answer": 2.5})
+        assert (record.id, record.answer) == ("7", "2.5")
+
 
 class TestJsonlRoundTrip:
+    def test_null_id_falls_back_to_the_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(
+            json.dumps({"id": "a", "question": "What is 1+1?", "answer": None})
+            + "\n"
+            + json.dumps({"id": None, "question": "What is 2+2?", "source": None})
+            + "\n"
+        )
+        assert read_records(str(path)) == [
+            ProblemRecord(id="a", question="What is 1+1?", answer=""),
+            ProblemRecord(id="r1", question="What is 2+2?", answer=""),
+        ]
+
+    def test_bool_pass_rate_names_its_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(
+            json.dumps({"question": "q1", "pass_rate": 0.5})
+            + "\n"
+            + json.dumps({"question": "q2", "pass_rate": True})
+            + "\n"
+        )
+        with pytest.raises(ValueError, match="^line 2: pass_rate must be a number"):
+            read_records(str(path))
+
     def test_round_trip(self, tmp_path):
         records, _ = build_funnel_fixture()
         path = str(tmp_path / "records.jsonl")

@@ -301,23 +301,48 @@ class TestSampleResponse:
         params = self.counting_params()
         want = sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
         params.logits[bucket(params, (7,)), :] = bad
-        params.logits[40:, 3] = bad  # rows of no context of this vocabulary
+        # Rows of no context of this vocabulary, the last of them the one a
+        # -1 past the rollout's end would name if it indexed the table.
+        params.logits[40:, 3] = bad
         got = sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
         assert got == want
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 7])
-    def test_every_slice_of_the_finiteness_check_is_read(self, monkeypatch, width):
-        # The check gathers the rows read FINITE_CHECK_SLICE positions at a
-        # time.  Query (0,) reads 7 positions; the row of context (6,) is
-        # read at the last of them, so it lies in the last slice.
-        monkeypatch.setattr(policy, "FINITE_CHECK_SLICE", width)
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 7])
+    def test_row_read_only_at_the_last_position_is_checked(self, max_len):
+        # Query (0,) reads the rows of contexts (0,) .. (max_len - 1,), the
+        # last of them only at its last position; the row of context
+        # (max_len,) is never read.
         params = self.counting_params()
-        want = sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
-        params.logits[bucket(params, (7,)), :] = np.nan  # never read
-        assert sample_response(params, (0,), 10, 1.0, np.random.default_rng(0)) == want
-        params.logits[bucket(params, (6,)), 0] = np.inf
+        want = sample_response(params, (0,), max_len, 1.0, np.random.default_rng(0))
+        assert want == tuple(range(1, max_len + 1))
+        params.logits[bucket(params, (max_len,)), :] = np.nan
+        got = sample_response(params, (0,), max_len, 1.0, np.random.default_rng(0))
+        assert got == want
+        params.logits[bucket(params, (max_len - 1,)), 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
+            sample_response(params, (0,), max_len, 1.0, np.random.default_rng(0))
+
+    def test_row_read_by_one_rollout_of_a_later_group_is_checked(self):
+        # After token 0 the policy emits 1 or 5 with even odds, so a rollout
+        # of query (0,) reads the row of context (2,), at position 2, only
+        # if it took the branch through 1.  Query (3,) never reads it.
+        params = self.counting_params()
+        params.logits[bucket(params, (0,)), 5] = 50.0
+        row = bucket(params, (2,))
+
+        def sample():
+            rngs = [np.random.default_rng([0, g]) for g in range(2)]
+            return sample_groups(params, np.array([[3], [0]]), 4, 10, 1.0, rngs)
+
+        tokens, buckets = sample()
+        assert tokens[:, 0].tolist() == [4, 4, 4, 4, 1, 5, 5, 5]
+        assert np.argwhere(buckets == row).tolist() == [[4, 2]]
+        assert 2 >= FIRST_BLOCK
+        params.logits[bucket(params, (7,)), :] = np.nan  # never read
+        np.testing.assert_array_equal(sample()[0], tokens)
+        params.logits[row, 0] = -np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            sample()
 
     def test_matches_token_at_a_time_oracle(self):
         rng = np.random.default_rng(17)

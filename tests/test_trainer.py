@@ -762,6 +762,21 @@ class TestTrain:
         assert result.metrics[0].objective == pytest.approx(j, abs=1e-12)
         assert not np.array_equal(policy.logits, snapshot.logits)
 
+    def test_inner_iterations_make_the_clip_bind(self):
+        # With one iteration every ratio is 1, so the clip bounds change
+        # nothing; with two, the second update's ratios leave 1 and the
+        # bounds decide which tokens are clipped.
+        def run(inner_iterations, clip=0.2):
+            stage = StagePlan(12, clip_low=clip, clip_high=clip, max_steps=5)
+            result = train(tiny_config(stages=(stage,), inner_iterations=inner_iterations))
+            metrics = [json.dumps(m.to_dict()) for m in result.metrics]
+            return result.policy.logits.tobytes(), metrics
+
+        table, metrics = run(2)
+        assert run(2) == (table, metrics)
+        assert run(1)[0] != table
+        assert run(2, clip=0.05)[0] != table
+
     @pytest.mark.parametrize("inner_iterations,per_step", [(1, 1), (2, 3)])
     def test_log_softmaxes_per_step(self, monkeypatch, inner_iterations, per_step):
         # On policy, the objective's one log-softmax gives both the new and

@@ -615,6 +615,24 @@ class TestFrozenRecords:
                 setattr(verdict, name, None)
 
 
+class TestParsedAnswerRepr:
+    def test_ordinary_record_keeps_the_dataclass_repr(self):
+        assert repr(parse_math("\\frac{1}{2}")) == (
+            "ParsedAnswer(kind='number', exact=Fraction(1, 2), approx=0.5, "
+            "elements=(), degree=False, unit=None)"
+        )
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_value_past_the_digit_limit_shows_bit_lengths(self, sign):
+        # 99**4096 / 100**4096: both terms have more digits than Python's
+        # default limit of 4,300 for converting an int to a string.
+        record = parse_math(sign + "(0.99)^{4096}")
+        assert abs(record.exact.numerator) == 99**4096
+        text = repr(record)
+        assert f"exact=Fraction({sign}<27154-bit int>, <27214-bit int>)" in text
+        assert repr((record,)) == f"({text},)"
+
+
 _SMALL_LITERALS = st.one_of(
     st.integers(0, 12).map(str), st.sampled_from(["0.5", "1.25", "\\pi"])
 )
