@@ -19,10 +19,13 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__, curation, tasks, trainer, verifier
 from .config import TrainConfig, check_eval_sizes
@@ -48,7 +51,8 @@ def write_manifest(
     started_at: str,
     artifacts: list[str],
 ) -> None:
-    """Atomically record what a run did and what it produced."""
+    """Atomically record what a run did, what it produced and the machine
+    and versions it ran on."""
     manifest = {
         "command": command,
         "config_hash": _config_hash(config_obj),
@@ -56,6 +60,10 @@ def write_manifest(
         "started_at": started_at,
         "finished_at": _utc_now(),
         "artifacts": sorted(artifacts),
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
     }
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:

@@ -40,6 +40,14 @@ class ProblemRecord:
                 raise ValueError(f"pass_rate must be a number, got {rate!r}")
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"pass_rate {rate} outside [0, 1]")
+        if self.response is not None and not isinstance(self.response, str):
+            raise ValueError(
+                f"response must be a string, got {type(self.response).__name__}"
+            )
+        n = self.response_len
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
+            shown = n if type(n) is int else type(n).__name__
+            raise ValueError(f"response_len must be an integer >= 0, got {shown}")
 
     def to_dict(self) -> dict:
         out = {
@@ -56,11 +64,19 @@ class ProblemRecord:
 
     @classmethod
     def from_dict(cls, d: dict, fallback_id: str = "") -> "ProblemRecord":
-        """The record of a JSON object; a null field is read as absent."""
+        """The record of a JSON object; a null field is read as absent.  An
+        ``id``, ``answer`` or ``source`` may be a string or a number, which
+        keeps its ``str()`` form; any other value is a ``ValueError``."""
 
         def text(key: str, default: str) -> str:
             value = d.get(key)
-            return default if value is None else str(value)
+            if value is None:
+                return default
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(
+                    f"{key} must be a string or a number, got {type(value).__name__}"
+                )
+            return str(value)
 
         return cls(
             id=text("id", fallback_id),

@@ -34,6 +34,12 @@ _HASH_MASK = (1 << 64) - 1
 # change no sampled value, only how often a generator is called.
 FIRST_BLOCK = 2
 BLOCK = 16
+# Live rollouts at or below which a block after the first covers the rest
+# of the call and is settled by fixed-point passes over all its positions,
+# which pay per pass where the loop pays per position.  The count changes
+# no sampled value, only how the tokens are found and how far a generator
+# is advanced.
+TAIL_LIVE = 32
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,25 @@ def sample_groups(
     the rows of rollouts that have already ended are drawn but never
     transformed.
 
+    A block after the first that starts with at most ``TAIL_LIVE`` live
+    rollouts is the tail: it covers every position left, up to
+    ``max_len``, so each group live at its start advances its generator
+    to the end of the call, with draws of the same layout.  Once its noise
+    is drawn, the tail's tokens are a fixed function of it, found by
+    passes over all its unsettled positions at once (Jacobi iteration,
+    arXiv 2305.10427): each pass hashes every window from the previous
+    pass's tokens, gathers the rows, adds the same noise and takes the
+    argmax, the loop's arithmetic bit for bit.  A pass's token is the
+    loop's wherever its window was, so each pass settles at least one
+    more position, and one that changes no token has settled them all.
+    Where passes settle one position at a time, a chain in which each
+    token sets the next, the tail goes on one position at a time.  Then
+    each rollout is cut at its first eos; a token past it, or a row that
+    only an unsettled guess read, reaches neither the arrays nor the
+    finiteness check.  So the tail gives every token and bucket the loop
+    would, in a few passes where stragglers would pay the loop's fixed
+    cost at each of their positions.
+
     Returns two ``(len(queries) * group_size, max_len)`` arrays, the
     tokens and the buckets the sampler hashed.  Row ``g * group_size + i``
     belongs to rollout ``i`` of query ``g``: column ``t`` holds its token
@@ -219,6 +244,11 @@ def sample_groups(
     live = np.arange(n)
     start = 0
     while live.size and start < max_len:
+        if start and live.size <= TAIL_LIVE:
+            _settle_tail(
+                params, temperature, rngs, group_size, history, buckets, read, live, start
+            )
+            break
         stop = min(max_len, start + (BLOCK if start else FIRST_BLOCK))
         width = stop - start
         # One block of noise per live group, in the order of the groups:
@@ -240,10 +270,7 @@ def sample_groups(
         # start + t.
         slot = np.cumsum(first) - 1
         noise = noise[slot, :, live % group_size]
-        np.log(noise, out=noise)
-        np.negative(noise, out=noise)
-        np.log(noise, out=noise)
-        np.negative(noise, out=noise)
+        _gumbel(noise)
         gumbel = noise.reshape(-1, vocab.size)
         row = np.arange(0, gumbel.shape[0], width)
         for t in range(start, stop):
@@ -276,6 +303,94 @@ def sample_groups(
     if not np.isfinite(logits.take(np.flatnonzero(read), axis=0)).all():
         raise ValueError("logits table contains non-finite entries")
     return np.subtract(history[k:].T.view(np.int64), 1, order="C"), buckets
+
+
+def _gumbel(uniforms: np.ndarray) -> None:
+    """Turn uniforms into Gumbel noise, -log(-log(u)), in place."""
+    np.log(uniforms, out=uniforms)
+    np.negative(uniforms, out=uniforms)
+    np.log(uniforms, out=uniforms)
+    np.negative(uniforms, out=uniforms)
+
+
+def _settle_tail(
+    params: PolicyParams,
+    temperature: float,
+    rngs: Sequence[np.random.Generator],
+    group_size: int,
+    history: np.ndarray,
+    buckets: np.ndarray,
+    read: np.ndarray,
+    live: np.ndarray,
+    start: int,
+) -> None:
+    """Sample positions ``start`` to the end of the call of the ``live``
+    rollouts by fixed-point passes, and write their tokens and buckets
+    into ``sample_groups``' arrays as its loop would have."""
+    k, vocab = params.k, params.vocab
+    width = buckets.shape[0] - start
+    # Each live group in turn draws its (width, group_size, vocab) block of
+    # uniforms into one buffer, and only its live rollouts' rows are kept,
+    # position-major: the j-th of them reads noise[t, j] at position
+    # start + t.  Its groups are runs of ``live``, which is ascending.
+    noise = np.empty((width, live.size, vocab.size))
+    block = np.empty((width, group_size, vocab.size))
+    group, member = np.divmod(live, group_size)
+    first = 0
+    for end in [*(np.flatnonzero(np.diff(group)) + 1).tolist(), live.size]:
+        rngs[group[first]].random(out=block)
+        noise[:, first:end] = block[:, member[first:end]]
+        first = end
+    del block  # one group's noise, not needed by the passes
+    _gumbel(noise)
+    # The tokens (plus one, as in the history) before the block and, after
+    # them, the latest guess; windows[t, j] is the window before position
+    # start + t of rollout j.  A pass recomputes every position from lo on
+    # from the previous pass's tokens.  Its token at a position is the
+    # loop's once the tokens before it are, so the positions up to and
+    # including the first one it changed are settled, and a pass that
+    # changes nothing has settled them all.
+    ctx = np.zeros((k + width, live.size), dtype=np.uint64)  # any guess will do
+    ctx[:k] = history[start : start + k].take(live, axis=1)
+    windows = np.ndarray(
+        (width, live.size, k), np.uint64, ctx, strides=(*ctx.strides, ctx.strides[0])
+    )
+    powers = _hash_terms(k)
+    n_buckets = np.uint64(params.buckets)
+    at = np.empty((width, live.size), dtype=np.uint64)
+    lo = slow = 0
+    while lo < width:
+        # A chain of tokens each set by the one before settles one position
+        # a pass.  After two such passes in a row, not counting the first,
+        # which always is one, go one position at a time, as the loop does.
+        hi = width if slow < 2 else lo + 1
+        np.matmul(windows[lo:hi], powers, out=at[lo:hi])
+        at[lo:hi] %= n_buckets
+        scores = params.logits.take(at[lo:hi].view(np.int64), axis=0)
+        if temperature != 1.0:
+            scores /= temperature
+        scores += noise[lo:hi]
+        toks = scores.argmax(axis=2)
+        toks += 1
+        if hi == lo + 1:  # its window is settled, and so its token
+            ctx[k + lo] = toks[0]
+            lo = hi
+            continue
+        guess = ctx[k + lo : k + hi]
+        changed = np.flatnonzero((toks != guess.view(np.int64)).any(axis=1))
+        guess[:] = toks
+        step = int(changed[0]) + 1 if changed.size else hi - lo
+        slow = slow + 1 if step == 1 and lo else 0
+        lo += step
+    # Cut each rollout after its first eos: only the positions up to it
+    # reach the arrays and the read mark.
+    ended = np.logical_or.accumulate(ctx[k:] == vocab.eos + 1, axis=0)
+    kept = np.ones_like(ended)
+    np.logical_not(ended[:-1], out=kept[1:])
+    at = at.view(np.int64)
+    history[k + start :, live] = np.where(kept, ctx[k:], 0)
+    buckets[start:, live] = np.where(kept, at, -1)
+    read[at[kept]] = True
 
 
 def sample_response(

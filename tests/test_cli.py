@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import rlvrlab
@@ -110,6 +112,15 @@ class TestVerifyCommand:
         assert dispatch(["verify", "--gold", "1", "--pred", "1", "--manifest", str(manifest)]) == 0
         assert json.loads(manifest.read_text())["seed"] is None
         assert dispatch(["verify", "--gold", "1", "--pred", "1", "--seed", "3"]) == 2
+
+    def test_manifest_records_the_machine(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        assert dispatch(["verify", "--gold", "1", "--pred", "1", "--manifest", str(manifest)]) == 0
+        got = json.loads(manifest.read_text())
+        assert got["python_version"] == platform.python_version()
+        assert got["numpy_version"] == np.__version__
+        assert got["platform"] == platform.platform()
+        assert got["cpu_count"] == os.cpu_count()
 
     @pytest.mark.parametrize(
         "args,flag",
@@ -259,8 +270,17 @@ class TestCurateCommand:
             ("not json", "invalid JSON"),
             (json.dumps({"id": "x", "answer": "1"}), 'expected an object with a string "question"'),
             ('["question"]', 'expected an object with a string "question"'),
+            (
+                json.dumps({"question": "What is 4+4?", "answer": ["8"]}),
+                "answer must be a string or a number, got list",
+            ),
+            (
+                json.dumps({"question": "q", "response_len": True, "response": "7"}),
+                "response_len must be an integer >= 0, got bool",
+            ),
+            (json.dumps({"question": "q", "response": 7}), "response must be a string, got int"),
         ],
-        ids=["not_json", "missing_question", "not_object"],
+        ids=["not_json", "missing_question", "not_object", "list_answer", "bool_length", "int_response"],
     )
     @pytest.mark.parametrize("role", ["in", "eval_set"])
     def test_bad_record_exits_two(self, tmp_path, capsys, bad_line, reason, role):

@@ -343,6 +343,37 @@ class TestRecordValidation:
         record = ProblemRecord.from_dict({"id": 7, "question": "q", "answer": 2.5})
         assert (record.id, record.answer) == ("7", "2.5")
 
+    @pytest.mark.parametrize("key", ["id", "answer", "source"])
+    @pytest.mark.parametrize(
+        "bad,kind",
+        [(["8"], "list"), ({"a": 1}, "dict"), (True, "bool"), (False, "bool")],
+        ids=["list", "object", "true", "false"],
+    )
+    def test_text_fields_take_only_strings_and_numbers(self, key, bad, kind):
+        with pytest.raises(ValueError, match=f"{key} must be a string or a number, got {kind}"):
+            ProblemRecord.from_dict({"question": "q", key: bad})
+
+    @pytest.mark.parametrize(
+        "bad,kind", [(7, "int"), (True, "bool"), (["a"], "list")], ids=["int", "true", "list"]
+    )
+    def test_response_must_be_a_string(self, bad, kind):
+        with pytest.raises(ValueError, match=f"response must be a string, got {kind}"):
+            ProblemRecord.from_dict({"question": "q", "response": bad})
+
+    @pytest.mark.parametrize(
+        "bad,shown",
+        [(True, "bool"), (False, "bool"), (-1, "-1"), (2.0, "float"), ("3", "str")],
+        ids=["true", "false", "negative", "float", "string"],
+    )
+    def test_response_len_must_be_a_nonnegative_int(self, bad, shown):
+        with pytest.raises(ValueError, match=f"response_len must be an integer >= 0, got {shown}"):
+            ProblemRecord.from_dict({"question": "q", "response_len": bad})
+
+    def test_response_fields_round_trip(self):
+        d = {"id": "a", "question": "q", "answer": "1", "source": "s",
+             "response": "so 1", "response_len": 0}
+        assert ProblemRecord.from_dict(d).to_dict() == d
+
 
 class TestJsonlRoundTrip:
     def test_null_id_falls_back_to_the_line(self, tmp_path):

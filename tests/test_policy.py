@@ -538,6 +538,138 @@ class TestSampleGroups:
             sample_groups(params, np.array([0, 1]), 2, 5, 1.0, [np.random.default_rng(0)])
 
 
+class _RecordingTable(np.ndarray):
+    """A logits table that records the rows each ``take`` gathers."""
+
+    def take(self, indices, axis=None, out=None, mode="raise"):
+        self.reads.append(np.array(indices).ravel())
+        return np.asarray(self).take(indices, axis=axis, out=out, mode=mode)
+
+
+def recording(params):
+    """Give ``params`` a table that records its gathers; returns the list
+    of the rows gathered, one array per ``take``."""
+    params.logits = params.logits.view(_RecordingTable)
+    params.logits.reads = []
+    return params.logits.reads
+
+
+class TestSamplerTail:
+    """A block after the first that starts with at most ``TAIL_LIVE`` live
+    rollouts runs to the end of the call, settled by fixed-point passes:
+    every token and bucket is the loop's, and so is every accept or
+    reject."""
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.6])
+    @pytest.mark.parametrize("tail_live", [0, 32, 10**9], ids=["never", "default", "always"])
+    def test_tail_changes_no_sample(self, monkeypatch, tail_live, temperature):
+        rng = np.random.default_rng(43)
+        monkeypatch.setattr(policy, "TAIL_LIVE", tail_live)
+        capped = ended_in_tail = 0
+        for trial in range(25):
+            vocab_size = int(rng.integers(2, 9))
+            params = random_params(
+                rng, vocab_size, int(rng.integers(1, 4)), int(rng.integers(1, 50)), 2.0
+            )
+            params.logits[:, params.vocab.eos] += rng.uniform(-4.0, 1.0)
+            max_len = int(rng.integers(3, 40))
+            group_size = int(rng.integers(1, 6))
+            queries = [
+                tuple(rng.integers(0, vocab_size, int(rng.integers(0, 4))).tolist())
+                for _ in range(int(rng.integers(1, 10)))
+            ]
+            seed = int(rng.integers(1 << 31))
+
+            def rngs():
+                return [np.random.default_rng([seed, i]) for i in range(len(queries))]
+
+            padded = padded_queries(queries, params.vocab.begin_marker)
+            got = sample_groups(params, padded, group_size, max_len, temperature, rngs())
+            want = oracles.reference_lockstep(
+                params, queries, group_size, max_len, temperature, rngs()
+            )
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            ended = (got[0] == params.vocab.eos).any(axis=1)
+            lengths = (got[0] >= 0).sum(axis=1)
+            capped += int((~ended).sum())
+            ended_in_tail += int((ended & (lengths > FIRST_BLOCK + 1)).sum())
+        assert capped > 5 and ended_in_tail > 5
+
+    def test_group_alone_and_in_a_crowd_of_long_rollouts(self, monkeypatch):
+        # Alone, the group's 4 rollouts take the tail after the first block;
+        # among 64 long rollouts they go through the loop first.  The rows
+        # must not depend on which.
+        rng = np.random.default_rng(5)
+        params = random_params(rng, vocab_size=8, k=3, buckets=64, scale=1.0)
+        params.logits[:, params.vocab.eos] -= 0.5
+        tails = []
+        real = policy._settle_tail
+
+        def spy(*args):
+            live, start = args[-2:]
+            tails.append((start, live.size))
+            return real(*args)
+
+        monkeypatch.setattr(policy, "_settle_tail", spy)
+        queries = rng.integers(0, 7, (16, 2))
+
+        def rngs(ids):
+            return [np.random.default_rng([9, i]) for i in ids]
+
+        crowd = sample_groups(params, queries, 4, 40, 0.6, rngs(range(16)))
+        crowd_tails = tails[:]
+        tails.clear()
+        alone = sample_groups(params, queries[5:6], 4, 40, 0.6, rngs([5]))
+        assert tails == [(FIRST_BLOCK, 4)]
+        assert crowd_tails and crowd_tails[0][0] > FIRST_BLOCK
+        assert (alone[0] >= 0).sum(axis=1).max() > crowd_tails[0][0]
+        np.testing.assert_array_equal(alone[0], crowd[0][20:24])
+        np.testing.assert_array_equal(alone[1], crowd[1][20:24])
+
+    def test_row_only_a_first_guess_reads_is_accepted(self):
+        # The tail's first pass reads each window after its first position
+        # from a guess of no token (a 0 in the history, the hash of token
+        # -1).  That row is read but no settled position reads it.
+        params = TestSampleResponse.counting_params()
+        want = sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
+        guess = bucket(params, (-1,))
+        assert guess not in {bucket(params, (w,)) for w in range(9)}
+        params.logits[guess] = np.nan
+        reads = recording(params)
+        got = sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
+        assert got == want
+        assert guess in np.concatenate(reads)
+        # A row that a settled position of the tail reads is rejected.
+        params.logits[bucket(params, (4,)), 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_response(params, (0,), 10, 1.0, np.random.default_rng(0))
+
+    def test_passes_are_bounded_by_the_tail_width(self):
+        # On a sharply peaked table each token is set by the one before, so
+        # a pass settles one position: the tail then gathers rows at most
+        # once per position, like the loop.  On a flat one a few passes
+        # settle every position.
+        query = np.array([[1, 2]])
+        max_len = 40
+        counts = []
+        for scale in (50.0, 0.1):
+            rng = np.random.default_rng(3)
+            params = random_params(rng, vocab_size=12, k=2, buckets=4096, scale=scale)
+            params.logits[:, params.vocab.eos] = -1e3  # every rollout runs to the cap
+            want = oracles.reference_lockstep(
+                params, [(1, 2)], 1, max_len, 1.0, [np.random.default_rng(0)]
+            )
+            reads = recording(params)
+            got = sample_groups(params, query, 1, max_len, 1.0, [np.random.default_rng(0)])
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            # The first block's positions, the tail's passes, the check.
+            counts.append(len(reads) - FIRST_BLOCK - 1)
+        peaked, flat = counts
+        assert max_len // 2 < peaked <= max_len - FIRST_BLOCK
+        assert flat <= 5
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

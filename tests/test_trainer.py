@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlvrlab import config, objectives, repetition, tasks, trainer, verifier
+from rlvrlab import config, objectives, policy, repetition, tasks, trainer, verifier
 from rlvrlab.config import StagePlan, TrainConfig
 from rlvrlab.policy import PolicyParams, Vocab, bucket_of
 from rlvrlab.tasks import EOS, EQUALS, PLUS, TaskSpec, generate_tasks
@@ -345,6 +345,33 @@ class TestCollectBatch:
         for name in ("tokens", "buckets", "rewards", "penalties"):
             want = np.concatenate([getattr(one, name) for one in singles[:16]])
             np.testing.assert_array_equal(getattr(batch, name), want)
+
+
+class TestSamplerTail:
+    @pytest.mark.parametrize("tail_live", [0, 10**9], ids=["never", "always"])
+    def test_batches_and_scores_do_not_depend_on_the_tail(self, monkeypatch, tail_live):
+        # Looping rollouts run to the cap.  By default every 16-rollout
+        # collection call takes the sampler's tail after its first block,
+        # and of the 64-rollout evaluation calls only one does.
+        cfg = tiny_config(loop_boost=6.0)
+        params = init_policy(cfg)
+
+        def run():
+            task_rng, counter, out = np.random.default_rng([7, 0]), 0, []
+            for _ in range(3):
+                batch, stats, counter = collect_batch(
+                    params, cfg.stages[0], cfg, task_rng, counter
+                )
+                out.append(
+                    (batch.tokens.tolist(), batch.buckets.tolist(), batch.rewards.tolist(),
+                     batch.penalties.tolist(), stats, counter)
+                )
+            out.append(evaluate(params, cfg.task, 4, 0.6, 24, seed=3, n_tasks=40))
+            return out
+
+        want = run()
+        monkeypatch.setattr(policy, "TAIL_LIVE", tail_live)
+        assert run() == want
 
 
 class TestOneLockstepCallPerStep:

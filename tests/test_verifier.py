@@ -366,12 +366,12 @@ def _with_and_without_gate(pairs):
 
 # The characters at the gate's edge: every Unicode decimal digit, whatever
 # matches an ASCII letter ignoring case, the gate's other characters, and a
-# few it stops.
-_GATE_EDGE_CHARS = [
-    c
-    for c in map(chr, range(sys.maxunicode + 1))
-    if c.isdecimal() or re.fullmatch(r"[a-z]", c, re.IGNORECASE)
-] + list(".\\()[]{}+-*/^,π·%°=$ _")
+# few it stops.  The first two are found in one pass each over a string of
+# every code point, and listed in code point order.
+_ALL_CHARS = "".join(map(chr, range(sys.maxunicode + 1)))
+_GATE_EDGE_CHARS = sorted(
+    {*filter(str.isdecimal, _ALL_CHARS), *re.findall(r"[a-z]", _ALL_CHARS, re.IGNORECASE)}
+) + list(".\\()[]{}+-*/^,π·%°=$ _")
 _GATE_TEMPLATES = ["5{c}", "5{c}m", "5m{c}n", "(1,{c})", "\\frac{{1}}{{{c}}}"]
 
 
