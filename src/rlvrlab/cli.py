@@ -321,7 +321,8 @@ def _cmd_eval(args, parser) -> int:
         )
     except ValueError as exc:
         # The sizes and temperature are checked above, so this is the
-        # checkpoint: a vocabulary other than the tasks'.
+        # checkpoint: a vocabulary other than the tasks', or a context
+        # order no config can train.
         parser.exit(2, f"error: {args.ckpt}: {exc}\n")
     print(json.dumps({"avg_at_k": score, "k": args.k, "n_tasks": args.n_tasks}))
     if args.manifest:

@@ -167,11 +167,12 @@ MAX_CONTEXT_ORDER = 6
 # when no rollout stops early, peaks at about 32 bytes per position
 # (history, token and bucket arrays) plus a block of noise with its gathered
 # copy and, for the finiteness check, a copy of each table row it read.
-# Over a 16,384-row table that is 20.9 MB at k 128 and max_len 256, and
-# 81.0 MB at MAX_EVAL_K and MAX_EVAL_LEN.  When most rollouts stop early,
-# the sampler's tail holds one group's noise for the rest of the call,
-# at most 14.6 MB at both caps: with the eos logit at +2 or +6, where the
-# tail starts at position 18 or 2, the call peaks at 57.7 or 53.5 MB.  The
+# Over a 16,384-row table that is 16.9 MB at k 128 and max_len 256, and
+# 64.5 MB at MAX_EVAL_K and MAX_EVAL_LEN.  When most rollouts stop early,
+# the block that covers the rest of the call draws its noise in chunks of
+# groups no larger than a BLOCK-wide block's or one group's, at most
+# 14.7 MB at both caps: with the eos logit at +2 or +6, where that block
+# starts at position 18 or 2, the call peaks at 54.3 or 52.4 MB.  The
 # task set takes about 130 bytes per task at its peak, 13 MB at
 # MAX_EVAL_TASKS (tracemalloc, numpy 2.4).
 MAX_EVAL_K = 512

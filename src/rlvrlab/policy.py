@@ -28,17 +28,17 @@ CHECKPOINT_VERSION = 1
 _HASH_MULT = 1000003
 _HASH_MASK = (1 << 64) - 1
 
-# Positions of Gumbel noise drawn at once by ``sample_groups``: a short
-# first block, since most rollouts end within two tokens, then longer
-# blocks, capped to bound the noise array, for the stragglers.  The widths
-# change no sampled value, only how often a generator is called.
+# Widths of the blocks of positions ``sample_groups`` samples at once: a
+# short first block, since most rollouts end within two tokens, then
+# longer blocks, capped to bound the noise drawn at once, for the
+# stragglers.  A block after the first that starts with at most TAIL_LIVE
+# live rollouts covers the rest of the call.  A block of that few
+# rollouts is settled by fixed-point passes over all its positions, which
+# pay per pass, and a wider one a position at a time.  None of the three
+# changes a sampled value, only how often a generator is called, how far
+# it is advanced and how the tokens are found.
 FIRST_BLOCK = 2
 BLOCK = 16
-# Live rollouts at or below which a block after the first covers the rest
-# of the call and is settled by fixed-point passes over all its positions,
-# which pay per pass where the loop pays per position.  The count changes
-# no sampled value, only how the tokens are found and how far a generator
-# is advanced.
 TAIL_LIVE = 32
 
 
@@ -145,44 +145,22 @@ def sample_groups(
     array ``queries``, all in lockstep.  A query shorter than the array is
     left-padded with the begin marker, which changes no context.
 
-    Each iteration advances every live rollout by one token position.  The
-    Gumbel noise is drawn in blocks of positions: the first block covers
-    ``FIRST_BLOCK`` positions and every later one ``BLOCK``.  At the start
-    of a block, ``rngs[g]`` of every query ``g`` with a live rollout draws
-    one ``(block, group_size, vocab)`` array of uniforms, position-major,
-    and rollout ``i`` takes row ``[t, i]`` of it at position ``t`` of the
-    block.  So every value used at a position is the one a draw of a
-    ``(group_size, vocab)`` block at each live position would give: a
-    group's rollouts depend only on its query and its generator, never on
-    which other queries share the call, and one query with one rollout
-    uses exactly the stream of a token-at-a-time sampler.  Position ``t``
-    of rollout ``i`` always reads offset ``(t * group_size + i) * vocab``
-    of its group's stream, so the block widths change no sampled value.
-    A generator is advanced past the whole block it drew, not just the
-    positions its rollouts used.  Only the rows of the rollouts live at
-    the start of a block are Gumbel-transformed: they are gathered into
-    one copy, transformed once, and read from it for the whole block, so
-    the rows of rollouts that have already ended are drawn but never
-    transformed.
-
-    A block after the first that starts with at most ``TAIL_LIVE`` live
-    rollouts is the tail: it covers every position left, up to
-    ``max_len``, so each group live at its start advances its generator
-    to the end of the call, with draws of the same layout.  Once its noise
-    is drawn, the tail's tokens are a fixed function of it, found by
-    passes over all its unsettled positions at once (Jacobi iteration,
-    arXiv 2305.10427): each pass hashes every window from the previous
-    pass's tokens, gathers the rows, adds the same noise and takes the
-    argmax, the loop's arithmetic bit for bit.  A pass's token is the
-    loop's wherever its window was, so each pass settles at least one
-    more position, and one that changes no token has settled them all.
-    Where passes settle one position at a time, a chain in which each
-    token sets the next, the tail goes on one position at a time.  Then
-    each rollout is cut at its first eos; a token past it, or a row that
-    only an unsettled guess read, reaches neither the arrays nor the
-    finiteness check.  So the tail gives every token and bucket the loop
-    would, in a few passes where stragglers would pay the loop's fixed
-    cost at each of their positions.
+    The rollouts are sampled in blocks of positions, each settled by
+    ``_sample_block`` over the rollouts live at its start: ``FIRST_BLOCK``
+    positions, then ``BLOCK`` at a time, then, once at most ``TAIL_LIVE``
+    rollouts are live, every position left.  Each query ``g`` with a live
+    rollout draws a block's noise from ``rngs[g]`` as one ``(block,
+    group_size, vocab)`` array of uniforms, position-major, and rollout
+    ``i`` takes row ``[t, i]`` of it at position ``t`` of the block.  So
+    every value used at a position is the one a draw of a ``(group_size,
+    vocab)`` block at each live position would give: a group's rollouts
+    depend only on its query and its generator, never on which other
+    queries share the call, and one query with one rollout uses exactly
+    the stream of a token-at-a-time sampler.  Position ``t`` of rollout
+    ``i`` always reads offset ``(t * group_size + i) * vocab`` of its
+    group's stream, so the block widths change no sampled value.  A
+    generator is advanced past the whole block it drew, and only the live
+    rollouts' rows of it are Gumbel-transformed.
 
     Returns two ``(len(queries) * group_size, max_len)`` arrays, the
     tokens and the buckets the sampler hashed.  Row ``g * group_size + i``
@@ -193,17 +171,11 @@ def sample_groups(
     is ``bucket_of`` of the ``k`` tokens before its position, padded
     query included, so the objective need not hash the contexts again.
 
-    The per-position work is kept to a few numpy calls on the live
-    rollouts: the histories hold every token plus one, so a window's
-    bucket is a dot product and a remainder with no conversion; the live
-    rollouts and their noise rows are compacted only at a position where
-    some rollout ended, and the loop stops once none is left; a division
-    by a temperature of 1.0, which is exact, is skipped; and the table
-    is checked for non-finite entries once per call, over each distinct
-    row the call read, which the loop marks in one flag per table row.  A
-    non-finite row no rollout reaches is never rejected; one that is
-    reached raises ``ValueError``, as it would have at the position that
-    read it.
+    The table is checked for non-finite entries once per call, over each
+    distinct row a settled position read, which the blocks mark in one
+    flag per table row.  A non-finite row no rollout reaches is never
+    rejected; one that is reached raises ``ValueError``, as it would have
+    at the position that read it.
 
     Temperature scales the sampling distribution only.  The sampler returns
     tokens, not log-probabilities: the clipped objective takes the old
@@ -224,85 +196,148 @@ def sample_groups(
     vocab, k = params.vocab, params.k
     n = len(queries) * group_size
     # Column r holds rollout r's context history, every token plus one:
-    # the padded query tail, then its response, 0 past its end.  The
-    # window before position t is rows t..t+k-1, so its bucket is one dot
-    # product with the hash powers: ``bucket_of``'s hash, whose +1 on every
-    # token the history holds and whose 64-bit mask is uint64 wraparound.
-    # History and buckets are kept position-major, so that each position
-    # reads and writes one contiguous row by ``take`` and ``put``.
+    # the padded query tail, then its response, 0 past its end.  History
+    # and buckets are kept position-major, so that the windows before a
+    # block are contiguous rows.
     history = np.zeros((k + max_len, n), dtype=np.uint64)
     begin = np.full((len(queries), k), vocab.begin_marker, dtype=np.int64)
     tails = np.concatenate([begin, queries], axis=1)[:, -k:] + 1
     history[:k] = np.repeat(tails.T, group_size, axis=1)
-    powers = _hash_terms(k)
-    n_buckets = np.uint64(params.buckets)
-    stop_tok = vocab.eos + 1
-    logits = params.logits
     buckets = np.full((max_len, n), -1, dtype=np.int64)
-    scaled = temperature != 1.0  # division by 1.0 is exact
-    read = np.zeros(params.buckets, dtype=bool)  # the table rows read
+    # The table rows read, and a spare flag that -1, no row, marks.
+    read = np.zeros(params.buckets + 1, dtype=bool)
     live = np.arange(n)
     start = 0
     while live.size and start < max_len:
         if start and live.size <= TAIL_LIVE:
-            _settle_tail(
-                params, temperature, rngs, group_size, history, buckets, read, live, start
-            )
-            break
-        stop = min(max_len, start + (BLOCK if start else FIRST_BLOCK))
-        width = stop - start
-        # One block of noise per live group, in the order of the groups:
-        # rollout i of a group reads row [t, i] of its group's block at
-        # position start + t.  ``live`` only ever loses entries, so it
-        # stays ascending and its groups are runs.
-        group = live // group_size
-        first = np.empty(live.size, dtype=bool)
-        first[0] = True
-        np.not_equal(group[1:], group[:-1], out=first[1:])
-        groups = group[first]
-        noise = np.empty((len(groups), width, group_size, vocab.size))
-        for j, g in enumerate(groups.tolist()):
-            rngs[g].random(out=noise[j])
-        # Only the rollouts live now can read this block: gather their rows
-        # into one (live, width, vocab) copy, which frees the whole block,
-        # and Gumbel-transform it, -log(-log(u)) in place.  The j-th of
-        # them reads row j * width + t of the flattened copy at position
-        # start + t.
-        slot = np.cumsum(first) - 1
-        noise = noise[slot, :, live % group_size]
-        _gumbel(noise)
-        gumbel = noise.reshape(-1, vocab.size)
-        row = np.arange(0, gumbel.shape[0], width)
-        for t in range(start, stop):
-            live_buckets = powers @ history[t : t + k].take(live, axis=1)
-            live_buckets %= n_buckets
-            live_buckets = live_buckets.view(np.int64)
-            buckets[t].put(live, live_buckets)
-            read[live_buckets] = True
-            # Gumbel-max draw from softmax(row / temperature).
-            scores = gumbel.take(row, axis=0)
-            rows = logits.take(live_buckets, axis=0)
-            if scaled:
-                rows /= temperature
-            scores += rows
-            toks = scores.argmax(axis=1)
-            toks += 1
-            history[k + t].put(live, toks)
-            going = toks != stop_tok
-            count = np.count_nonzero(going)
-            if count < live.size:
-                live, row = live[going], row[going]
-                if not count:
-                    break
-            row += 1
+            stop = max_len
+        else:
+            stop = min(max_len, start + (BLOCK if start else FIRST_BLOCK))
+        live = _sample_block(
+            params, temperature, rngs, group_size, history, buckets, read, live, start, stop
+        )
         start = stop
     buckets = np.ascontiguousarray(buckets.T)
     # One finiteness check, over each row the call read: a non-finite entry
     # can change which rows are read after it, never hide its own row.
     # ``take`` of the marked rows' indices copies them faster than a mask.
-    if not np.isfinite(logits.take(np.flatnonzero(read), axis=0)).all():
+    if not np.isfinite(params.logits.take(np.flatnonzero(read[:-1]), axis=0)).all():
         raise ValueError("logits table contains non-finite entries")
     return np.subtract(history[k:].T.view(np.int64), 1, order="C"), buckets
+
+
+def _sample_block(
+    params: PolicyParams,
+    temperature: float,
+    rngs: Sequence[np.random.Generator],
+    group_size: int,
+    history: np.ndarray,
+    buckets: np.ndarray,
+    read: np.ndarray,
+    live: np.ndarray,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """Sample positions ``start`` to ``stop`` of the ``live`` rollouts,
+    write their tokens and buckets into ``sample_groups``' arrays, mark the
+    table rows they read, and return the rollouts still live after it.
+
+    Once the block's noise is drawn, its tokens are a fixed function of
+    it.  A block of at most ``TAIL_LIVE`` rollouts finds them by passes
+    over all its unsettled positions at once (Jacobi iteration, arXiv
+    2305.10427): each pass hashes every window from the previous pass's
+    tokens, gathers the rows, adds the same noise and takes the argmax.
+    A pass's token is the settled one wherever its window was, so each
+    pass settles at least one more position, and one that changes no
+    token has settled them all.  Where passes settle one position at a
+    time, a chain in which each token sets the next, and in a wider block
+    from its first position, the block goes one position at a time over
+    the rollouts not yet ended.  A token past a rollout's first eos, or a
+    row that only an unsettled guess read, reaches neither the arrays nor
+    the read mark, and so not the finiteness check.
+    """
+    k, vocab_size, stop_tok = params.k, params.vocab.size, params.vocab.eos + 1
+    width = stop - start
+    # ``live`` only ever loses entries, so it stays ascending and its groups
+    # are runs.  The groups draw in chunks of at most BLOCK positions per
+    # live group, or one group's block if that is more, so a long block
+    # holds no more uniforms at once than a BLOCK-wide one.  Row t *
+    # group_size + i of a group's block, flattened, is rollout i's at
+    # position t; the j-th live rollout reads row [t, j] of ``noise``.
+    group, member = np.divmod(live, group_size)
+    first = np.empty(live.size, dtype=bool)
+    first[0] = True
+    np.not_equal(group[1:], group[:-1], out=first[1:])
+    slot = np.cumsum(first) - 1  # the index of the rollout's group among them
+    groups = group[first].tolist()
+    bounds = [*np.flatnonzero(first).tolist(), live.size]
+    per = max(1, len(groups) * BLOCK // width)
+    chunk = np.empty((min(per, len(groups)), width, group_size, vocab_size))
+    offsets = np.arange(0, width * group_size, group_size)[:, None]
+    pieces = []
+    for a in range(0, len(groups), per):
+        b = min(a + per, len(groups))
+        for j, g in enumerate(groups[a:b]):
+            rngs[g].random(out=chunk[j])
+        rows = slice(bounds[a], bounds[b])
+        index = offsets + ((slot[rows] - a) * (width * group_size) + member[rows])
+        pieces.append(chunk.reshape(-1, vocab_size).take(index, axis=0))
+    del chunk
+    noise = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+    _gumbel(noise)
+    # The tokens (plus one, as in the history) before the block and, after
+    # them, its own, 0 where there is none.  windows[t, j] is the window
+    # before position start + t of rollout j, so its bucket is one dot
+    # product with the hash powers: ``bucket_of``'s hash, whose +1 on every
+    # token the history holds and whose 64-bit mask is uint64 wraparound.
+    ctx = np.zeros((k + width, live.size), dtype=np.uint64)
+    ctx[:k] = history[start : start + k].take(live, axis=1)
+    windows = np.ndarray(
+        (width, live.size, k), np.uint64, ctx, strides=(*ctx.strides, ctx.strides[0])
+    )
+    powers = _hash_terms(k)
+    n_buckets = np.uint64(params.buckets)
+    at = np.full((width, live.size), -1)  # the buckets, -1 where there is none
+    going = np.arange(live.size)  # the rollouts not yet ended
+    lo = slow = 0
+    if live.size <= TAIL_LIVE:
+        # Each pass recomputes every position from lo on from the previous
+        # pass's tokens, 0 at first: any guess will do.  The positions up to
+        # and including the first one whose token it changed are settled.
+        # After two passes in a row, not counting the first, which always
+        # is one, that settled a single position, go one at a time.
+        while lo < width and slow < 2:
+            hashed = at[lo:].view(np.uint64)
+            np.matmul(windows[lo:], powers, out=hashed)
+            hashed %= n_buckets
+            toks = _gumbel_max(params, temperature, at[lo:], noise[lo:])
+            guess = ctx[k + lo :]
+            changed = np.flatnonzero((toks != guess.view(np.int64)).any(axis=1))
+            guess[:] = toks
+            step = int(changed[0]) + 1 if changed.size else width - lo
+            slow = slow + 1 if step == 1 and lo else 0
+            lo += step
+        # Clear the guesses from lo on and the tokens past each rollout's
+        # first eos.
+        ended = np.logical_or.accumulate(ctx[k : k + lo] == stop_tok, axis=0)
+        ctx[k + 1 : k + lo][ended[:-1]] = 0
+        at[1:lo][ended[:-1]] = -1
+        ctx[k + lo :] = 0
+        at[lo:] = -1
+        going = np.flatnonzero(~ended[-1])
+    while lo < width and going.size:  # position lo, whose windows are settled
+        at_lo = powers @ ctx[lo : lo + k].take(going, axis=1)
+        at_lo %= n_buckets
+        at_lo = at_lo.view(np.int64)
+        at[lo].put(going, at_lo)
+        toks = _gumbel_max(params, temperature, at_lo, noise[lo].take(going, axis=0))
+        ctx[k + lo].put(going, toks)
+        going = going[toks != stop_tok]
+        lo += 1
+    history[k + start : k + stop, live] = ctx[k:]
+    buckets[start:stop, live] = at
+    read[at] = True  # -1 marks the spare last flag
+    return live[going]
 
 
 def _gumbel(uniforms: np.ndarray) -> None:
@@ -313,84 +348,19 @@ def _gumbel(uniforms: np.ndarray) -> None:
     np.negative(uniforms, out=uniforms)
 
 
-def _settle_tail(
-    params: PolicyParams,
-    temperature: float,
-    rngs: Sequence[np.random.Generator],
-    group_size: int,
-    history: np.ndarray,
-    buckets: np.ndarray,
-    read: np.ndarray,
-    live: np.ndarray,
-    start: int,
-) -> None:
-    """Sample positions ``start`` to the end of the call of the ``live``
-    rollouts by fixed-point passes, and write their tokens and buckets
-    into ``sample_groups``' arrays as its loop would have."""
-    k, vocab = params.k, params.vocab
-    width = buckets.shape[0] - start
-    # Each live group in turn draws its (width, group_size, vocab) block of
-    # uniforms into one buffer, and only its live rollouts' rows are kept,
-    # position-major: the j-th of them reads noise[t, j] at position
-    # start + t.  Its groups are runs of ``live``, which is ascending.
-    noise = np.empty((width, live.size, vocab.size))
-    block = np.empty((width, group_size, vocab.size))
-    group, member = np.divmod(live, group_size)
-    first = 0
-    for end in [*(np.flatnonzero(np.diff(group)) + 1).tolist(), live.size]:
-        rngs[group[first]].random(out=block)
-        noise[:, first:end] = block[:, member[first:end]]
-        first = end
-    del block  # one group's noise, not needed by the passes
-    _gumbel(noise)
-    # The tokens (plus one, as in the history) before the block and, after
-    # them, the latest guess; windows[t, j] is the window before position
-    # start + t of rollout j.  A pass recomputes every position from lo on
-    # from the previous pass's tokens.  Its token at a position is the
-    # loop's once the tokens before it are, so the positions up to and
-    # including the first one it changed are settled, and a pass that
-    # changes nothing has settled them all.
-    ctx = np.zeros((k + width, live.size), dtype=np.uint64)  # any guess will do
-    ctx[:k] = history[start : start + k].take(live, axis=1)
-    windows = np.ndarray(
-        (width, live.size, k), np.uint64, ctx, strides=(*ctx.strides, ctx.strides[0])
-    )
-    powers = _hash_terms(k)
-    n_buckets = np.uint64(params.buckets)
-    at = np.empty((width, live.size), dtype=np.uint64)
-    lo = slow = 0
-    while lo < width:
-        # A chain of tokens each set by the one before settles one position
-        # a pass.  After two such passes in a row, not counting the first,
-        # which always is one, go one position at a time, as the loop does.
-        hi = width if slow < 2 else lo + 1
-        np.matmul(windows[lo:hi], powers, out=at[lo:hi])
-        at[lo:hi] %= n_buckets
-        scores = params.logits.take(at[lo:hi].view(np.int64), axis=0)
-        if temperature != 1.0:
-            scores /= temperature
-        scores += noise[lo:hi]
-        toks = scores.argmax(axis=2)
-        toks += 1
-        if hi == lo + 1:  # its window is settled, and so its token
-            ctx[k + lo] = toks[0]
-            lo = hi
-            continue
-        guess = ctx[k + lo : k + hi]
-        changed = np.flatnonzero((toks != guess.view(np.int64)).any(axis=1))
-        guess[:] = toks
-        step = int(changed[0]) + 1 if changed.size else hi - lo
-        slow = slow + 1 if step == 1 and lo else 0
-        lo += step
-    # Cut each rollout after its first eos: only the positions up to it
-    # reach the arrays and the read mark.
-    ended = np.logical_or.accumulate(ctx[k:] == vocab.eos + 1, axis=0)
-    kept = np.ones_like(ended)
-    np.logical_not(ended[:-1], out=kept[1:])
-    at = at.view(np.int64)
-    history[k + start :, live] = np.where(kept, ctx[k:], 0)
-    buckets[start:, live] = np.where(kept, at, -1)
-    read[at[kept]] = True
+def _gumbel_max(
+    params: PolicyParams, temperature: float, at: np.ndarray, noise: np.ndarray
+) -> np.ndarray:
+    """Each token plus one of a Gumbel-max draw from softmax(row /
+    temperature), for the table row of each bucket in ``at`` and its row of
+    ``noise``."""
+    scores = params.logits.take(at, axis=0)
+    if temperature != 1.0:  # division by 1.0 is exact
+        scores /= temperature
+    scores += noise
+    toks = scores.argmax(axis=-1)
+    toks += 1
+    return toks
 
 
 def sample_response(

@@ -29,7 +29,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import objectives, repetition, tasks, verifier
-from .config import COLLECT_CHUNKS, EVAL_CHUNK, StagePlan, TrainConfig, check_eval_sizes
+from .config import (
+    COLLECT_CHUNKS,
+    EVAL_CHUNK,
+    MAX_CONTEXT_ORDER,
+    StagePlan,
+    TrainConfig,
+    check_eval_sizes,
+)
 from .objectives import Batch, filter_mixed_groups, response_logprobs
 from .policy import PolicyParams, bucket_of, sample_groups
 
@@ -510,10 +517,17 @@ def evaluate(
     lockstep call, with that chunk's generators from ``group_generators``,
     and scored as arrays by ``_score``, each distinct ``(response, gold)``
     pair verified once per call.  Sizes past ``check_eval_sizes``' caps,
-    and a policy whose vocabulary is not the tasks', are a ``ValueError``.
+    a policy whose vocabulary is not the tasks', and one whose context
+    order is above ``MAX_CONTEXT_ORDER``, the most a config can train, are
+    a ``ValueError``, raised before anything is allocated.
     """
     check_eval_sizes(k, max_len, n_tasks)
     _check_vocab(params)
+    if params.k > MAX_CONTEXT_ORDER:
+        raise ValueError(
+            f"context order {params.k} is above {MAX_CONTEXT_ORDER}, "
+            "the most a config can train"
+        )
     task_rng = np.random.default_rng([seed, 2])
     queries, golds = tasks.generate_tasks(spec, task_rng, n_tasks)
     total = 0.0

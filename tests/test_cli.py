@@ -562,8 +562,14 @@ class TestTrainEvalReport:
             (b"\x07" * 24, "unsupported checkpoint version"),
             # A valid header over an empty table: no bucket to sample from.
             (struct.pack("<5I", 1, 3, 0, 14, 13), "logits table must hold at least"),
+            # A context order no config can train: sampling at it would
+            # allocate a 16 TiB history.
+            (
+                struct.pack("<5I", 1, 2**32 - 1, 1, 14, 13) + bytes(4 * 14),
+                "context order 4294967295 is above",
+            ),
         ],
-        ids=["too_short", "bad_version", "zero_buckets"],
+        ids=["too_short", "bad_version", "zero_buckets", "huge_context_order"],
     )
     def test_bad_checkpoint_exits_two(self, tmp_path, capsys, blob, reason):
         ckpt = tmp_path / "p.ckpt"

@@ -604,14 +604,15 @@ class TestSamplerTail:
         params = random_params(rng, vocab_size=8, k=3, buckets=64, scale=1.0)
         params.logits[:, params.vocab.eos] -= 0.5
         tails = []
-        real = policy._settle_tail
+        real = policy._sample_block
 
         def spy(*args):
-            live, start = args[-2:]
-            tails.append((start, live.size))
+            live, start, stop = args[-3:]
+            if start and live.size <= policy.TAIL_LIVE:
+                tails.append((start, live.size))
             return real(*args)
 
-        monkeypatch.setattr(policy, "_settle_tail", spy)
+        monkeypatch.setattr(policy, "_sample_block", spy)
         queries = rng.integers(0, 7, (16, 2))
 
         def rngs(ids):
@@ -649,7 +650,8 @@ class TestSamplerTail:
         # On a sharply peaked table each token is set by the one before, so
         # a pass settles one position: the tail then gathers rows at most
         # once per position, like the loop.  On a flat one a few passes
-        # settle every position.
+        # settle every position.  More than TAIL_LIVE rollouts are never
+        # settled by passes: each of their positions gathers its rows once.
         query = np.array([[1, 2]])
         max_len = 40
         counts = []
@@ -665,6 +667,21 @@ class TestSamplerTail:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             # The first block's positions, the tail's passes, the check.
             counts.append(len(reads) - FIRST_BLOCK - 1)
+            queries = rng.integers(0, 11, (10, 2))
+            group_size = 4
+            assert len(queries) * group_size > policy.TAIL_LIVE
+            reads.clear()
+            tokens, _ = sample_groups(
+                params,
+                queries,
+                group_size,
+                max_len,
+                1.0,
+                [np.random.default_rng([0, i]) for i in range(len(queries))],
+            )
+            assert (tokens >= 0).all()
+            # Every row each position gathered, not counting the check.
+            assert sum(r.size for r in reads[:-1]) == tokens.size == 1600
         peaked, flat = counts
         assert max_len // 2 < peaked <= max_len - FIRST_BLOCK
         assert flat <= 5

@@ -995,6 +995,23 @@ class TestEvaluate:
         assert score == 0.0
         assert peak <= 30e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_tail_noise_memory_is_bounded(self):
+        # With the eos logit at +6 few of 8,192 rollouts outlive the first
+        # block, so the tail starts at position 2 and draws its groups'
+        # noise to position 256 (52 MB peak).  Drawing every tail group's
+        # noise at once would take 121 MB.
+        cfg = tiny_config()
+        params = init_policy(cfg)
+        params.logits[:, EOS] = 6.0
+        k, max_len = config.MAX_EVAL_K, config.MAX_EVAL_LEN
+        tracemalloc.start()
+        try:
+            evaluate(params, cfg.task, k, 1.0, max_len, seed=0, n_tasks=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_n_tasks_must_be_positive(self):
         cfg = tiny_config()
         with pytest.raises(ValueError, match="n_tasks must be >= 1"):
@@ -1023,6 +1040,23 @@ class TestEvaluate:
         sizes = {"k": 1, "max_len": 1, "n_tasks": 1, name: cap + 1}
         with pytest.raises(ValueError, match=f"{name} must be <= {cap}"):
             evaluate(init_policy(cfg), cfg.task, temperature=1.0, seed=0, **sizes)
+
+    def test_context_order_past_any_config_rejected_before_drawing(self, monkeypatch):
+        # A checkpoint may hold any order up to 2**32 - 1; sampling at that
+        # order would allocate a history of k rows per rollout.
+        cfg = tiny_config()
+        params = init_policy(cfg)
+        params.k = config.MAX_CONTEXT_ORDER
+        evaluate(params, cfg.task, 2, 1.0, 4, seed=0, n_tasks=3)
+
+        def refuse(*args):
+            raise AssertionError("drew tasks for a policy no config can train")
+
+        monkeypatch.setattr(tasks, "generate_tasks", refuse)
+        for k in (config.MAX_CONTEXT_ORDER + 1, 2**32 - 1):
+            params.k = k
+            with pytest.raises(ValueError, match=f"context order {k} is above"):
+                evaluate(params, cfg.task, 2, 1.0, 4, seed=0, n_tasks=3)
 
     @pytest.mark.parametrize(
         "overrides",
