@@ -270,11 +270,7 @@ def _cmd_train(args, parser) -> int:
     ]
     for name, ckpt in [*ckpts, ("final.ckpt", result.policy)]:
         path = os.path.join(args.out_dir, name)
-        try:
-            save_checkpoint(ckpt, path)
-        except ValueError as exc:
-            # A table the float32 checkpoint cannot hold.
-            parser.exit(2, f"error: {path}: {exc}\n")
+        save_checkpoint(ckpt, path)
         artifacts.append(path)
     write_manifest(
         os.path.join(args.out_dir, "manifest.json"),

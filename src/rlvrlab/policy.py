@@ -15,13 +15,17 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Table dtype of each checkpoint version ``load_checkpoint`` reads.  Version
+# 1 stored a float32 copy of the table; it is still read, never written.
+_CHECKPOINT_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 # Polynomial rolling hash over the window; 64-bit wraparound keeps it
 # platform independent.
@@ -379,18 +383,7 @@ def sample_response(
 
 
 def save_checkpoint(params: PolicyParams, path: str) -> None:
-    """Write the binary checkpoint: 5 LE uint32 header fields + f32 logits.
-
-    Raises ``ValueError``, before the file is opened, when the table has an
-    entry float32 cannot hold (past about 3.4e38), which ``load_checkpoint``
-    would reject."""
-    with np.errstate(over="ignore"):
-        table = params.logits.astype("<f4")
-    if not np.isfinite(table).all():
-        raise ValueError(
-            "logits table holds entries a float32 checkpoint cannot store "
-            f"(largest magnitude {np.abs(params.logits).max():.3g})"
-        )
+    """Write the binary checkpoint: 5 LE uint32 header fields + f64 logits."""
     header = struct.pack(
         "<5I",
         CHECKPOINT_VERSION,
@@ -401,21 +394,25 @@ def save_checkpoint(params: PolicyParams, path: str) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(table.tobytes(order="C"))
+        fh.write(params.logits.astype("<f8").tobytes(order="C"))
 
 
 def load_checkpoint(path: str) -> PolicyParams:
+    """Read a checkpoint of any version in ``_CHECKPOINT_DTYPES``; the header
+    and the file size are checked before the table is read."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 20:
-        raise ValueError(f"checkpoint too short: {len(raw)} bytes")
-    version, k, buckets, vocab_size, eos = struct.unpack("<5I", raw[:20])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    expected = 20 + 4 * buckets * vocab_size
-    if len(raw) != expected:
-        raise ValueError(
-            f"checkpoint size mismatch: expected {expected} bytes, got {len(raw)}"
-        )
-    logits = np.frombuffer(raw[20:], dtype="<f4").reshape(buckets, vocab_size)
-    return PolicyParams(Vocab(vocab_size, eos), k, logits.astype(np.float64))
+        raw = fh.read(20)
+        if len(raw) < 20:
+            raise ValueError(f"checkpoint too short: {len(raw)} bytes")
+        version, k, buckets, vocab_size, eos = struct.unpack("<5I", raw)
+        if version not in _CHECKPOINT_DTYPES:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        dtype = _CHECKPOINT_DTYPES[version]
+        expected = 20 + dtype.itemsize * buckets * vocab_size
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(
+                f"checkpoint size mismatch: expected {expected} bytes, got {size}"
+            )
+        table = np.frombuffer(fh.read(), dtype=dtype).reshape(buckets, vocab_size)
+    return PolicyParams(Vocab(vocab_size, eos), k, table.astype(np.float64))

@@ -148,17 +148,6 @@ class Context:
             )
 
 
-def context_for(
-    query: tuple[int, ...],
-    response_prefix: tuple[int, ...],
-    order: int,
-    begin_marker: int,
-) -> Context:
-    """Window seen by the policy just before emitting the next response token."""
-    history = (begin_marker,) * order + tuple(query) + tuple(response_prefix)
-    return Context(order, history[-order:])
-
-
 def bucket(params: PolicyParams, window: tuple[int, ...] | Context) -> int:
     """Logits-table row of a window or context."""
     if isinstance(window, Context):

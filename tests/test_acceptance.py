@@ -22,6 +22,7 @@ from rlvrlab.objectives import (
     response_logprobs,
     shaped_advantages,
 )
+from rlvrlab.policy import load_checkpoint
 from rlvrlab.repetition import repetition_score
 from rlvrlab.tasks import TaskSpec
 from rlvrlab.trainer import evaluate, init_policy, train
@@ -387,3 +388,23 @@ def test_c10_determinism(tmp_path, capsys):
     a = evaluate(params, cfg.task, k=32, temperature=1.0, max_len=12, seed=9, n_tasks=50)
     b = evaluate(params, cfg.task, k=32, temperature=1.0, max_len=12, seed=9, n_tasks=50)
     assert a == b
+
+
+def test_final_checkpoint_eval_matches_in_run_policy(tmp_path, capsys):
+    # The checkpoint holds the trained table exactly, so `rlvrlab eval` of
+    # it scores the policy the run ended with, not a rounded copy.
+    cfg = DETERMINISM_CONFIG
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    run = tmp_path / "run"
+    assert dispatch(["train", "--config", str(cfg_path), "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    ckpt = str(run / "final.ckpt")
+    sizes = ["--k", "32", "--n-tasks", "50", "--max-len", "12", "--seed", "9"]
+    assert dispatch(["eval", "--ckpt", ckpt, "--config", str(cfg_path), *sizes]) == 0
+    printed = json.loads(capsys.readouterr().out)["avg_at_k"]
+
+    policy = train(cfg).policy
+    assert load_checkpoint(ckpt).logits.tobytes() == policy.logits.tobytes()
+    in_run = evaluate(policy, cfg.task, k=32, temperature=1.0, max_len=12, seed=9, n_tasks=50)
+    assert printed == in_run

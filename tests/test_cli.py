@@ -167,7 +167,7 @@ class TestUsageErrors:
     def test_version_flag(self, capsys):
         assert dispatch(["--version"]) == 0
         out = capsys.readouterr().out
-        assert "checkpoint format v1" in out
+        assert "checkpoint format v2" in out
         assert "jsonl schema v1" in out
 
     def test_version_is_the_package_version(self, capsys, monkeypatch):
@@ -496,9 +496,9 @@ class TestTrainEvalReport:
         assert dispatch(["eval", "--ckpt", str(ckpt), "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {message}")
 
-    def test_table_past_checkpoint_range_exits_two(self, tmp_path, capsys):
+    def test_table_past_float32_range_trains_and_evaluates(self, tmp_path, capsys):
         # At this learning rate the float64 table outgrows float32 within
-        # two steps; a checkpoint of it could not be loaded again.
+        # two steps; the checkpoints hold it as trained and load again.
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(
             json.dumps(
@@ -512,14 +512,24 @@ class TestTrainEvalReport:
             )
         )
         out_dir = tmp_path / "run"
+        final = out_dir / "final.ckpt"
+        eval_args = ["eval", "--ckpt", str(final), "--k", "4", "--n-tasks", "5", "--max-len", "8"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = dispatch(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {out_dir / 'stage1.ckpt'}: ")
-        assert "float32" in err and err.count("\n") == 1
-        assert sorted(os.listdir(out_dir)) == ["metrics.jsonl"]
+            assert code == 0
+            assert sorted(os.listdir(out_dir)) == [
+                "final.ckpt",
+                "manifest.json",
+                "metrics.jsonl",
+                "stage1.ckpt",
+            ]
+            assert np.abs(load_checkpoint(str(final)).logits).max() > np.finfo(np.float32).max
+            capsys.readouterr()
+            assert dispatch(eval_args) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["k"] == 4
 
     def test_collapsed_run_exits_one(self, tmp_path, capsys):
         # A 1-token cap truncates everything, so every group is all-incorrect

@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -697,30 +699,71 @@ class TestCheckpoint:
         assert loaded.vocab == params.vocab
         assert loaded.k == params.k
         assert loaded.buckets == params.buckets
-        np.testing.assert_allclose(loaded.logits, params.logits, atol=1e-6)
+        np.testing.assert_array_equal(loaded.logits, params.logits)
 
     def test_header_is_little_endian_uint32(self, tmp_path):
         params = PolicyParams.uniform(Vocab(5, 4), 2, 3)
         path = str(tmp_path / "p.ckpt")
         save_checkpoint(params, path)
         raw = open(path, "rb").read()
-        assert len(raw) == 20 + 4 * 3 * 5
+        assert len(raw) == 20 + 8 * 3 * 5
         header = np.frombuffer(raw[:20], dtype="<u4")
-        assert list(header) == [1, 2, 3, 5, 4]
+        assert list(header) == [2, 2, 3, 5, 4]
 
-    def test_table_past_float32_range_rejected_before_writing(self, tmp_path):
+    def test_extreme_entries_round_trip_bit_for_bit(self, tmp_path):
+        # Past float32's range, and a subnormal below it: the table is
+        # stored as trained.
         params = PolicyParams.uniform(Vocab(5, 4), 2, 3)
-        path = tmp_path / "p.ckpt"
-        for bad in (4e38, -1e300):
-            params.logits[1, 2] = bad
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="float32"):
-                    save_checkpoint(params, str(path))
-            assert not path.exists()
-        params.logits[1, 2] = -3.4e38
-        save_checkpoint(params, str(path))
-        assert load_checkpoint(str(path)).logits[1, 2] == np.float32(-3.4e38)
+        params.logits[0, :4] = [4e38, -4e38, -1e300, 5e-324]
+        path = str(tmp_path / "p.ckpt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_checkpoint(params, path)
+            loaded = load_checkpoint(path)
+        assert loaded.logits.dtype == np.float64
+        assert loaded.logits.tobytes() == params.logits.tobytes()
+
+    def test_version_1_file_loads(self, tmp_path):
+        # Runs before version 2 wrote a float32 table; it is read to the
+        # float64 values of its float32 entries.
+        table = np.array(
+            [[0.1, -2.5, 3.4e38], [-3.4e38, 1e-40, 7.0]], dtype="<f4"
+        )
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(struct.pack("<5I", 1, 3, 2, 3, 2) + table.tobytes())
+        loaded = load_checkpoint(str(path))
+        assert (loaded.vocab, loaded.k, loaded.buckets) == (Vocab(3, 2), 3, 2)
+        assert loaded.logits.dtype == np.float64
+        np.testing.assert_array_equal(loaded.logits, table.astype(np.float64))
+
+    @pytest.mark.parametrize(
+        "header,reason",
+        [
+            (struct.pack("<5I", 7, 2, 3, 5, 4), "unsupported checkpoint version 7"),
+            (
+                struct.pack("<5I", 2, 2, 3, 5, 4),
+                "checkpoint size mismatch: expected 140 bytes, got 67108864",
+            ),
+        ],
+        ids=["bad_version", "wrong_size"],
+    )
+    def test_large_file_with_bad_header_rejected_before_reading(
+        self, tmp_path, header, reason
+    ):
+        # A sparse 64 MB file: the header is checked, and the size taken
+        # from the file system, before the table is read.
+        path = tmp_path / "big.ckpt"
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=reason):
+                load_checkpoint(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_corrupt_files_rejected(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")
