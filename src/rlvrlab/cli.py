@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, curation, tasks, trainer, verifier
 from .config import TrainConfig, check_eval_sizes
-from .policy import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
+from .policy import CHECKPOINT_VERSION, PolicyParams, load_checkpoint, save_checkpoint
 
 JSONL_SCHEMA_VERSION = 1
 
@@ -53,6 +53,9 @@ def write_manifest(
 ) -> None:
     """Atomically record what a run did, what it produced and the machine
     and versions it ran on."""
+    # The SIMD targets numpy was built for and found: a run is
+    # byte-identical only on the same numpy build and dispatch target.
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
     manifest = {
         "command": command,
         "config_hash": _config_hash(config_obj),
@@ -62,6 +65,7 @@ def write_manifest(
         "artifacts": sorted(artifacts),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
+        "numpy_simd": {"baseline": simd["baseline"], "found": simd["found"]},
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
     }
@@ -253,6 +257,12 @@ def _cmd_train(args, parser) -> int:
     metrics_path = os.path.join(args.out_dir, "metrics.jsonl")
     artifacts = [metrics_path]
     t0 = time.time()
+
+    def save(name: str, policy: PolicyParams) -> None:
+        path = os.path.join(args.out_dir, name)
+        save_checkpoint(policy, path)
+        artifacts.append(path)
+
     try:
         with open(metrics_path, "w", encoding="utf-8") as fh:
             result = trainer.train(
@@ -260,18 +270,14 @@ def _cmd_train(args, parser) -> int:
                 metrics_sink=lambda rec: fh.write(
                     json.dumps(rec.to_dict(), sort_keys=True) + "\n"
                 ),
+                # Each stage's checkpoint is on disk when the stage ends, so
+                # a run that aborts later keeps its finished stages.
+                stage_sink=lambda idx, policy: save(f"stage{idx + 1}.ckpt", policy),
             )
     except trainer.CollectAbort as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
-    ckpts = [
-        (f"stage{idx + 1}.ckpt", ckpt)
-        for idx, ckpt in enumerate(result.stage_checkpoints)
-    ]
-    for name, ckpt in [*ckpts, ("final.ckpt", result.policy)]:
-        path = os.path.join(args.out_dir, name)
-        save_checkpoint(ckpt, path)
-        artifacts.append(path)
+    save("final.ckpt", result.policy)
     write_manifest(
         os.path.join(args.out_dir, "manifest.json"),
         "train",

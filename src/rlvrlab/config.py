@@ -156,9 +156,11 @@ def _stage_plans(v) -> tuple[StagePlan, ...]:
 
 
 # Caps on the policy table a config may ask for.  MAX_BUCKETS rows of
-# float64 logits over the 14-token vocabulary is a 117 MB table;
-# ``init_policy``'s loop_boost walk over context prefixes takes about 2 s at
-# MAX_CONTEXT_ORDER and grows about 15-fold per order above it.
+# float64 logits over the 14-token vocabulary is a 117 MB table, the one a
+# run holds: no stage keeps a copy, and saving or loading a checkpoint
+# makes none.  ``init_policy``'s loop_boost walk over context prefixes
+# takes about 2 s at MAX_CONTEXT_ORDER and grows about 15-fold per order
+# above it.
 MAX_BUCKETS = 2**20
 MAX_CONTEXT_ORDER = 6
 

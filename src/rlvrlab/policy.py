@@ -394,7 +394,8 @@ def save_checkpoint(params: PolicyParams, path: str) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(params.logits.astype("<f8").tobytes(order="C"))
+        # No copy of the table on a little-endian machine.
+        params.logits.astype("<f8", copy=False).tofile(fh)
 
 
 def load_checkpoint(path: str) -> PolicyParams:
@@ -414,5 +415,8 @@ def load_checkpoint(path: str) -> PolicyParams:
             raise ValueError(
                 f"checkpoint size mismatch: expected {expected} bytes, got {size}"
             )
-        table = np.frombuffer(fh.read(), dtype=dtype).reshape(buckets, vocab_size)
-    return PolicyParams(Vocab(vocab_size, eos), k, table.astype(np.float64))
+        table = np.fromfile(fh, dtype, count=buckets * vocab_size)
+    # Only a version-1 (float32) table is converted; a version-2 table is
+    # the array read.
+    table = table.astype(np.float64, copy=False).reshape(buckets, vocab_size)
+    return PolicyParams(Vocab(vocab_size, eos), k, table)

@@ -8,6 +8,8 @@ log-probs of those tokens from the policy before it moves, and ascends the
 token-mean ``clipped_objective`` against them.  A stage ends when its step
 budget runs out or when the mean response length saturates, and the cap
 then grows.  The settings and the size caps are checked in ``config``.
+A run holds one policy table: ``train`` hands the live policy to its
+``stage_sink`` as each stage ends and keeps no copy of it.
 
 Collection and evaluation work on the sampler's token arrays from end to
 end: each chunk of groups is scored as arrays of rewards and repetition
@@ -68,9 +70,12 @@ class MetricsRecord:
 
 @dataclass
 class TrainResult:
+    """The trained policy and every step's metrics record.  A run holds one
+    table: a caller that wants each stage's table takes it from ``train``'s
+    ``stage_sink`` as the stage ends."""
+
     policy: PolicyParams
     metrics: list[MetricsRecord]
-    stage_checkpoints: list[PolicyParams]
 
 
 # Constants of numpy's documented SeedSequence hash (pool of 4 uint32 words).
@@ -551,13 +556,20 @@ def evaluate(
 def train(
     config: TrainConfig,
     metrics_sink: Optional[Callable[[MetricsRecord], None]] = None,
+    stage_sink: Optional[Callable[[int, PolicyParams], None]] = None,
 ) -> TrainResult:
-    """Run every stage and return the trained policy with its metrics log."""
+    """Run every stage and return the trained policy with its metrics log.
+
+    ``metrics_sink`` is called with each step's record as it is made.
+    ``stage_sink`` is called with the stage index and the live policy when
+    each stage ends, after that stage's last record and before the next
+    stage's first; no copy is made, so the sink must neither modify the
+    policy nor keep it (a caller that wants the table copies it).
+    """
     policy = init_policy(config)
     metrics: list[MetricsRecord] = []
-    stage_checkpoints: list[PolicyParams] = []
     if not config.stages:
-        return TrainResult(policy, metrics, stage_checkpoints)
+        return TrainResult(policy, metrics)
 
     task_rng = np.random.default_rng([config.seed, 0])
     query_counter = 0
@@ -626,5 +638,6 @@ def train(
                     window, stage.saturation_threshold
                 ):
                     break
-        stage_checkpoints.append(policy.copy())
-    return TrainResult(policy, metrics, stage_checkpoints)
+        if stage_sink is not None:
+            stage_sink(stage_idx, policy)
+    return TrainResult(policy, metrics)

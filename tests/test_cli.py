@@ -119,6 +119,8 @@ class TestVerifyCommand:
         got = json.loads(manifest.read_text())
         assert got["python_version"] == platform.python_version()
         assert got["numpy_version"] == np.__version__
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+        assert got["numpy_simd"] == {"baseline": simd["baseline"], "found": simd["found"]}
         assert got["platform"] == platform.platform()
         assert got["cpu_count"] == os.cpu_count()
 
@@ -549,6 +551,31 @@ class TestTrainEvalReport:
         )
         assert code == 1
         assert "aborted" in capsys.readouterr().err
+
+    def test_aborted_run_keeps_its_finished_stages(self, tmp_path, capsys, monkeypatch):
+        cfg = dataclasses.replace(
+            micro_train_config(),
+            stages=(StagePlan(10, max_steps=2), StagePlan(12, max_steps=2)),
+        )
+        stage1 = trainer.train(dataclasses.replace(cfg, stages=cfg.stages[:1])).policy
+        real_collect = trainer.collect_batch
+
+        def collect(policy, stage, *args):
+            if stage.max_response_len == cfg.stages[1].max_response_len:
+                raise trainer.CollectAbort("stage 2 found no mixed groups")
+            return real_collect(policy, stage, *args)
+
+        monkeypatch.setattr(trainer, "collect_batch", collect)
+        cfg_path = tmp_path / "config.json"
+        write_config(cfg_path, cfg)
+        out_dir = tmp_path / "run"
+        code = dispatch(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "training aborted: stage 2 found no mixed groups\n"
+        assert sorted(os.listdir(out_dir)) == ["metrics.jsonl", "stage1.ckpt"]
+        loaded = load_checkpoint(str(out_dir / "stage1.ckpt"))
+        assert loaded.logits.tobytes() == stage1.logits.tobytes()
 
     @pytest.mark.parametrize(
         "bad_line,reason",

@@ -765,6 +765,27 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_save_and_load_hold_no_second_table(self, tmp_path):
+        params = PolicyParams.uniform(Vocab(14, 13), 4, 1 << 16)
+        params.logits[:] = np.random.default_rng(3).normal(size=params.logits.shape)
+        path = str(tmp_path / "p.ckpt")
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                result = fn()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, saved = peak(lambda: save_checkpoint(params, path))
+        loaded, read = peak(lambda: load_checkpoint(path))
+        table = params.logits.nbytes  # 7.3 MB
+        assert saved < 1e6, f"save peak {saved / 1e6:.2f} MB"
+        # The table read, and the one-byte-per-entry finiteness check.
+        assert read < 1.25 * table, f"load peak {read / 1e6:.2f} MB"
+        assert loaded.logits.tobytes() == params.logits.tobytes()
+
     def test_corrupt_files_rejected(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")
         with open(path, "wb") as fh:

@@ -747,16 +747,29 @@ class TestTrain:
         np.testing.assert_array_equal(a.policy.logits, b.policy.logits)
 
     def test_stage_checkpoints_one_per_stage(self):
+        # The sink fires as each stage ends: after its last record, before
+        # the next stage's first.
         cfg = tiny_config(
             stages=(
                 StagePlan(12, max_steps=2),
                 StagePlan(16, max_steps=2),
             )
         )
-        result = train(cfg)
-        assert len(result.stage_checkpoints) == 2
-        stages_seen = sorted({m.stage for m in result.metrics})
-        assert stages_seen == [0, 1]
+        events = []
+        result = train(
+            cfg,
+            metrics_sink=lambda rec: events.append(("step", rec.stage)),
+            stage_sink=lambda idx, policy: events.append(("stage", idx)),
+        )
+        assert events == [
+            ("step", 0),
+            ("step", 0),
+            ("stage", 0),
+            ("step", 1),
+            ("step", 1),
+            ("stage", 1),
+        ]
+        assert [m.stage for m in result.metrics] == [0, 0, 1, 1]
 
     def test_saturation_can_end_a_stage_early(self):
         cfg = tiny_config(
@@ -822,7 +835,7 @@ class TestTrain:
         assert len(train(cfg).metrics) == steps
         assert len(calls) == per_step * steps
 
-    def test_one_policy_copy_per_stage(self, monkeypatch):
+    def test_no_policy_copy(self, monkeypatch):
         calls = []
 
         def spy_copy(self):
@@ -832,9 +845,30 @@ class TestTrain:
         real_copy = PolicyParams.copy
         monkeypatch.setattr(PolicyParams, "copy", spy_copy)
         cfg = tiny_config(stages=(StagePlan(12, max_steps=3), StagePlan(16, max_steps=4)))
-        result = train(cfg)
+        result = train(cfg, stage_sink=lambda idx, policy: None)
         assert len(result.metrics) == 7
-        assert len(calls) == len(cfg.stages)
+        assert calls == []
+
+    def test_memory_is_one_table_whatever_the_stage_count(self):
+        # A 2**16-bucket table is 7.3 MB; a copy of it per stage would add
+        # 36.7 MB to the six-stage run.  The one-stage run goes first, so
+        # the sampler's generator cache, built once, counts against it.
+        def peak(stages):
+            cfg = tiny_config(
+                stages=tuple(StagePlan(12 + i, max_steps=1) for i in range(stages)),
+                buckets=1 << 16,
+            )
+            tracemalloc.start()
+            try:
+                train(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        table = (1 << 16) * tasks.VOCAB.size * 8
+        one = peak(1)
+        six = peak(6)
+        assert six - one < table, f"{one / 1e6:.1f} MB, then {six / 1e6:.1f} MB"
 
     def test_improves_reward_on_tiny_budget(self):
         cfg = tiny_config(
@@ -871,8 +905,16 @@ class TestTrain:
             eval_k=8,
             eval_tasks=40,
         )
-        evaluated = train(cfg)
-        plain = train(replace(cfg, eval_every=0))
+
+        def run(config):
+            tables = []
+            result = train(
+                config, stage_sink=lambda idx, policy: tables.append(policy.logits.tobytes())
+            )
+            return result, tables
+
+        evaluated, evaluated_tables = run(cfg)
+        plain, plain_tables = run(replace(cfg, eval_every=0))
         steps = [m.step for m in evaluated.metrics if m.avg_at_k is not None]
         assert steps == [2, 4, 6, 8]
         # Evaluation draws from its own generators: training is unmoved.
@@ -880,8 +922,8 @@ class TestTrain:
             json.dumps(m.to_dict()) for m in plain.metrics
         ]
         assert evaluated.policy.logits.tobytes() == plain.policy.logits.tobytes()
-        for a, b in zip(evaluated.stage_checkpoints, plain.stage_checkpoints):
-            assert a.logits.tobytes() == b.logits.tobytes()
+        assert len(evaluated_tables) == len(cfg.stages)
+        assert evaluated_tables == plain_tables
         last = evaluate(
             evaluated.policy,
             cfg.task,
