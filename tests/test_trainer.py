@@ -746,7 +746,7 @@ class TestTrain:
         assert [m.to_dict() for m in a.metrics] == [m.to_dict() for m in b.metrics]
         np.testing.assert_array_equal(a.policy.logits, b.policy.logits)
 
-    def test_stage_checkpoints_one_per_stage(self):
+    def test_stage_sink_fires_once_per_stage(self):
         # The sink fires as each stage ends: after its last record, before
         # the next stage's first.
         cfg = tiny_config(
