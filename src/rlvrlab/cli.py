@@ -408,9 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--eval-set", action="append", default=[])
     p.add_argument("--report", help="JSON funnel report path")
-    p.add_argument("--ngram", type=int, default=10)
-    p.add_argument("--jaccard", type=float, default=0.5)
-    p.add_argument("--max-answer-chars", type=int, default=20)
+    defaults = curation.CurationConfig()
+    p.add_argument("--ngram", type=int, default=defaults.ngram_n)
+    p.add_argument("--jaccard", type=float, default=defaults.jaccard_threshold)
+    p.add_argument("--max-answer-chars", type=int, default=defaults.max_answer_chars)
     p.set_defaults(fn=_cmd_curate)
 
     p = sub.add_parser("train", help="run multi-stage policy optimization")

@@ -3,19 +3,20 @@
 ``TrainConfig`` holds a training run, with one ``StagePlan`` per curriculum
 stage and the ``tasks.TaskSpec`` it trains on.  Each class checks its
 fields when it is built, so a bad value is a ``ValueError`` naming the
-field wherever it comes from; ``from_dict`` reads one from JSON, which may
-write an integer as a float or a tuple as a list.  The caps bound every
-size a config or an ``evaluate`` call may ask for before anything is
-allocated.
+field wherever it comes from, and stores each in canonical form: a float
+field holds a ``float`` and a clip spec a float or a tuple of two.  So
+every spelling of one run has one ``config_hash``.  ``from_dict`` reads one
+from JSON, which may write an integer as a float or a tuple as a list.  The
+caps bound every size a config or an ``evaluate`` call may ask for before
+anything is allocated.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,75 +30,69 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _is_float(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-# Per field type ``_check_types`` checks: the test of a value and what its
-# message asks for.  A bool is not a number, and a float must be finite.
+def _is_clip_spec(v) -> bool:
+    return _is_float(v) or (isinstance(v, tuple) and len(v) == 2 and all(map(_is_float, v)))
+
+
+def _clip_spec(v) -> ClipSpec:
+    return tuple(map(float, v)) if isinstance(v, tuple) else float(v)
+
+
+# Per field type ``_check_types`` checks: the test of a value, what its
+# message asks for, and the value's canonical form.  A bool is not a
+# number, and a float must be finite.
 _KINDS = {
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_real(v) and math.isfinite(v), "a finite number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false", bool),
+    "int": (_is_int, "an integer", int),
+    "float": (_is_float, "a finite number", float),
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "ClipSpec": (_is_clip_spec, "a number or a pair of numbers", _clip_spec),
 }
 
 
-def _to_int(name: str, v) -> int:
-    """``v`` as an int: an integer, or a float with an integral value (JSON
-    may write 24 as 24.0).  A fraction, bool or string is a ``ValueError``."""
-    if (isinstance(v, float) and v.is_integer()) or _is_int(v):
-        return int(v)
-    raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
-def _to_float(name: str, v) -> float:
-    """``v`` as a float: any real number but a bool (JSON writes 1.0 as 1)."""
-    if _is_real(v):
-        return float(v)
-    raise ValueError(f"{name} must be a finite number, got {v!r}")
-
-
-def _to_clip_spec(name: str, v) -> ClipSpec:
-    """``v`` as a clip spec: a number, or a pair of them (JSON writes a list
-    for a tuple)."""
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ValueError(f"{name} must be a number or a pair, got {v!r}")
-        return _to_float(name, v[0]), _to_float(name, v[1])
-    return _to_float(name, v)
-
-
-def _coercions(cls) -> dict[str, Callable]:
-    """Converters to the declared type of each field of ``cls`` declared as
-    int, float or a clip spec; each rejects a value of another kind with a
-    ``ValueError`` naming the field."""
-    by_type = {"int": _to_int, "float": _to_float, "ClipSpec": _to_clip_spec}
-    return {
-        f.name: functools.partial(by_type[f.type], f.name)
-        for f in fields(cls)
-        if f.type in by_type
-    }
-
-
 def _check_types(obj) -> None:
-    """Raise ``ValueError`` for a field of ``obj`` declared bool, int, float
-    or str that holds anything else."""
+    """Raise ``ValueError`` for a field of ``obj`` whose declared type is in
+    ``_KINDS`` that holds anything else, and store each such field in its
+    canonical form."""
     for f in fields(obj):
-        v = getattr(obj, f.name)
-        if f.type in _KINDS and not _KINDS[f.type][0](v):
-            raise ValueError(f"{f.name} must be {_KINDS[f.type][1]}, got {v!r}")
+        if f.type in _KINDS:
+            test, wanted, canonical = _KINDS[f.type]
+            v = getattr(obj, f.name)
+            if not test(v):
+                raise ValueError(f"{f.name} must be {wanted}, got {v!r}")
+            object.__setattr__(obj, f.name, canonical(v))
 
 
-def _from_dict(cls, d, convert: dict[str, Callable]):
-    """``cls`` from a dict of its fields, converting the values ``convert``
-    names; a key that names no field is a ``ValueError``."""
+def _from_dict(cls, d):
+    """``cls`` from a dict of its fields as JSON spells them; a key that
+    names no field is a ``ValueError``.  Only JSON's spellings are undone:
+    an integral float for an int, a list for a clip pair or for the stages,
+    an object for the task or a stage.  The class checks the values."""
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(d) - set(kinds))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
-    return cls(**{k: convert[k](v) if k in convert else v for k, v in d.items()})
+    return cls(**{k: _from_json(kinds[k], k, v) for k, v in d.items()})
+
+
+def _from_json(kind: str, name: str, v):
+    if kind == "int" and isinstance(v, float) and v.is_integer():
+        return int(v)
+    if kind == "ClipSpec" and isinstance(v, list):
+        return tuple(v)
+    if kind == "TaskSpec":
+        return _from_dict(TaskSpec, v)
+    if kind == "tuple[StagePlan, ...]":
+        if not isinstance(v, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {type(v).__name__}")
+        return tuple(_from_dict(StagePlan, s) for s in v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -144,15 +139,7 @@ class StagePlan:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StagePlan":
-        return _from_dict(cls, d, _coercions(cls))
-
-
-def _stage_plans(v) -> tuple[StagePlan, ...]:
-    if not isinstance(v, (list, tuple)):
-        raise ValueError(f"stages must be a list, got {type(v).__name__}")
-    return tuple(StagePlan.from_dict(s) for s in v)
+    from_dict = classmethod(_from_dict)
 
 
 # Caps on the policy table a config may ask for.  MAX_BUCKETS rows of
@@ -290,10 +277,4 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        # Top-level floats stay as written, since the manifest's config hash
-        # is taken over them; an integral float converts as in a stage.
-        convert = {k: c for k, c in _coercions(cls).items() if c.func is _to_int}
-        task = functools.partial(_from_dict, TaskSpec, convert=_coercions(TaskSpec))
-        return _from_dict(cls, d, {**convert, "stages": _stage_plans, "task": task})
+    from_dict = classmethod(_from_dict)

@@ -93,7 +93,9 @@ class PolicyParams:
             raise ValueError("logits table must hold at least one bucket")
         if self.k < 1:
             raise ValueError("context order k must be positive")
-        if not np.isfinite(self.logits).all():
+        # The extremes, which a nan makes nan too: unlike
+        # ``isfinite(logits).all()``, no table-sized temporary.
+        if not (np.isfinite(self.logits.min()) and np.isfinite(self.logits.max())):
             raise ValueError("logits table contains non-finite entries")
 
     @property
@@ -360,7 +362,18 @@ def _gumbel_max(
     ``noise``."""
     scores = params.logits.take(at, axis=0)
     if temperature != 1.0:  # division by 1.0 is exact
-        scores /= temperature
+        with np.errstate(over="ignore"):
+            scores /= temperature
+        # A row whose largest entry overflowed ties at +-inf, where the noise
+        # cannot break the tie.  Such a row divides each entry's gap to its
+        # largest instead, so that entry scores 0 and only others overflow.
+        over = np.isinf(scores.max(axis=-1))
+        if over.any():
+            rows = params.logits.take(at[over], axis=0)
+            with np.errstate(over="ignore"):
+                rows -= rows.max(axis=-1, keepdims=True)
+                rows /= temperature
+            scores[over] = rows
     scores += noise
     toks = scores.argmax(axis=-1)
     toks += 1

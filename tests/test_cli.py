@@ -12,7 +12,7 @@ import pytest
 
 import rlvrlab
 from rlvrlab import cli, config, trainer
-from rlvrlab.cli import dispatch
+from rlvrlab.cli import _config_hash, dispatch
 from rlvrlab.config import StagePlan, TrainConfig
 from rlvrlab.curation import ProblemRecord, write_records
 from rlvrlab.policy import PolicyParams, Vocab, load_checkpoint, save_checkpoint
@@ -363,6 +363,39 @@ class TestTrainEvalReport:
         m2 = json.loads((d2 / "manifest.json").read_text())
         assert m1["config_hash"] != m2["config_hash"]
         assert m2["seed"] == 6
+
+    def test_spellings_of_one_run_record_one_config_hash(self, tmp_path):
+        # JSON may write a float field as an integer and writes a clip pair
+        # as a list; every spelling records the hash of the config built in
+        # Python.
+        hashes = []
+        for lr, temperature in ((20, 1), (20.0, 1.0)):
+            cfg_path = tmp_path / f"config_{lr!r}.json"
+            cfg_path.write_text(
+                json.dumps(
+                    {
+                        "stages": [
+                            {"max_response_len": 8, "max_steps": 2, "clip_high": [0.2, 0.28]}
+                        ],
+                        "group_size": 4,
+                        "batch_groups": 3,
+                        "learning_rate": lr,
+                        "temperature": temperature,
+                        "seed": 5,
+                    }
+                )
+            )
+            out_dir = tmp_path / f"run_{lr!r}"
+            assert dispatch(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+            hashes.append(json.loads((out_dir / "manifest.json").read_text())["config_hash"])
+        built = TrainConfig(
+            stages=(StagePlan(8, clip_high=(0.2, 0.28), max_steps=2),),
+            group_size=4,
+            batch_groups=3,
+            learning_rate=20,
+            seed=5,
+        )
+        assert hashes == [_config_hash(built.to_dict())] * 2
 
     def test_missing_config_exits_two(self, tmp_path):
         assert (

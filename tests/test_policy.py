@@ -527,6 +527,22 @@ class TestSampleGroups:
         skipped.random((FIRST_BLOCK, 2, 4))
         assert rng.random() == skipped.random()
 
+    @pytest.mark.parametrize("shift", [0.0, -10.0])
+    @pytest.mark.parametrize("temperature", [1e-2, 1e-310, 5e-324])
+    def test_tiny_temperature_samples_the_largest_logit(self, temperature, shift):
+        # Over a subnormal temperature every entry overflows to +-inf, where
+        # the noise breaks no tie: the draw must stay greedy rather than
+        # take the lowest token id, and raise no overflow warning.
+        params = PolicyParams.uniform(Vocab(5, 4), 2, 8)
+        params.logits[:] = np.array([1.0, -1.0, 2.0, 0.5, -2.0]) + shift
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tokens, _ = sample_groups(
+                params, np.array([[0], [1], [2]]), 4, 12, temperature, rngs
+            )
+        assert (tokens == 2).all()
+
     def test_generator_count_must_match(self):
         params = PolicyParams.uniform(Vocab(4, 3), 2, 8)
         with pytest.raises(ValueError):
@@ -785,6 +801,21 @@ class TestCheckpoint:
         # The table read, and the one-byte-per-entry finiteness check.
         assert read < 1.25 * table, f"load peak {read / 1e6:.2f} MB"
         assert loaded.logits.tobytes() == params.logits.tobytes()
+
+    def test_version_2_load_holds_one_table(self, tmp_path):
+        # The finiteness check reads the table's extremes: the table read
+        # is the load's only large allocation.
+        params = PolicyParams.uniform(Vocab(14, 13), 4, 1 << 16)
+        path = str(tmp_path / "p.ckpt")
+        save_checkpoint(params, path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, read = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = params.logits.nbytes
+        assert read < 1.05 * table, f"load peak {read / 1e6:.2f} MB"
 
     def test_corrupt_files_rejected(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")

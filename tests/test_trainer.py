@@ -3,8 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import re
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +116,23 @@ class TestConfig:
         assert cfg.task.modulus == 7 and type(cfg.task.modulus) is int
         assert cfg.group_size == 8 and type(cfg.group_size) is int
 
+    def test_fields_are_stored_in_canonical_form(self):
+        stage = StagePlan(8, clip_low=np.float64(0.2), clip_high=(0.2, np.float32(0.25)))
+        cfg = tiny_config(stages=(stage,), learning_rate=20, seed=np.int64(3))
+        assert type(cfg.learning_rate) is float and type(cfg.seed) is int
+        assert type(stage.clip_low) is float
+        assert [type(v) for v in stage.clip_high] == [float, float]
+        plain = StagePlan(8, 0.2, (0.2, 0.25))
+        assert cfg == tiny_config(stages=(plain,), learning_rate=20.0, seed=3)
+
+    def test_readme_config_reads(self):
+        # The README's example config is one the reader takes as written.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        cfg = TrainConfig.from_dict(json.loads(block))
+        assert [s.max_response_len for s in cfg.stages] == [24, 48]
+        assert cfg.stages[1].clip_high == (0.2, 0.28)
+
     def test_unknown_keys_are_named(self):
         with pytest.raises(ValueError, match="unknown TrainConfig key.*learning_rat"):
             TrainConfig.from_dict({"learning_rat": 0.1})
@@ -209,6 +229,13 @@ class TestStagePlanClipBounds:
             StagePlan(8, clip_low=0.0)
         with pytest.raises(ValueError, match=r"clip value 1.0 outside \(0, 1\)"):
             StagePlan(8, clip_low=(0.2, 1.0))
+
+    @pytest.mark.parametrize(
+        "spec", ["x", None, True, math.nan, (0.2,), (0.2, "x"), (0.2, 0.25, 0.3)], ids=repr
+    )
+    def test_spec_must_be_a_number_or_a_pair(self, spec):
+        with pytest.raises(ValueError, match="clip_low must be a number or a pair"):
+            StagePlan(8, clip_low=spec)
 
     def test_reversed_interval_rejected(self):
         for low, high in (((0.28, 0.2), 0.2), (0.2, (0.3, 0.1))):
@@ -1009,6 +1036,25 @@ class TestEvaluate:
             sets.append(list(drawn))
         assert len(sets[0]) == 60
         assert sets[0] == sets[1] == sets[2]
+
+    def test_subnormal_temperature_scores_as_a_small_one(self):
+        # Over 5e-324 every entry of a row overflows to +-inf; the rows that
+        # hold an inf must still be drawn greedily, not as the lowest id.
+        cfg = tiny_config(
+            stages=(StagePlan(24, max_steps=30),),
+            group_size=8,
+            batch_groups=16,
+            learning_rate=20.0,
+            seed=1,
+        )
+        params = train(cfg).policy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small, subnormal = (
+                evaluate(params, cfg.task, 8, t, 24, seed=1, n_tasks=100)
+                for t in (1e-2, 5e-324)
+            )
+        assert subnormal == small
 
     def test_k_must_be_positive(self):
         cfg = tiny_config()
