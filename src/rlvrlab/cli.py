@@ -1,11 +1,11 @@
 """Command-line entry point wiring curation, verification, training,
 evaluation and reporting into reproducible runs.
 
-Exit codes: 0 success, 1 domain failure (a non-equivalent single-pair
-verification, a collapsed training run), 2 usage errors, missing files,
-malformed input (a bad config, pairs, records, metrics or checkpoint
-file), out-of-range numbers and outputs that cannot be written, with a
-one-line message.
+``dispatch`` alone maps a command's outcome to its exit code: 0 success,
+1 domain failure (a non-equivalent single-pair verification, a collapsed
+training run), 2 usage errors, missing files, malformed input (a bad
+config, pairs, records, metrics or checkpoint file), out-of-range numbers
+and outputs that cannot be written, with a one-line message.
 Training and evaluation draw all their randomness from the run's single
 --seed; the other commands use none.
 """
@@ -13,6 +13,7 @@ Training and evaluation draw all their randomness from the run's single
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -43,24 +44,17 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def write_manifest(
-    path: str,
-    command: str,
-    config_obj,
-    seed,
-    started_at: str,
-    artifacts: list[str],
-) -> None:
-    """Atomically record what a run did, what it produced and the machine
-    and versions it ran on."""
+def write_manifest(path: str, args, config_obj, seed, artifacts: list[str]) -> None:
+    """Atomically record what the command ``args`` did, what it produced and
+    the machine and versions it ran on."""
     # The SIMD targets numpy was built for and found: a run is
     # byte-identical only on the same numpy build and dispatch target.
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
     manifest = {
-        "command": command,
+        "command": args.command,
         "config_hash": _config_hash(config_obj),
         "seed": seed,
-        "started_at": started_at,
+        "started_at": args.started_at,
         "finished_at": _utc_now(),
         "artifacts": sorted(artifacts),
         "python_version": platform.python_version(),
@@ -86,37 +80,48 @@ def write_manifest(
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-def _require_file(path: str, parser: argparse.ArgumentParser) -> None:
+class _Usage(Exception):
+    """A usage error, a missing file or malformed input: ``dispatch`` prints
+    ``error: <message>`` and exits 2."""
+
+
+@contextlib.contextmanager
+def _reading(prefix: str, errors=ValueError):
+    """Report a reader's ``errors`` as a usage error, ``prefix`` first."""
+    try:
+        yield
+    except errors as exc:
+        raise _Usage(f"{prefix}{exc}") from None
+
+
+def _require_file(path: str) -> None:
     if not os.path.isfile(path):
-        parser.exit(2, f"error: file not found: {path}\n")
+        raise _Usage(f"file not found: {path}")
 
 
-def _require_positive(args, parser: argparse.ArgumentParser, *names: str) -> None:
+def _require_positive(args, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
         if not 0 < value < math.inf:  # also rejects nan
             flag = "--" + name.replace("_", "-")
             want = "finite" if value == math.inf else "positive"
-            parser.exit(2, f"error: {flag} must be {want}, got {value}\n")
+            raise _Usage(f"{flag} must be {want}, got {value}")
 
 
-def _require_seed(args, parser: argparse.ArgumentParser) -> None:
+def _require_seed(args) -> None:
     if args.seed is not None and args.seed < 0:
-        parser.exit(2, f"error: --seed must be >= 0, got {args.seed}\n")
+        raise _Usage(f"--seed must be >= 0, got {args.seed}")
 
 
-def _read_jsonl(path: str, parser: argparse.ArgumentParser) -> list[tuple[int, object]]:
+def _read_jsonl(path: str) -> list[tuple[int, object]]:
     """Each nonblank line of a JSONL file as (line number, JSON value); a
-    missing file or a line that is not JSON exits 2."""
-    _require_file(path, parser)
-    try:
+    missing file or a line that is not JSON is a usage error."""
+    _require_file(path)
+    with _reading(f"{path} "):
         return list(curation.read_jsonl(path))
-    except ValueError as exc:
-        parser.exit(2, f"error: {path} {exc}\n")
 
 
-def _cmd_verify(args, parser) -> int:
-    started = _utc_now()
+def _cmd_verify(args) -> int:
     # A flag of the other mode would do nothing, so it is a usage error.
     if args.pairs:
         for flag, value in (
@@ -125,22 +130,17 @@ def _cmd_verify(args, parser) -> int:
             ("--manifest", args.manifest),
         ):
             if value is not None:
-                parser.exit(2, f"error: {flag} is for single-pair mode, not --pairs\n")
+                raise _Usage(f"{flag} is for single-pair mode, not --pairs")
         out_lines = []
-        for n, row in _read_jsonl(args.pairs, parser):
+        for n, row in _read_jsonl(args.pairs):
+            where = f"{args.pairs} line {n}: "
             if not (isinstance(row, dict) and "pred" in row and "gold" in row):
-                parser.exit(
-                    2,
-                    f"error: {args.pairs} line {n}: "
-                    'expected an object with "pred" and "gold"\n',
-                )
+                raise _Usage(where + 'expected an object with "pred" and "gold"')
             for key in ("pred", "gold"):
                 value = row[key]
                 if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                    parser.exit(
-                        2,
-                        f"error: {args.pairs} line {n}: "
-                        f'"{key}" must be a string or a number, got {json.dumps(value)}\n',
+                    raise _Usage(
+                        f'{where}"{key}" must be a string or a number, got {json.dumps(value)}'
                     )
             verdict = verifier.verify(str(row["pred"]), str(row["gold"]))
             row["outcome"] = verdict.outcome
@@ -151,59 +151,40 @@ def _cmd_verify(args, parser) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
             write_manifest(
-                args.out + ".manifest.json",
-                "verify",
-                {"pairs": args.pairs},
-                None,
-                started,
-                [args.out],
+                args.out + ".manifest.json", args, {"pairs": args.pairs}, None, [args.out]
             )
         else:
             sys.stdout.write(text)
         return 0
     if args.out is not None:
-        parser.exit(2, "error: --out is for --pairs mode\n")
+        raise _Usage("--out is for --pairs mode")
     if args.gold is None or args.pred is None:
-        parser.exit(2, "error: verify needs --gold and --pred, or --pairs\n")
+        raise _Usage("verify needs --gold and --pred, or --pairs")
     verdict = verifier.verify(args.pred, args.gold)
     print(json.dumps({"outcome": verdict.outcome, "stage": verdict.stage}))
     if args.manifest:
-        write_manifest(
-            args.manifest,
-            "verify",
-            {"gold": args.gold, "pred": args.pred},
-            None,
-            started,
-            [],
-        )
+        write_manifest(args.manifest, args, {"gold": args.gold, "pred": args.pred}, None, [])
     return 0 if verdict.outcome == verifier.EQUIVALENT else 1
 
 
-def _read_records(
-    path: str, parser: argparse.ArgumentParser
-) -> list[curation.ProblemRecord]:
-    try:
+def _read_records(path: str) -> list[curation.ProblemRecord]:
+    with _reading(f"{path} "):
         return curation.read_records(path)
-    except ValueError as exc:
-        parser.exit(2, f"error: {path} {exc}\n")
 
 
-def _cmd_curate(args, parser) -> int:
-    started = _utc_now()
-    _require_positive(args, parser, "ngram")
+def _cmd_curate(args) -> int:
+    _require_positive(args, "ngram")
     if not 0 <= args.jaccard <= 1:  # also rejects nan
-        parser.exit(2, f"error: --jaccard must be in [0, 1], got {args.jaccard}\n")
+        raise _Usage(f"--jaccard must be in [0, 1], got {args.jaccard}")
     if args.max_answer_chars < 0:
-        parser.exit(
-            2, f"error: --max-answer-chars must be >= 0, got {args.max_answer_chars}\n"
-        )
-    _require_file(args.infile, parser)
+        raise _Usage(f"--max-answer-chars must be >= 0, got {args.max_answer_chars}")
+    _require_file(args.infile)
     for path in args.eval_set:
-        _require_file(path, parser)
-    records = _read_records(args.infile, parser)
+        _require_file(path)
+    records = _read_records(args.infile)
     eval_questions: list[str] = []
     for path in args.eval_set:
-        eval_questions.extend(r.question for r in _read_records(path, parser))
+        eval_questions.extend(r.question for r in _read_records(path))
     config = curation.CurationConfig(
         ngram_n=args.ngram,
         jaccard_threshold=args.jaccard,
@@ -221,7 +202,7 @@ def _cmd_curate(args, parser) -> int:
     print(report.render_table())
     write_manifest(
         args.out + ".manifest.json",
-        "curate",
+        args,
         {
             "in": args.infile,
             "ngram": args.ngram,
@@ -230,27 +211,23 @@ def _cmd_curate(args, parser) -> int:
             "eval_sets": list(args.eval_set),
         },
         None,
-        started,
         artifacts,
     )
     return 0
 
 
-def _load_config(path: str, parser: argparse.ArgumentParser) -> TrainConfig:
-    _require_file(path, parser)
-    try:
+def _load_config(path: str) -> TrainConfig:
+    _require_file(path)
+    # Invalid JSON, JSON nested past the recursion limit, an unknown key, a
+    # wrong type, a failed check, or an integer too large for a float field.
+    with _reading(f"{path}: ", (ValueError, RecursionError, TypeError, OverflowError)):
         with open(path, "r", encoding="utf-8") as fh:
             return TrainConfig.from_dict(json.load(fh))
-    except (ValueError, TypeError, OverflowError) as exc:
-        # Invalid JSON, an unknown key, a wrong type, a failed check, or an
-        # integer too large for a float field.
-        parser.exit(2, f"error: {path}: {exc}\n")
 
 
-def _cmd_train(args, parser) -> int:
-    started = _utc_now()
-    _require_seed(args, parser)
-    config = _load_config(args.config, parser)
+def _cmd_train(args) -> int:
+    _require_seed(args)
+    config = _load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -263,29 +240,19 @@ def _cmd_train(args, parser) -> int:
         save_checkpoint(policy, path)
         artifacts.append(path)
 
-    try:
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            result = trainer.train(
-                config,
-                metrics_sink=lambda rec: fh.write(
-                    json.dumps(rec.to_dict(), sort_keys=True) + "\n"
-                ),
-                # Each stage's checkpoint is on disk when the stage ends, so
-                # a run that aborts later keeps its finished stages.
-                stage_sink=lambda idx, policy: save(f"stage{idx + 1}.ckpt", policy),
-            )
-    except trainer.CollectAbort as exc:
-        print(f"training aborted: {exc}", file=sys.stderr)
-        return 1
+    with open(metrics_path, "w", encoding="utf-8") as fh:
+        result = trainer.train(
+            config,
+            metrics_sink=lambda rec: fh.write(
+                json.dumps(rec.to_dict(), sort_keys=True) + "\n"
+            ),
+            # Each stage's checkpoint is on disk when the stage ends, so
+            # a run that aborts later keeps its finished stages.
+            stage_sink=lambda idx, policy: save(f"stage{idx + 1}.ckpt", policy),
+        )
     save("final.ckpt", result.policy)
-    write_manifest(
-        os.path.join(args.out_dir, "manifest.json"),
-        "train",
-        config.to_dict(),
-        config.seed,
-        started,
-        artifacts,
-    )
+    manifest = os.path.join(args.out_dir, "manifest.json")
+    write_manifest(manifest, args, config.to_dict(), config.seed, artifacts)
     print(
         f"trained {len(result.metrics)} steps across "
         f"{len(config.stages)} stage(s) in {time.time() - t0:.1f}s; "
@@ -294,24 +261,19 @@ def _cmd_train(args, parser) -> int:
     return 0
 
 
-def _cmd_eval(args, parser) -> int:
-    started = _utc_now()
-    _require_positive(args, parser, "k", "temperature", "max_len", "n_tasks")
-    try:
+def _cmd_eval(args) -> int:
+    _require_positive(args, "k", "temperature", "max_len", "n_tasks")
+    with _reading(""):
         check_eval_sizes(args.k, args.max_len, args.n_tasks)
-    except ValueError as exc:
-        parser.exit(2, f"error: {exc}\n")
-    _require_seed(args, parser)
-    _require_file(args.ckpt, parser)
-    try:
+    _require_seed(args)
+    _require_file(args.ckpt)
+    with _reading(f"{args.ckpt}: "):
         params = load_checkpoint(args.ckpt)
-    except ValueError as exc:
-        parser.exit(2, f"error: {args.ckpt}: {exc}\n")
-    if args.config:
-        spec = _load_config(args.config, parser).task
-    else:
-        spec = tasks.TaskSpec()
-    try:
+    spec = _load_config(args.config).task if args.config else tasks.TaskSpec()
+    # The sizes and temperature are checked above, so this is the
+    # checkpoint: a vocabulary other than the tasks', or a context
+    # order no config can train.
+    with _reading(f"{args.ckpt}: "):
         score = trainer.evaluate(
             params,
             spec,
@@ -321,16 +283,11 @@ def _cmd_eval(args, parser) -> int:
             seed=args.seed,
             n_tasks=args.n_tasks,
         )
-    except ValueError as exc:
-        # The sizes and temperature are checked above, so this is the
-        # checkpoint: a vocabulary other than the tasks', or a context
-        # order no config can train.
-        parser.exit(2, f"error: {args.ckpt}: {exc}\n")
     print(json.dumps({"avg_at_k": score, "k": args.k, "n_tasks": args.n_tasks}))
     if args.manifest:
         write_manifest(
             args.manifest,
-            "eval",
+            args,
             {
                 "ckpt": args.ckpt,
                 "task": dataclasses.asdict(spec),
@@ -341,18 +298,16 @@ def _cmd_eval(args, parser) -> int:
                 "seed": args.seed,
             },
             args.seed,
-            started,
             [],
         )
     return 0
 
 
-def _cmd_report(args, parser) -> int:
-    started = _utc_now()
+def _cmd_report(args) -> int:
     rows = []
-    for n, row in _read_jsonl(args.metrics, parser):
+    for n, row in _read_jsonl(args.metrics):
         if not isinstance(row, dict):
-            parser.exit(2, f"error: {args.metrics} line {n}: expected an object\n")
+            raise _Usage(f"{args.metrics} line {n}: expected an object")
         rows.append(row)
     fields = [f.name for f in dataclasses.fields(trainer.MetricsRecord)]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -361,22 +316,17 @@ def _cmd_report(args, parser) -> int:
         for row in rows:
             writer.writerow(row)
     write_manifest(
-        args.out + ".manifest.json",
-        "report",
-        {"metrics": args.metrics},
-        None,
-        started,
-        [args.out],
+        args.out + ".manifest.json", args, {"metrics": args.metrics}, None, [args.out]
     )
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error, its subparsers' too, in one ``error:`` line."""
+    """Raises a usage error, its subparsers' too, as a ``_Usage``."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        raise _Usage(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,16 +389,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` names and return its exit code.  The one
+    place where an outcome becomes an exit code and a line on stderr."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        args.started_at = _utc_now()
+        return args.fn(args)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help/--version
+        # argparse exits 0 after printing --help or --version.
         return int(exc.code or 0)
-    try:
-        return args.fn(args, parser)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except _Usage as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except trainer.CollectAbort as exc:
+        print(f"training aborted: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         # A file the command cannot read or an output it cannot write.
         where = f"{exc.filename}: " if exc.filename is not None else ""

@@ -42,15 +42,21 @@ def _clip_spec(v) -> ClipSpec:
     return tuple(map(float, v)) if isinstance(v, tuple) else float(v)
 
 
+def _is_stages(v) -> bool:
+    return isinstance(v, (tuple, list)) and all(isinstance(s, StagePlan) for s in v)
+
+
 # Per field type ``_check_types`` checks: the test of a value, what its
 # message asks for, and the value's canonical form.  A bool is not a
-# number, and a float must be finite.
+# number, a float must be finite, and the stages are held as a tuple.
 _KINDS = {
     "bool": (lambda v: isinstance(v, bool), "true or false", bool),
     "int": (_is_int, "an integer", int),
     "float": (_is_float, "a finite number", float),
     "str": (lambda v: isinstance(v, str), "a string", str),
     "ClipSpec": (_is_clip_spec, "a number or a pair of numbers", _clip_spec),
+    "TaskSpec": (lambda v: isinstance(v, TaskSpec), "a TaskSpec", lambda v: v),
+    "tuple[StagePlan, ...]": (_is_stages, "a sequence of StagePlan", tuple),
 }
 
 

@@ -296,7 +296,9 @@ def run_pipeline(
 
 def read_jsonl(path: str) -> Iterator[tuple[int, object]]:
     """Each nonblank line of a JSONL file as (line number, JSON value), in
-    order; a line that is not JSON is a ``ValueError`` that names it."""
+    order; a line that is not JSON, or nests too deep for ``json`` to
+    decode within Python's recursion limit, is a ``ValueError`` that names
+    it."""
     # Read bytes, so that json.loads reports bad UTF-8 as a ValueError.
     with open(path, "rb") as fh:
         for n, line in enumerate(fh, 1):
@@ -305,7 +307,7 @@ def read_jsonl(path: str) -> Iterator[tuple[int, object]]:
                 continue
             try:
                 value = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"line {n}: invalid JSON: {exc}") from None
             yield n, value
 

@@ -816,6 +816,31 @@ class TestOutputsAndNumbers:
         assert not os.path.exists(inputs["out"])
 
     @pytest.mark.parametrize(
+        "template",
+        [
+            "train --config {deep} --out-dir {out}",
+            "eval --ckpt {ckpt} --config {deep} --k 2 --n-tasks 2 --max-len 4",
+            "verify --pairs {deep}",
+            "curate --in {deep} --out {out}",
+            "curate --in {records} --eval-set {deep} --out {out}",
+            "report --metrics {deep} --out {out}",
+        ],
+        ids=["train", "eval", "verify_pairs", "curate_in", "curate_eval_set", "report"],
+    )
+    def test_json_nested_past_the_recursion_limit_exits_two(
+        self, tmp_path, capsys, inputs, template
+    ):
+        # JSON nested past Python's recursion limit is malformed input, like
+        # any other line that is not JSON: one line on stderr, no traceback.
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 200_000 + "\n")
+        assert dispatch(command(template, deep=deep, **inputs)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {deep}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists(inputs["out"])
+
+    @pytest.mark.parametrize(
         "flag,name,cap",
         [
             ("--k", "k", config.MAX_EVAL_K),

@@ -287,3 +287,44 @@ def test_patterns_are_compiled_at_module_level():
         for line in literal_pattern_calls(tree)
     }
     assert found == set()
+
+
+# The functions of ``cli`` that may end the process or write to stderr:
+# ``dispatch`` turns every outcome into an exit code and a stderr line.
+EXIT_PATHS = {"dispatch", "main"}
+
+
+def exit_lines(tree: ast.Module) -> set[int]:
+    """Lines outside the top-level functions ``EXIT_PATHS`` that call an
+    ``exit`` (``sys.exit``, ``parser.exit``, ``os._exit``), name
+    ``SystemExit`` (to raise or catch it) or reach ``sys.stderr``."""
+    return {
+        node.lineno
+        for top in tree.body
+        if getattr(top, "name", None) not in EXIT_PATHS
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in {"exit", "_exit"}
+        or isinstance(node, ast.Name)
+        and node.id == "SystemExit"
+        or isinstance(node, ast.Attribute)
+        and node.attr == "stderr"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    }
+
+
+def test_only_dispatch_exits():
+    # Commands and helpers raise one usage error; they never end the
+    # process or print an error themselves.
+    sample = (
+        "import sys\n"
+        "def helper(parser):\n    parser.exit(2, 'error: x')\n"
+        "def dispatch():\n    try:\n        pass\n    except SystemExit:\n"
+        "        print('error: x', file=sys.stderr)\n"
+        "def command():\n    raise SystemExit(2)\n"
+        "def warn():\n    sys.stderr.write('x')\n"
+        "def main():\n    sys.exit(dispatch())\n"
+    )
+    assert exit_lines(ast.parse(sample)) == {3, 10, 12}
+    assert exit_lines(modules()["cli"]) == set()

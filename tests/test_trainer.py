@@ -125,6 +125,29 @@ class TestConfig:
         plain = StagePlan(8, 0.2, (0.2, 0.25))
         assert cfg == tiny_config(stages=(plain,), learning_rate=20.0, seed=3)
 
+    @pytest.mark.parametrize(
+        "fields,name",
+        [
+            ({"task": "modular-add"}, "task"),
+            ({"task": {"family": "modular-add"}}, "task"),
+            ({"stages": 5}, "stages"),
+            ({"stages": ({"max_response_len": 8},)}, "stages"),
+            ({"stages": (8,)}, "stages"),
+        ],
+        ids=["task_str", "task_dict", "stages_int", "stage_dict", "stage_int"],
+    )
+    def test_nested_fields_are_checked_when_built_in_python(self, fields, name):
+        # A nested field of the wrong type is a ValueError naming the field,
+        # as for every other field, and is caught before training starts.
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            TrainConfig(**fields)
+
+    def test_stages_are_held_as_a_tuple(self):
+        listed = TrainConfig(stages=[StagePlan(8), StagePlan(16)])
+        assert type(listed.stages) is tuple
+        spelled = TrainConfig(stages=(StagePlan(8), StagePlan(16)))
+        assert listed == spelled and hash(listed) == hash(spelled)
+
     def test_readme_config_reads(self):
         # The README's example config is one the reader takes as written.
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
